@@ -33,7 +33,7 @@ def bug_outcome(name: str) -> SchemeOutcome:
     )
     return SchemeOutcome(
         "gdp+bug", machine, module, result.assignment, object_home,
-        eval_result, 0.0, 1,
+        eval_result, {}, 1,
     )
 
 

@@ -11,8 +11,8 @@ from functools import lru_cache
 
 from repro.bench import get
 from repro.evalmodel import arithmetic_mean, format_table
+from repro.exec import RunConfig
 from repro.lang import compile_source
-from repro.machine import two_cluster_machine
 from repro.opt import optimize_module
 from repro.pipeline import Pipeline, PreparedProgram
 
@@ -41,7 +41,9 @@ def build(name: str, config_key: str):
 
 @lru_cache(maxsize=None)
 def outcomes(name: str, config_key: str):
-    pipe = Pipeline(two_cluster_machine(move_latency=LAT))
+    pipe = Pipeline(
+        RunConfig(latency=LAT, cache="off", fallback=False, retries=0)
+    )
     return pipe.run_all(build(name, config_key))
 
 

@@ -19,9 +19,8 @@ from typing import List, Tuple
 from repro.bench import get as get_benchmark, names as bench_names
 from repro.evalmodel import arithmetic_mean, bar_chart, format_table
 from repro.exec import ArtifactCache, RunConfig
-from repro.exec.engine import load_or_prepare, run_prepared_scheme
 from repro.machine import two_cluster_machine
-from repro.pipeline import PreparedProgram
+from repro.pipeline import Pipeline, PreparedProgram
 from repro.pipeline.schemes import SchemeOutcome
 
 #: The benchmark set used for the full-suite figures (Figs. 2, 7, 8, 10).
@@ -33,10 +32,14 @@ FIG9_SUITE: Tuple[str, ...] = ("rawcaudio", "rawdaudio")
 LATENCIES: Tuple[int, ...] = (1, 5, 10)
 
 #: Engine configuration for every harness lookup.  Policy and root come
-#: from the environment so CI can pin a per-run cache directory.
+#: from the environment so CI can pin a per-run cache directory.  One
+#: rung, one attempt: a failing scheme raises rather than reporting (and
+#: caching) a lower rung's cycles under the requested scheme's name.
 BENCH_CONFIG = RunConfig(
     cache=os.environ.get("REPRO_BENCH_CACHE", "on"),
     cache_dir=os.environ.get("REPRO_CACHE_DIR") or None,
+    fallback=False,
+    retries=0,
 )
 
 
@@ -50,40 +53,32 @@ def artifact_cache() -> ArtifactCache:
 def prepared(name: str, pointsto_tier: str = "andersen") -> PreparedProgram:
     bench = get_benchmark(name)
     config = BENCH_CONFIG.replace(pointsto_tier=pointsto_tier)
-    program, _ir_hash, _status = load_or_prepare(
-        bench.source, bench.name, config, artifact_cache()
+    return Pipeline(config, cache=artifact_cache()).prepare(
+        bench.source, bench.name
     )
-    return program
 
 
 @lru_cache(maxsize=None)
 def outcome(
     name: str, scheme: str, latency: int, pointsto_tier: str = "andersen"
 ) -> SchemeOutcome:
-    machine = two_cluster_machine(move_latency=latency)
     config = BENCH_CONFIG.replace(
         scheme=scheme, latency=latency, pointsto_tier=pointsto_tier
     )
-    result, _status = run_prepared_scheme(
-        prepared(name, pointsto_tier), machine, config, scheme,
-        artifact_cache(),
+    return Pipeline(config, cache=artifact_cache()).run(
+        prepared(name, pointsto_tier)
     )
-    return result
 
 
 @lru_cache(maxsize=None)
 def resilient(name: str, scheme: str, latency: int):
-    """Scheme outcome via :class:`repro.resilience.ResilientPipeline` —
-    use when a bench needs the :class:`RunReport` per-phase wall clocks
+    """Scheme outcome with its :class:`RunReport` per-phase wall clocks
     (e.g. Section 4.5 compile-time numbers) rather than just the result.
     Deliberately never served from the artifact cache: a rehydrated
     outcome has no fresh phase timings."""
-    from repro.resilience import ResilientPipeline
-
-    machine = two_cluster_machine(move_latency=latency)
-    pipe = ResilientPipeline.from_config(
+    pipe = Pipeline(
         RunConfig(retries=0, fallback=False, validate=False, cache="off"),
-        machine=machine,
+        machine=two_cluster_machine(move_latency=latency),
     )
     return pipe.run(prepared(name), scheme)
 

@@ -11,10 +11,15 @@ Recreates the paper's analysis on one benchmark end to end:
 Run:  python examples/adpcm_partitioning.py
 """
 
+from repro import RunConfig
 from repro.bench import get
 from repro.evalmodel import exhaustive_search, format_table, scatter_plot
 from repro.machine import two_cluster_machine
 from repro.pipeline import Pipeline, PreparedProgram
+
+#: Recompute everything instead of reading the artifact cache, and run
+#: exactly the requested scheme: a failure raises instead of falling back.
+CONFIG = RunConfig(cache="off", fallback=False, retries=0)
 
 
 def main() -> None:
@@ -39,7 +44,7 @@ def main() -> None:
     print("\nrelative performance vs unified memory:")
     rows = []
     for latency in (1, 5, 10):
-        pipe = Pipeline(two_cluster_machine(move_latency=latency))
+        pipe = Pipeline(CONFIG.replace(latency=latency))
         rel = pipe.compare(prepared, schemes=("gdp", "profilemax", "naive"))
         rows.append(
             [f"{latency} cycles"]
@@ -49,7 +54,7 @@ def main() -> None:
 
     # Figure 9 for this benchmark.
     machine = two_cluster_machine(move_latency=5)
-    pipe = Pipeline(machine)
+    pipe = Pipeline(CONFIG, machine=machine)
     gdp = pipe.run(prepared, "gdp")
     pmax = pipe.run(prepared, "profilemax")
     result = exhaustive_search(

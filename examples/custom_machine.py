@@ -7,6 +7,7 @@ intercluster bus — and how GDP behaves on each.
 Run:  python examples/custom_machine.py
 """
 
+from repro import RunConfig
 from repro.bench import get
 from repro.evalmodel import format_table
 from repro.machine import (
@@ -19,6 +20,10 @@ from repro.machine import (
     two_cluster_machine,
 )
 from repro.pipeline import Pipeline, PreparedProgram
+
+#: Recompute everything: these machines are throwaway experiments.  Run
+#: exactly the requested scheme: a failure raises instead of falling back.
+CONFIG = RunConfig(cache="off", fallback=False, retries=0)
 
 
 def wide_bus_machine(move_latency: int = 5) -> Machine:
@@ -46,7 +51,7 @@ def main() -> None:
 
     rows = []
     for label, machine in machines.items():
-        pipe = Pipeline(machine)
+        pipe = Pipeline(CONFIG, machine=machine)
         unified = pipe.run(prepared, "unified")
         gdp = pipe.run(prepared, "gdp")
         rows.append(
@@ -69,7 +74,7 @@ def main() -> None:
     print("\nmove-latency sweep (GDP relative to unified):")
     sweep_rows = []
     for latency in (1, 2, 5, 10, 15):
-        pipe = Pipeline(two_cluster_machine(move_latency=latency))
+        pipe = Pipeline(CONFIG.replace(latency=latency))
         rel = pipe.compare(prepared, schemes=("gdp",))
         sweep_rows.append([latency, f"{rel['gdp']:.3f}"])
     print(format_table(["latency", "GDP vs unified"], sweep_rows))

@@ -7,8 +7,8 @@ performance — a one-benchmark slice of Figure 8.
 Run:  python examples/quickstart.py
 """
 
+from repro import RunConfig
 from repro.evalmodel import format_table
-from repro.machine import two_cluster_machine
 from repro.pipeline import Pipeline, PreparedProgram
 
 SOURCE = """
@@ -55,7 +55,9 @@ def main() -> None:
     print()
 
     # 2. Partition with each scheme on the paper's machine (5-cycle moves).
-    pipe = Pipeline(two_cluster_machine(move_latency=5))
+    pipe = Pipeline(
+        RunConfig(latency=5, cache="off", fallback=False, retries=0)
+    )
     outcomes = pipe.run_all(prepared)
 
     base = outcomes["unified"].cycles

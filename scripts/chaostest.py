@@ -315,6 +315,7 @@ def run_crash(args, workdir: str, baseline: Dict[str, Any]) -> Dict[str, Any]:
 
 def run_corruption(args, workdir: str, baseline: Dict[str, Any]) -> Dict[str, Any]:
     from repro.exec.engine import run_cell
+    from repro.service.jobs import cell_summary
 
     cache_dir = os.path.join(workdir, "baseline-cache")
     rng = random.Random(args.seed)
@@ -349,14 +350,7 @@ def run_corruption(args, workdir: str, baseline: Dict[str, Any]) -> Dict[str, An
             "config": dict(request["config"],
                            cache="on", cache_dir=cache_dir),
         })
-        healed[key] = {
-            "bench": cell["bench"], "scheme": cell["scheme"],
-            "latency": cell["latency"],
-            "pointsto_tier": cell["pointsto_tier"], "seed": cell["seed"],
-            "machine": cell["machine"], "status": cell["status"],
-            "ran_as": cell["ran_as"], "cycles": cell["cycles"],
-            "dynamic_moves": cell["dynamic_moves"], "error": cell["error"],
-        }
+        healed[key] = cell_summary(cell)
 
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")

@@ -27,6 +27,11 @@
 #               results), flip bytes in cache artifacts (quarantine +
 #               self-heal), and a bounded-queue backpressure loadtest
 #               (429 + Retry-After absorbed by client backoff).
+#   perfbench   the benchmark harness's own tests (perfbench/test_stats.py)
+#               plus a one-second traced compile_cold run: it imports every
+#               layer boundary the benchmark wraps and re-checks 20 cells'
+#               cycles, moves and print traces against perfbench's
+#               reference; the run's last JSON line must say "failed": 0.
 #
 # Usage: scripts/check.sh [stage ...]   (from the repository root)
 #        no arguments runs every stage in order.
@@ -36,7 +41,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
 export PYTHONPATH="$ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
 
-STAGES="tools examples benches faults ptdiff staticdiff regioncheck cache service chaos"
+STAGES="tools examples benches faults ptdiff staticdiff regioncheck cache service chaos perfbench"
 failures=0
 
 note() { printf '== %s\n' "$*"; }
@@ -433,6 +438,35 @@ print(f"{'ok' if ok else 'FAIL'}: loadtest exit {load.returncode}, "
       f"429 retries {retries}, checks {checks}")
 sys.exit(0 if ok else 1)
 PY
+}
+
+# -- perfbench: benchmark harness tests + a traced reference-checked run ------
+# perfbench/run.py exits 0 even when its reference check fails, so the
+# verdict is read from the "failed" count on its last (JSON) output line.
+
+stage_perfbench() {
+    note "perfbench harness tests"
+    python -m pytest -q perfbench/test_stats.py || failures=$((failures + 1))
+
+    note "perfbench traced compile_cold run (reference-checked, failed == 0)"
+    PERF_OUT="$(mktemp)"
+    python3 perfbench/run.py --workload compile_cold --seed 0 --seconds 1 \
+        --trace 1 > "$PERF_OUT"
+    code=$?
+    grep '^FAILED' "$PERF_OUT"
+    if [ "$code" -eq 0 ] && tail -n 1 "$PERF_OUT" | python -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+failed, attempted = result["failed"], result["attempted"]
+print(f"failed {failed} of {attempted} checked operation(s)")
+sys.exit(0 if failed == 0 else 1)
+'; then
+        note "ok: perfbench compile_cold"
+    else
+        note "FAIL: perfbench compile_cold (exit $code)"
+        failures=$((failures + 1))
+    fi
+    rm -f "$PERF_OUT"
 }
 
 # -- dispatch -----------------------------------------------------------------

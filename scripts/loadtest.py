@@ -168,12 +168,11 @@ def main(argv=None) -> int:
             ),
             port=0,
         ).start()
-        url = server.url
     elif args.max_depth is not None:
         parser.error("--max-depth configures the in-process server; "
                      "it cannot apply to an external --url")
     client = ServiceClient(
-        url if server is None else server.url,
+        args.url if server is None else server.url,
         timeout=args.timeout, retry_budget=args.timeout,
     )
     url = client.base_url

@@ -6,15 +6,14 @@ frontend, whole-program analyses, a profiling interpreter, a clustered-VLIW
 machine model and list scheduler, a multilevel graph partitioner, and the
 paper's Global Data Partitioning algorithm with its evaluation baselines.
 
-Typical use::
+Typical use (one driver, configured by one :class:`RunConfig`)::
 
-    from repro import compile_source
-    from repro.machine import two_cluster_machine
+    from repro import RunConfig
     from repro.pipeline import Pipeline
 
-    module = compile_source(MINIC_SOURCE)
-    machine = two_cluster_machine(move_latency=5)
-    result = Pipeline(machine).run(module, scheme="gdp")
+    pipe = Pipeline(RunConfig(latency=5, cache="off"))
+    prepared = pipe.prepare(MINIC_SOURCE, "demo")
+    result = pipe.run(prepared, "gdp")
     print(result.cycles)
 """
 

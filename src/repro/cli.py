@@ -39,6 +39,7 @@ from .ir.serialize import dumps
 from .lang import compile_source
 from .pipeline import Pipeline, PreparedProgram
 from .profiler import Interpreter
+from .resilience import LadderExhausted, RunReport
 
 #: Uniform exit codes (documented in README).
 EXIT_OK = 0
@@ -144,8 +145,20 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args, **overrides) -> RunConfig:
     """The resolved RunConfig for a parsed flag set (missing flags fall
-    back to the RunConfig field defaults)."""
+    back to the RunConfig field defaults).
+
+    Commands that run schemes (those taking ``--verify-partition``) also
+    validate every attempt whenever a resilience flag is given: a fault
+    or an anytime budget must not slip an invalid partition through.
+    """
     retries = getattr(args, "retries", None)
+    resilience = getattr(args, "fallback", False) or any(
+        getattr(args, flag, None) is not None
+        for flag in ("max_seconds", "retries", "run_report", "fault_spec")
+    )
+    validate = getattr(args, "verify_partition", False) or (
+        hasattr(args, "verify_partition") and resilience
+    )
     kwargs = dict(
         scheme=getattr(args, "scheme", "gdp"),
         pointsto_tier=getattr(args, "pointsto", "andersen"),
@@ -157,23 +170,13 @@ def _config_from_args(args, **overrides) -> RunConfig:
         retries=retries if retries is not None else 1,
         fallback=bool(getattr(args, "fallback", False)),
         fault_spec=getattr(args, "fault_spec", None),
-        validate=bool(getattr(args, "verify_partition", False)),
+        validate=bool(validate),
         jobs=getattr(args, "jobs", None),
         cache=getattr(args, "cache", "off"),
         cache_dir=getattr(args, "cache_dir", None),
     )
     kwargs.update(overrides)
     return RunConfig(**kwargs)
-
-
-def _wants_resilience(args) -> bool:
-    return any((
-        args.max_seconds is not None,
-        args.retries is not None,
-        args.fallback,
-        args.run_report,
-        args.fault_spec,
-    ))
 
 
 def _save_run_report(args, report) -> None:
@@ -217,58 +220,8 @@ def _run(args) -> int:
     return EXIT_OK
 
 
-def _prepared_from_config(args, config: RunConfig) -> PreparedProgram:
-    """Prepare via the artifact cache when the config enables it."""
-    source = _read_source(args.file)
-    if config.cache_enabled:
-        from .exec.engine import load_or_prepare
-
-        prepared, _ir_hash, _status = load_or_prepare(
-            source, args.name, config
-        )
-        return prepared
-    return PreparedProgram.from_source(source, args.name, config=config)
-
-
 def _print_precision(prepared: PreparedProgram) -> None:
     print(f"pointsto: {prepared.pointsto.stats().describe()}")
-
-
-def _partition(args) -> int:
-    config = _config_from_args(args)
-    if _wants_resilience(args):
-        return _partition_resilient(args, config)
-    prepared = _prepared_from_config(args, config)
-    pipe = Pipeline.from_config(config)
-    try:
-        if config.cacheable_results:
-            from .exec.engine import run_prepared_scheme
-
-            outcome, _status = run_prepared_scheme(
-                prepared, pipe.machine, config, args.scheme
-            )
-        else:
-            outcome = pipe.run(prepared, args.scheme)
-    except _partition_validity_error() as exc:
-        print(exc)
-        return EXIT_HARD_FAILURE
-    print(f"scheme:  {args.scheme}")
-    _print_precision(prepared)
-    print(f"cycles:  {outcome.cycles:.0f}")
-    print(f"dynamic intercluster moves: {outcome.dynamic_moves:.0f}")
-    _print_roofline(outcome.roofline)
-    if outcome.object_home:
-        print("object placement:")
-        for obj, cluster in sorted(outcome.object_home.items()):
-            size = prepared.objects[obj].size
-            print(f"  cluster {cluster}: {obj} ({size} bytes)")
-    return EXIT_OK
-
-
-def _partition_validity_error():
-    from .lint import PartitionValidityError
-
-    return PartitionValidityError
 
 
 def _print_roofline(roofline) -> None:
@@ -282,73 +235,56 @@ def _print_roofline(roofline) -> None:
     )
 
 
-def _partition_resilient(args, config: RunConfig) -> int:
-    from .resilience import LadderExhausted, ResilientPipeline
-    from .profiler import InterpreterError
-
-    pipe = ResilientPipeline.from_config(config.replace(validate=True))
-    try:
-        prepared, report = pipe.prepare(_read_source(args.file), args.name)
-    except InterpreterError as exc:
-        print(f"profiling failed beyond recovery: {exc}")
-        return EXIT_HARD_FAILURE
-    profile_degraded = (
-        config.profile == "dynamic" and prepared.profile.is_static()
-    )
-    try:
-        result = pipe.run(prepared, args.scheme, report=report)
-    except LadderExhausted as exc:
-        print(exc)
-        if exc.run_report is not None:
-            _save_run_report(args, exc.run_report)
-        return EXIT_HARD_FAILURE
-    result.report.record_pointsto(
+def _prepare(args, config: RunConfig):
+    """(pipeline, prepared, report, profile degraded?) for a file."""
+    pipe = Pipeline(config)
+    report = RunReport()
+    prepared = pipe.prepare(_read_source(args.file), args.name, report)
+    report.record_pointsto(
         prepared.pointsto_tier, prepared.pointsto.stats().to_dict()
     )
-    scheme = result.scheme
-    roofline = getattr(result, "roofline", None)
-    if roofline:
-        result.report.record_roofline(scheme, roofline)
-    if result.fell_back:
-        print(f"scheme:  {scheme} (fallback from {result.requested})")
+    degraded = config.profile == "dynamic" and prepared.profile.is_static()
+    return pipe, prepared, report, degraded
+
+
+def _partition(args) -> int:
+    config = _config_from_args(args)
+    pipe, prepared, report, profile_degraded = _prepare(args, config)
+    try:
+        outcome = pipe.run(prepared, args.scheme, report)
+    except LadderExhausted as exc:
+        print(exc)
+        _save_run_report(args, report)
+        return EXIT_HARD_FAILURE
+    if outcome.roofline:
+        report.record_roofline(outcome.scheme, outcome.roofline)
+    if outcome.fell_back:
+        print(f"scheme:  {outcome.scheme} (fallback from {outcome.requested})")
     else:
-        print(f"scheme:  {scheme}")
+        print(f"scheme:  {outcome.scheme}")
     if profile_degraded:
         print("profile: static (fallback from dynamic)")
     else:
         print(f"profile: {config.profile}")
     _print_precision(prepared)
-    print(f"cycles:  {result.cycles:.0f}")
-    print(f"dynamic intercluster moves: {result.dynamic_moves:.0f}")
-    _print_roofline(roofline)
-    summary = result.report.to_dict()["summary"]
+    print(f"cycles:  {outcome.cycles:.0f}")
+    print(f"dynamic intercluster moves: {outcome.dynamic_moves:.0f}")
+    _print_roofline(outcome.roofline)
+    summary = report.to_dict()["summary"]
     print(f"attempts: {summary['attempts']}  faults: {summary['faults']}  "
           f"fallbacks: {summary['fallbacks']}")
-    if result.object_home:
+    if outcome.object_home:
         print("object placement:")
-        for obj, cluster in sorted(result.object_home.items()):
+        for obj, cluster in sorted(outcome.object_home.items()):
             size = prepared.objects[obj].size
             print(f"  cluster {cluster}: {obj} ({size} bytes)")
-    _save_run_report(args, result.report)
-    return EXIT_DEGRADED if result.fell_back or profile_degraded else EXIT_OK
+    _save_run_report(args, report)
+    return EXIT_DEGRADED if outcome.fell_back or profile_degraded else EXIT_OK
 
 
-def _compare_resilient(args, config: RunConfig) -> int:
-    from .resilience import LadderExhausted, ResilientPipeline
-    from .profiler import InterpreterError
-
-    pipe = ResilientPipeline.from_config(config.replace(validate=True))
-    try:
-        prepared, report = pipe.prepare(_read_source(args.file), args.name)
-    except InterpreterError as exc:
-        print(f"profiling failed beyond recovery: {exc}")
-        return EXIT_HARD_FAILURE
-    profile_degraded = (
-        config.profile == "dynamic" and prepared.profile.is_static()
-    )
-    report.record_pointsto(
-        prepared.pointsto_tier, prepared.pointsto.stats().to_dict()
-    )
+def _compare(args) -> int:
+    config = _config_from_args(args)
+    pipe, prepared, report, degraded = _prepare(args, config)
     try:
         outcomes = pipe.run_all(prepared, report=report)
     except LadderExhausted as exc:
@@ -357,19 +293,15 @@ def _compare_resilient(args, config: RunConfig) -> int:
         return EXIT_HARD_FAILURE
     base = outcomes["unified"].cycles
     rows = []
-    degraded = profile_degraded
-    for name in ("unified", "gdp", "profilemax", "naive"):
-        out = outcomes[name]
+    for name, out in outcomes.items():
         degraded = degraded or out.fell_back
-        ran_as = out.scheme if out.fell_back else ""
-        roofline = getattr(out, "roofline", None)
-        if roofline:
-            report.record_roofline(name, roofline)
+        if out.roofline:
+            report.record_roofline(name, out.roofline)
         rows.append([
-            name, ran_as, f"{out.cycles:.0f}",
+            name, out.scheme if out.fell_back else "", f"{out.cycles:.0f}",
             f"{base / out.cycles:.3f}" if out.cycles else "-",
             f"{out.dynamic_moves:.0f}",
-            f"{roofline['ratio']:.2f}" if roofline else "-",
+            f"{out.roofline['ratio']:.2f}" if out.roofline else "-",
         ])
     _print_precision(prepared)
     print(format_table(
@@ -378,34 +310,6 @@ def _compare_resilient(args, config: RunConfig) -> int:
     ))
     _save_run_report(args, report)
     return EXIT_DEGRADED if degraded else EXIT_OK
-
-
-def _compare(args) -> int:
-    config = _config_from_args(args)
-    if _wants_resilience(args):
-        return _compare_resilient(args, config)
-    prepared = _prepared_from_config(args, config)
-    pipe = Pipeline.from_config(config)
-    try:
-        outcomes = pipe.run_all(prepared)
-    except _partition_validity_error() as exc:
-        print(exc)
-        return EXIT_HARD_FAILURE
-    base = outcomes["unified"].cycles
-    rows = []
-    for name in ("unified", "gdp", "profilemax", "naive"):
-        out = outcomes[name]
-        rows.append([
-            name, f"{out.cycles:.0f}",
-            f"{base / out.cycles:.3f}" if out.cycles else "-",
-            f"{out.dynamic_moves:.0f}",
-            f"{out.roofline['ratio']:.2f}" if out.roofline else "-",
-        ])
-    _print_precision(prepared)
-    print(format_table(
-        ["scheme", "cycles", "vs unified", "dyn moves", "x-roofline"], rows
-    ))
-    return EXIT_OK
 
 
 def _resolve_lint_path(path: str) -> str:
@@ -470,8 +374,7 @@ def _lint(args) -> int:
             _read_source(_resolve_lint_path(args.file)), args.name,
             config=config,
         )
-        pipe = Pipeline.from_config(config.replace(validate=False),
-                                    machine=machine)
+        pipe = Pipeline(config.replace(validate=False), machine=machine)
         outcome = pipe.run(prepared, args.scheme)
         report.extend(check_scheme_outcome(prepared, outcome))
         report.extend(check_region_outcome(prepared, outcome))
@@ -508,17 +411,8 @@ def _bench(args) -> int:
         return EXIT_OK
     config = _config_from_args(args)
     bench = get_benchmark(args.name)
-    if config.cache_enabled:
-        from .exec.engine import load_or_prepare
-
-        prepared, _ir_hash, _status = load_or_prepare(
-            bench.source, bench.name, config
-        )
-    else:
-        prepared = PreparedProgram.from_source(
-            bench.source, bench.name, config=config
-        )
-    pipe = Pipeline.from_config(config)
+    pipe = Pipeline(config)
+    prepared = pipe.prepare(bench.source, bench.name)
     rel = pipe.compare(prepared, schemes=("gdp", "profilemax", "naive"))
     rows = [[scheme, f"{value:.3f}"] for scheme, value in rel.items()]
     print(f"{bench.name} @ {args.latency}-cycle move latency "

@@ -16,10 +16,8 @@ from .engine import (
     SWEEP_SCHEMES,
     ParallelRunner,
     SweepResult,
-    load_or_prepare,
     lookup_cached_outcome,
     run_cell,
-    run_prepared_scheme,
 )
 from .runconfig import (
     CACHE_POLICIES,
@@ -30,7 +28,6 @@ from .runconfig import (
     SCHEMES,
     RunConfig,
     RunConfigError,
-    warn_legacy_kwarg,
 )
 
 __all__ = [
@@ -49,9 +46,6 @@ __all__ = [
     "canonical_key",
     "content_sha",
     "default_cache_dir",
-    "load_or_prepare",
     "lookup_cached_outcome",
     "run_cell",
-    "run_prepared_scheme",
-    "warn_legacy_kwarg",
 ]

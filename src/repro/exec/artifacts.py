@@ -215,14 +215,14 @@ def prepared_from_payload(payload: Dict[str, Any]):
         # robust than persisting the infinite-valued bound tables.
         return PreparedProgram(
             module, pointsto=pointsto, profile_mode="static",
-            pointsto_tier=payload["pointsto_tier"], _legacy_warn=False,
+            pointsto_tier=payload["pointsto_tier"],
         )
     profile = profile_from_payload(
         payload["profile"], uids_by_stable_key(module)
     )
     return PreparedProgram(
         module, profile=profile, pointsto=pointsto,
-        pointsto_tier=payload["pointsto_tier"], _legacy_warn=False,
+        pointsto_tier=payload["pointsto_tier"],
     )
 
 

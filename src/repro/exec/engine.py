@@ -22,12 +22,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .artifacts import (
+# The artifact (de)serialisers live here as module attributes: the
+# driver calls them through this module, which is where perfbench's
+# layer probes wrap them.
+from .artifacts import (  # noqa: F401
     outcome_from_payload,
-    outcome_key_material,
     outcome_to_payload,
     prepared_from_payload,
-    prepared_key_material,
     prepared_to_payload,
 )
 from .cache import ArtifactCache
@@ -40,82 +41,6 @@ SWEEP_SCHEMES = ("unified", "gdp", "profilemax", "naive")
 #: Placeholder used when deterministic serialisation scrubs a field whose
 #: value depends on execution order or wall clocks (cache locality, jobs).
 _SCRUBBED = "-"
-
-
-# ---------------------------------------------------------------------------
-# In-process cache-aware building blocks (shared by workers, the bench
-# harness, and Pipeline.run_all)
-# ---------------------------------------------------------------------------
-
-
-def load_or_prepare(
-    source: str,
-    name: str,
-    config: RunConfig,
-    cache: Optional[ArtifactCache] = None,
-) -> Tuple[Any, Optional[str], str]:
-    """(prepared, ir_hash, cache status) for one benchmark program.
-
-    On a hit the prepared program is rehydrated from its artifact (no
-    interpretation, no points-to solve); on a miss it is built and the
-    artifact stored.  With caching off the hash is skipped too.
-    """
-    from ..pipeline.prepared import PreparedProgram
-
-    cache = cache or ArtifactCache(config.cache_dir, config.cache)
-    if not config.cache_enabled:
-        prepared = PreparedProgram.from_source(source, name, config=config)
-        return prepared, None, "off"
-    material = prepared_key_material(
-        source, name, config.pointsto_tier, profile=config.profile
-    )
-    payload = cache.load("prepared", material)
-    if payload is not None:
-        return prepared_from_payload(payload), payload["ir_hash"], "hit"
-    prepared = PreparedProgram.from_source(source, name, config=config)
-    payload = prepared_to_payload(prepared)
-    cache.store("prepared", material, payload)
-    return prepared, payload["ir_hash"], "miss"
-
-
-def run_prepared_scheme(
-    prepared,
-    machine,
-    config: RunConfig,
-    scheme: str,
-    cache: Optional[ArtifactCache] = None,
-    ir_hash: Optional[str] = None,
-    validate: Optional[bool] = None,
-):
-    """One scheme over an in-memory prepared program, cache-aware.
-
-    Returns ``(SchemeOutcome, cache_status)``.  Used by
-    :meth:`Pipeline.run_all` and the bench harness; the parallel workers
-    use the resilient variant in :func:`run_cell`.
-    """
-    from ..pipeline.schemes import run_scheme
-
-    validate = config.validate if validate is None else validate
-    cacheable = config.cacheable_results
-    cache = cache or ArtifactCache(config.cache_dir, config.cache)
-    material = None
-    if cacheable:
-        if ir_hash is None:
-            ir_hash = prepared.fingerprint()
-        material = outcome_key_material(
-            ir_hash, machine, config.pointsto_tier, scheme, config.seed
-        )
-        payload = cache.load("outcome", material)
-        if payload is not None:
-            return outcome_from_payload(payload, machine), "hit"
-    outcome = run_scheme(
-        prepared, machine, scheme,
-        validate=validate, seed_offset=config.seed,
-    )
-    if cacheable and material is not None:
-        cache.store("outcome", material, outcome_to_payload(outcome))
-        return outcome, "miss"
-    return outcome, "skip"
 
 
 def lookup_cached_outcome(
@@ -133,24 +58,10 @@ def lookup_cached_outcome(
     instance's hit/miss telemetry should pass their own (e.g. readonly)
     handle.
     """
-    if not (config.cache_enabled and config.cacheable_results):
-        return None
+    from ..pipeline import Pipeline
+
     cache = cache or ArtifactCache(config.cache_dir, "readonly")
-    prep_payload = cache.load(
-        "prepared",
-        prepared_key_material(
-            source, name, config.pointsto_tier, profile=config.profile
-        ),
-    )
-    if prep_payload is None:
-        return None
-    return cache.load(
-        "outcome",
-        outcome_key_material(
-            prep_payload["ir_hash"], config.build_machine(),
-            config.pointsto_tier, config.scheme, config.seed,
-        ),
-    )
+    return Pipeline(config, cache=cache).lookup(source, name)
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +89,16 @@ def run_cell(
     workers) may pass a shared ``cache`` handle so hit/miss telemetry
     accumulates in one place; pool workers leave it None and build their
     own.
+
+    A fully warm cell is answered by the outcome artifact alone (its key's
+    IR hash lives in the prepared artifact), so it never compiles or
+    rehydrates; otherwise the pipeline prepares and runs the scheme under
+    the resilience ladder.
     """
-    from ..resilience import LadderExhausted, ResilientPipeline
-    from ..resilience.report import RunReport
+    from ..pipeline import Pipeline
+    from ..resilience import LadderExhausted, RunReport
 
     config = RunConfig.from_dict(payload["config"])
-    cache = cache or ArtifactCache(config.cache_dir, config.cache)
     started = time.perf_counter()
     cell: Dict[str, Any] = {
         "bench": payload["bench"],
@@ -194,115 +109,49 @@ def run_cell(
         "machine": config.machine,
     }
     report = RunReport()
-    cache_events = {"prepared": "off", "outcome": "off"}
     try:
         name, source = _bench_source(payload["bench"], payload.get("source"))
-        machine = config.build_machine()
-        cacheable = config.cacheable_results
-
-        # Fast path: the outcome artifact alone answers the cell.  The
-        # ir_hash needed for its key lives in the prepared artifact, so a
-        # fully warm cell never even compiles.
-        prepared = None
-        ir_hash = None
-        if config.cache_enabled:
-            material = prepared_key_material(
-                source, name, config.pointsto_tier, profile=config.profile
-            )
-            prep_payload = cache.load("prepared", material)
-            if prep_payload is not None:
-                ir_hash = prep_payload["ir_hash"]
-                cache_events["prepared"] = "hit"
-                report.record_cache("prepared", "hit")
-        if cacheable and ir_hash is not None:
-            out_material = outcome_key_material(
-                ir_hash, machine, config.pointsto_tier, config.scheme,
-                config.seed,
-            )
-            out_payload = cache.load("outcome", out_material)
-            if out_payload is not None:
-                cache_events["outcome"] = "hit"
-                report.record_cache("outcome", "hit")
-                report.record_run(config.scheme, [config.scheme])
-                ran_as = out_payload.get("ran_as", out_payload["scheme"])
-                report.record_final(config.scheme, ran_as, "ok")
-                roofline = out_payload.get("roofline")
-                if roofline is not None:
-                    report.record_roofline(ran_as, roofline)
-                cell.update(
-                    status=(
-                        "degraded"
-                        if ran_as != config.scheme else "ok"
-                    ),
-                    ran_as=ran_as,
-                    cycles=out_payload["eval"]["cycles"],
-                    dynamic_moves=out_payload["eval"]["dynamic_moves"],
-                    roofline_ratio=(roofline or {}).get("ratio"),
-                    error=None,
-                )
-                return _finish_cell(cell, cache_events, report, started)
-
-        # Slow path: materialise the prepared program (rehydrated on a
-        # prepared hit, computed and stored on a miss) and run the scheme
-        # under the resilience ladder.
-        if config.cache_enabled and cache_events["prepared"] == "hit":
-            prepared = prepared_from_payload(prep_payload)
+        pipe = Pipeline(config, cache=cache)
+        hit = pipe.lookup(source, name, report=report)
+        if hit is not None:
+            ran_as, roofline = hit["scheme"], hit.get("roofline")
+            cycles = hit["eval"]["cycles"]
+            moves = hit["eval"]["dynamic_moves"]
         else:
-            prepared, ir_hash, status = load_or_prepare(
-                source, name, config, cache
-            )
-            cache_events["prepared"] = status
-            if status != "off":
-                report.record_cache("prepared", status)
-
-        pipe = ResilientPipeline.from_config(config, machine=machine)
-        try:
-            result = pipe.run(prepared, config.scheme, report=report)
-        except LadderExhausted as exc:
-            cell.update(
-                status="failed", ran_as=None, cycles=None,
-                dynamic_moves=None, roofline_ratio=None, error=str(exc),
-            )
-            return _finish_cell(cell, cache_events, report, started)
-
-        if cacheable and ir_hash is not None:
-            out_material = outcome_key_material(
-                ir_hash, machine, config.pointsto_tier, config.scheme,
-                config.seed,
-            )
-            out_payload = outcome_to_payload(result.outcome)
-            out_payload["ran_as"] = result.scheme
-            cache.store("outcome", out_material, out_payload)
-            cache_events["outcome"] = "miss"
-            report.record_cache("outcome", "miss")
-        elif not cacheable and config.cache_enabled:
-            cache_events["outcome"] = "skip"
-
-        roofline = getattr(result, "roofline", None)
+            prepared = pipe.prepare(source, name, report)
+            outcome = pipe.run(prepared, report=report)
+            ran_as, roofline = outcome.scheme, outcome.roofline
+            cycles, moves = outcome.cycles, outcome.dynamic_moves
         if roofline is not None:
-            report.record_roofline(result.scheme, roofline)
+            report.record_roofline(ran_as, roofline)
         cell.update(
-            status="degraded" if result.fell_back else "ok",
-            ran_as=result.scheme,
-            cycles=result.cycles,
-            dynamic_moves=result.dynamic_moves,
+            status="degraded" if ran_as != config.scheme else "ok",
+            ran_as=ran_as,
+            cycles=cycles,
+            dynamic_moves=moves,
             roofline_ratio=(roofline or {}).get("ratio"),
             error=None,
         )
-        return _finish_cell(cell, cache_events, report, started)
     except Exception as exc:  # noqa: BLE001 - a cell must never kill the sweep
+        error = (
+            str(exc) if isinstance(exc, LadderExhausted)
+            else f"{type(exc).__name__}: {exc}"
+        )
         cell.update(
             status="failed", ran_as=None, cycles=None, dynamic_moves=None,
-            roofline_ratio=None, error=f"{type(exc).__name__}: {exc}",
+            roofline_ratio=None, error=error,
         )
-        return _finish_cell(cell, cache_events, report, started)
-
-
-def _finish_cell(cell, cache_events, report, started) -> Dict[str, Any]:
-    cell["cache"] = dict(cache_events)
-    cell["seconds"] = time.perf_counter() - started
-    cell["report"] = report.to_dict()
-    cell["report_deterministic"] = report.to_dict(deterministic=True)
+    cache_events = {"prepared": "off", "outcome": "off"}
+    if config.cache_enabled and not config.cacheable_results:
+        cache_events["outcome"] = "skip"
+    for event in report.cache_events():
+        cache_events[event["cache"]] = event["status"]
+    cell.update(
+        cache=cache_events,
+        seconds=time.perf_counter() - started,
+        report=report.to_dict(),
+        report_deterministic=report.to_dict(deterministic=True),
+    )
     return cell
 
 

@@ -1,11 +1,10 @@
 """The unified run configuration fronting the execution engine.
 
-A :class:`RunConfig` is one frozen value object holding every knob that
-PRs 1–3 accreted as keyword arguments across :class:`~repro.pipeline.Pipeline`,
-:class:`~repro.resilience.ResilientPipeline`,
-:class:`~repro.pipeline.PreparedProgram` and the CLI: scheme, points-to
-tier, machine preset, seed, budget, retries, fallback, fault spec,
-validation, parallelism, and cache policy.
+A :class:`RunConfig` is one frozen value object holding every execution
+knob that :class:`~repro.pipeline.Pipeline`,
+:class:`~repro.pipeline.PreparedProgram` and the CLI consume: scheme,
+points-to tier, machine preset, seed, budget, retries, fallback, fault
+spec, validation, parallelism, and cache policy.
 
 Design contract:
 
@@ -15,9 +14,6 @@ Design contract:
 * :meth:`cache_key_material` is the canonical subset of fields that can
   change a result — it is embedded in every artifact-cache key and in
   every sweep report, which is what makes results content-addressable.
-* Legacy keyword arguments on the pipelines keep working through a
-  deprecation shim (see the mapping table in DESIGN.md section 8); new
-  code uses ``Pipeline.from_config(cfg)`` and friends.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -269,17 +264,3 @@ class RunConfig:
             lines.append(f"{field.name:15} {getattr(self, field.name)!r}")
         return "\n".join(lines)
 
-
-def warn_legacy_kwarg(owner: str, kwarg: str, field: str) -> None:
-    """Emit the deprecation shim warning for a pre-RunConfig keyword.
-
-    The legacy spelling keeps working for one release; the replacement is
-    the named :class:`RunConfig` field via ``{owner}.from_config(cfg)``.
-    The full mapping table lives in DESIGN.md section 8.
-    """
-    warnings.warn(
-        f"{owner}({kwarg}=...) is deprecated; set RunConfig.{field} and use "
-        f"{owner}.from_config(cfg) (see DESIGN.md section 8)",
-        DeprecationWarning,
-        stacklevel=3,
-    )

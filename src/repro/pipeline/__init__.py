@@ -1,9 +1,10 @@
 """End-to-end pipeline: preparation, the four Table-1 schemes, and the
-one-call driver."""
+one driver that runs them (artifact cache + degradation ladder)."""
 
-from .driver import Pipeline
+from .driver import RESEED_STRIDE, Pipeline
 from .prepared import PreparedProgram
 from .schemes import (
+    LADDER,
     SCHEME_TABLE,
     finalize_and_evaluate,
     SchemeOutcome,
@@ -15,7 +16,9 @@ from .schemes import (
 )
 
 __all__ = [
+    "LADDER",
     "Pipeline",
+    "RESEED_STRIDE",
     "PreparedProgram",
     "SCHEME_TABLE",
     "finalize_and_evaluate",

@@ -20,32 +20,14 @@ from ..lang import compile_source
 from ..partition.merges import MergeResult, access_pattern_merge
 from ..profiler import Interpreter, ProfileData
 
-#: Sentinel distinguishing "kwarg not passed" from an explicit value, so
-#: the deprecation shim only warns on actual legacy spellings.
-_UNSET = object()
-
-
-def _resolve_tier(owner: str, pointsto_tier, config, legacy_warn: bool) -> str:
-    if pointsto_tier is not _UNSET:
-        if legacy_warn:
-            from ..exec.runconfig import warn_legacy_kwarg
-
-            warn_legacy_kwarg(owner, "pointsto_tier", "pointsto_tier")
-        return pointsto_tier
-    if config is not None:
-        return config.pointsto_tier
-    return "andersen"
-
-
 class PreparedProgram:
     """A compiled, profiled, annotated program ready for partitioning.
 
     The points-to precision tier (``"andersen"`` | ``"field"`` | ``"cs"``)
-    selecting the solve that annotates the memory ops comes from
-    ``config`` (a :class:`~repro.exec.RunConfig`); everything downstream —
-    object table, access-pattern merge, GDP, memory locks — consumes the
-    chosen tier's annotations.  The bare ``pointsto_tier=`` keyword still
-    works but is deprecated (DESIGN.md section 8).
+    selects the solve that annotates the memory ops (:meth:`from_source`
+    takes it from a :class:`~repro.exec.RunConfig`); everything
+    downstream — object table, access-pattern merge, GDP, memory locks —
+    consumes the chosen tier's annotations.
 
     ``profile`` and ``pointsto`` let the artifact cache rehydrate a
     prepared program without re-interpreting or re-solving: the serialized
@@ -62,18 +44,12 @@ class PreparedProgram:
         module: Module,
         profile: Optional[ProfileData] = None,
         max_steps: int = 50_000_000,
-        pointsto_tier=_UNSET,
-        config=None,
+        pointsto_tier: str = "andersen",
         pointsto: Optional[PointsToResult] = None,
-        profile_mode: Optional[str] = None,
-        _legacy_warn: bool = True,
+        profile_mode: str = "dynamic",
     ):
         self.module = module
-        self.pointsto_tier = _resolve_tier(
-            "PreparedProgram", pointsto_tier, config, _legacy_warn
-        )
-        if profile_mode is None:
-            profile_mode = config.profile if config is not None else "dynamic"
+        self.pointsto_tier = pointsto_tier
         self.profile_mode = profile_mode
         if profile is None and profile_mode == "static":
             # Static preparation annotates first: the region analysis
@@ -123,17 +99,13 @@ class PreparedProgram:
         unroll_factor: Optional[int] = None,
         if_convert: bool = True,
         optimize: bool = True,
-        pointsto_tier=_UNSET,
         config=None,
     ) -> "PreparedProgram":
         """Compile MiniC source — with if-conversion, loop unrolling and
         scalar optimization by default, recovering the region-level ILP
         and code quality of the paper's hyperblock-forming compiler —
-        then profile and prepare it."""
-        tier = _resolve_tier(
-            "PreparedProgram.from_source", pointsto_tier, config, True
-        )
-        profile_mode = config.profile if config is not None else "dynamic"
+        then profile and prepare it under ``config``'s points-to tier and
+        profile source (default: andersen, dynamic)."""
         if unroll_factor is None:
             unroll_factor = cls.DEFAULT_UNROLL
         module = compile_source(
@@ -148,9 +120,11 @@ class PreparedProgram:
         # tie-breaks on relative uid order must match what a cache
         # rehydration (uids in parse order) would produce.
         renumber_ops(module)
+        if config is None:
+            return cls(module, max_steps=max_steps)
         return cls(
-            module, max_steps=max_steps, pointsto_tier=tier,
-            profile_mode=profile_mode, _legacy_warn=False,
+            module, max_steps=max_steps, pointsto_tier=config.pointsto_tier,
+            profile_mode=config.profile,
         )
 
     def fingerprint(self) -> str:

@@ -14,9 +14,10 @@ scheduling.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Union
+from typing import Dict, Optional
 
 from ..evalmodel import EvalResult, evaluate_module
+from ..exec.runconfig import SCHEMES
 from ..ir import Module
 from ..machine import Machine
 from ..partition.assign import insert_intercluster_moves
@@ -35,6 +36,10 @@ from ..lint import (
     diagnose_lock_violations,
 )
 from .prepared import PreparedProgram
+
+#: The paper's quality ladder, best rung first (Table 1 order): the
+#: degradation order a failing scheme falls down.
+LADDER = SCHEMES
 
 #: Scheme descriptors used to regenerate Table 1.
 SCHEME_TABLE = {
@@ -77,8 +82,12 @@ class SchemeOutcome:
     ``timings`` maps pipeline-phase names (``"gdp"``, ``"homes"``,
     ``"rhop"``, ``"finalize"``) to wall seconds — the per-phase clocks the
     resilience run reports and the compile-time benchmarks both read, so
-    the two can never drift apart.  A bare float is accepted for backward
-    compatibility and interpreted as the RHOP time.
+    the two can never drift apart.
+
+    ``requested`` is the scheme the caller asked for (``scheme`` is the
+    rung of the degradation ladder that produced this outcome) and
+    ``report`` the :class:`~repro.resilience.RunReport` of the run that
+    produced it; both are set by :class:`~repro.pipeline.Pipeline`.
     """
 
     def __init__(
@@ -89,7 +98,7 @@ class SchemeOutcome:
         assignment: Dict[int, int],
         object_home: Optional[Dict[str, int]],
         eval_result: EvalResult,
-        timings: Union[float, Dict[str, float]],
+        timings: Dict[str, float],
         rhop_runs: int,
     ):
         self.scheme = scheme
@@ -98,11 +107,10 @@ class SchemeOutcome:
         self.assignment = assignment
         self.object_home = object_home
         self.eval = eval_result
-        if isinstance(timings, dict):
-            self.timings = dict(timings)
-        else:
-            self.timings = {"rhop": float(timings)}
+        self.timings = dict(timings)
         self.rhop_runs = rhop_runs
+        self.requested = scheme
+        self.report = None
         #: Data-movement roofline summary (``evalmodel.roofline``), set by
         #: the scheme runners once the move count is known.
         self.roofline: Optional[Dict[str, float]] = None
@@ -112,6 +120,10 @@ class SchemeOutcome:
         """Seconds spent in the detailed computation partitioner (the
         Section 4.5 compile-time metric), derived from :attr:`timings`."""
         return self.timings.get("rhop", 0.0)
+
+    @property
+    def fell_back(self) -> bool:
+        return self.scheme != self.requested
 
     @property
     def cycles(self) -> float:
@@ -134,7 +146,6 @@ def run_scheme(
     object_home: Optional[Dict[str, int]] = None,
     pmax_imbalance: float = 1.15,
     validate: bool = False,
-    seed_offset: int = 0,
     faults: Optional[FaultPlan] = None,
 ) -> SchemeOutcome:
     """Run one named scheme end to end.
@@ -147,35 +158,31 @@ def run_scheme(
     :class:`~repro.lint.PartitionValidityError` is raised at the first
     phase whose output violates one.
 
-    ``seed_offset`` bumps the randomized partitioners' base seeds (the
-    resilient pipeline's retry-with-reseed knob); ``faults`` installs a
-    deterministic :class:`~repro.resilience.faults.FaultPlan` whose
-    clauses fire at this function's injection points.
+    ``faults`` installs a deterministic
+    :class:`~repro.resilience.faults.FaultPlan` whose clauses fire at this
+    function's injection points.
     """
-    if seed_offset:
-        gdp_config = (gdp_config or GDPConfig()).reseeded(seed_offset)
-        rhop_config = (rhop_config or RHOPConfig()).reseeded(seed_offset)
     if faults is not None:
         machine = faults.machine_for(machine)
-    if scheme == "gdp":
-        return run_gdp(
+    runners = {
+        "gdp": lambda: run_gdp(
             prepared, machine, gdp_config, rhop_config, object_home,
             validate=validate, faults=faults,
-        )
-    if scheme == "profilemax":
-        return run_profile_max(
-            prepared, machine, rhop_config, pmax_imbalance, validate=validate,
-            faults=faults,
-        )
-    if scheme == "naive":
-        return run_naive(
+        ),
+        "profilemax": lambda: run_profile_max(
+            prepared, machine, rhop_config, pmax_imbalance,
+            validate=validate, faults=faults,
+        ),
+        "naive": lambda: run_naive(
             prepared, machine, rhop_config, validate=validate, faults=faults
-        )
-    if scheme == "unified":
-        return run_unified(
+        ),
+        "unified": lambda: run_unified(
             prepared, machine, rhop_config, validate=validate, faults=faults
-        )
-    raise ValueError(f"unknown scheme {scheme!r} (see SCHEME_TABLE)")
+        ),
+    }
+    if scheme not in runners:
+        raise ValueError(f"unknown scheme {scheme!r} (see SCHEME_TABLE)")
+    return runners[scheme]()
 
 
 def _with_roofline(

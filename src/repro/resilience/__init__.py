@@ -13,12 +13,11 @@ everything downstream.  This package makes the chain survivable:
 - :class:`RunReport` — deterministic, JSON-serialisable telemetry of
   every attempt, fault, fallback, and budget event;
 - :class:`FaultPlan` — seed-driven fault injection (``--fault-spec``) so
-  every degradation path is exercisable in tests and CI;
-- :class:`ResilientPipeline` — retry-with-reseed plus the paper's quality
-  ladder GDP → Profile Max → Naïve → Unified.
+  every degradation path is exercisable in tests and CI.
 
-``ResilientPipeline`` is imported lazily (PEP 562) because it pulls in
-the scheme runners, which themselves use this package's clocks.
+The retry-with-reseed policy and the paper's quality ladder GDP →
+Profile Max → Naïve → Unified that consume these pieces live in the one
+driver, :class:`repro.pipeline.Pipeline`.
 """
 
 from .budget import Budget, budget_expired
@@ -47,18 +46,4 @@ __all__ = [
     "RunReport",
     "outcome_state_from_final",
     "as_phase_error",
-    "LADDER",
-    "RESEED_STRIDE",
-    "ResilientOutcome",
-    "ResilientPipeline",
 ]
-
-_LAZY = ("LADDER", "RESEED_STRIDE", "ResilientOutcome", "ResilientPipeline")
-
-
-def __getattr__(name):
-    if name in _LAZY:
-        from . import pipeline as _pipeline
-
-        return getattr(_pipeline, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

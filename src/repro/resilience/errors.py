@@ -4,7 +4,7 @@ Every failure the resilience layer handles is normalised into a
 :class:`PhaseError` carrying the pipeline phase that failed (``"gdp"``,
 ``"profilemax"``, ``"rhop"``, ``"moves"``, ``"schedule"``, ...), the
 scheme being run, and the underlying cause.  This is what lets the
-:class:`~repro.resilience.pipeline.ResilientPipeline` decide *where* a
+:class:`~repro.pipeline.Pipeline` decide *where* a
 run went wrong and record an attributable entry in the
 :class:`~repro.resilience.report.RunReport` instead of letting a bare
 ``ValueError`` abort the whole comparison.

@@ -1,399 +1,9 @@
-"""Resilient scheme execution: retry-with-reseed + degradation ladder.
+"""The resilient driver is :class:`repro.pipeline.Pipeline` (retry with
+reseed, the degradation ladder, budgets and fault injection all live
+there)."""
 
-:class:`ResilientPipeline` wraps :func:`repro.pipeline.schemes.run_scheme`
-with the survival policy the paper's own quality ladder implies
-(GDP → Profile Max → Naïve → Unified):
+from ..pipeline.driver import Pipeline
 
-1. run the requested scheme; validate its output with the partition
-   validity checker (PR 1's ``check_scheme_outcome``);
-2. on a raise or a rejected output, *retry with a reseeded randomized
-   partitioner* (the multilevel partitioners derive their rng from
-   ``seed + attempt`` — the retry bumps the base seed by a large stride
-   so restart sets don't overlap);
-3. when every retry of a rung fails, *fall back one rung down the
-   ladder* and repeat;
-4. record every attempt, fault, retry, fallback, and budget event in a
-   :class:`~repro.resilience.report.RunReport`.
-
-A shared :class:`~repro.resilience.budget.Budget` bounds the whole run:
-the partitioners poll it inside their refinement loops (anytime
-behaviour) and the ladder stops spending on retries once it expires.
-"""
-
-from __future__ import annotations
-
-import time
-from typing import Callable, Dict, Iterable, List, Optional
-
-from ..machine import Machine
-from ..partition.gdp import GDPConfig
-from ..partition.rhop import RHOPConfig
-from .errors import LadderExhausted, as_phase_error
-from .report import RunReport
-
-#: The paper's quality ladder, best rung first (Table 1 order).
-LADDER = ("gdp", "profilemax", "naive", "unified")
-
-#: Seed stride between retry attempts.  The multilevel partitioners run
-#: ``restarts`` internal cycles seeded ``seed + 0 .. seed + restarts-1``;
-#: a stride much larger than any restart count guarantees a retry explores
-#: a disjoint seed range instead of replaying the same cycles shifted.
-RESEED_STRIDE = 9973
-
-
-class ResilientOutcome:
-    """A scheme outcome plus the story of how it was obtained.
-
-    ``scheme`` is the rung that actually produced the result;
-    ``requested`` what the caller asked for; ``report`` the full event
-    log.  Unknown attributes delegate to the wrapped
-    :class:`~repro.pipeline.schemes.SchemeOutcome`.
-    """
-
-    def __init__(self, outcome, scheme: str, requested: str, report: RunReport):
-        self.outcome = outcome
-        self.scheme = scheme
-        self.requested = requested
-        self.report = report
-
-    @property
-    def fell_back(self) -> bool:
-        return self.scheme != self.requested
-
-    def __getattr__(self, name: str):
-        return getattr(self.outcome, name)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        via = "" if not self.fell_back else f" (fallback from {self.requested})"
-        return f"<resilient {self.scheme}{via}: {self.outcome.cycles:.0f} cycles>"
-
-
-#: Sentinel distinguishing "kwarg not passed" from an explicit value.
-_UNSET = object()
-
-#: legacy keyword -> RunConfig field (the DESIGN.md section 8 mapping).
-_LEGACY_FIELDS = {
-    "retries": "retries",
-    "fallback": "fallback",
-    "validate": "validate",
-    "budget": "max_seconds",
-    "faults": "fault_spec",
-}
-
-
-class ResilientPipeline:
-    """Runs schemes with retries, fallbacks, budgets, and fault injection.
-
-    Configuration comes from a :class:`~repro.exec.RunConfig` (see
-    :meth:`from_config`); the legacy ``retries=`` / ``fallback=`` /
-    ``validate=`` / ``budget=`` / ``faults=`` keywords still work behind
-    a deprecation shim (DESIGN.md section 8).  ``seed`` offsets every
-    attempt's base seed, so sweep cells with different RunConfig seeds
-    explore disjoint partitioner restarts.
-
-    Example
-    -------
-    >>> from repro.exec import RunConfig
-    >>> from repro.resilience import ResilientPipeline
-    >>> pipe = ResilientPipeline.from_config(
-    ...     RunConfig(retries=1, max_seconds=30, fault_spec="raise:gdp@1")
-    ... )
-    """
-
-    def __init__(
-        self,
-        machine: Optional[Machine] = None,
-        gdp_config: Optional[GDPConfig] = None,
-        rhop_config: Optional[RHOPConfig] = None,
-        retries=_UNSET,
-        fallback=_UNSET,
-        validate=_UNSET,
-        budget=_UNSET,
-        faults=_UNSET,
-        schedule_check: bool = True,
-        clock: Callable[[], float] = time.perf_counter,
-        config=None,
-    ):
-        from ..exec.runconfig import RunConfig, warn_legacy_kwarg
-
-        legacy = {
-            "retries": retries, "fallback": fallback, "validate": validate,
-            "budget": budget, "faults": faults,
-        }
-        if config is None:
-            for kwarg, value in legacy.items():
-                if value is not _UNSET:
-                    warn_legacy_kwarg(
-                        "ResilientPipeline", kwarg, _LEGACY_FIELDS[kwarg]
-                    )
-            retries = 1 if retries is _UNSET else retries
-            if retries < 0:
-                raise ValueError("retries must be >= 0")
-            config = RunConfig(
-                retries=retries,
-                fallback=True if fallback is _UNSET else fallback,
-                validate=True if validate is _UNSET else validate,
-                cache="off",
-            )
-            self.budget = None if budget is _UNSET else budget
-            self.faults = None if faults is _UNSET else faults
-        else:
-            if any(value is not _UNSET for value in legacy.values()):
-                raise ValueError(
-                    "pass either config= or the legacy keywords, not both"
-                )
-            self.budget = config.build_budget()
-            self.faults = config.build_faults()
-        self.config = config
-        self.machine = (
-            machine if machine is not None else config.build_machine()
-        )
-        self.gdp_config = gdp_config
-        self.rhop_config = rhop_config
-        self.retries = config.retries
-        self.fallback = config.fallback
-        self.validate = config.validate
-        self.seed = config.seed
-        self.schedule_check = schedule_check
-        self._clock = clock
-
-    @classmethod
-    def from_config(
-        cls,
-        config,
-        machine: Optional[Machine] = None,
-        gdp_config: Optional[GDPConfig] = None,
-        rhop_config: Optional[RHOPConfig] = None,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> "ResilientPipeline":
-        """The non-deprecated constructor: everything from a RunConfig
-        (budget and fault plan are built fresh from ``max_seconds`` /
-        ``fault_spec``, so each pipeline owns its own mutable state)."""
-        return cls(
-            machine=machine, gdp_config=gdp_config, rhop_config=rhop_config,
-            clock=clock, config=config,
-        )
-
-    # -- configuration plumbing ------------------------------------------------
-
-    def _ladder_from(self, scheme: str) -> List[str]:
-        if scheme not in LADDER:
-            return [scheme]
-        return list(LADDER[LADDER.index(scheme):])
-
-    def _gdp_config(self, seed_offset: int) -> GDPConfig:
-        base = self.gdp_config or GDPConfig()
-        return base.reseeded(seed_offset, budget=self.budget)
-
-    def _rhop_config(self, seed_offset: int) -> RHOPConfig:
-        base = self.rhop_config or RHOPConfig()
-        return base.reseeded(seed_offset, budget=self.budget)
-
-    def _drain_faults(self, report: RunReport) -> None:
-        if self.faults is None:
-            return
-        for event in self.faults.drain_fired():
-            report.record_fault(
-                scheme=event["scheme"] or "?",
-                attempt=event["attempt"],
-                clause=event["clause"],
-                phase=event["phase"],
-                detail=event["detail"],
-            )
-
-    # -- execution -------------------------------------------------------------
-
-    def prepare(
-        self,
-        source: str,
-        name: str = "program",
-        report: Optional[RunReport] = None,
-    ):
-        """Prepare a program under the profiler rung of the ladder.
-
-        The dynamic profiler is itself a rung: when interpretation fails —
-        an injected ``raise:profiler`` fault, an interpreter error, or the
-        step-limit timeout — preparation degrades to the statically
-        derived profile (``profile:static``) instead of aborting, so the
-        partitioners still get access weights rather than dropping
-        straight to naive placement.  Returns ``(prepared, report)``.
-        """
-        from ..pipeline.prepared import PreparedProgram
-        from ..profiler import InterpreterError
-        from .errors import InjectedFault
-
-        report = report or RunReport(clock=self._clock)
-        config = self.config
-        if config.profile == "static":
-            prepared = PreparedProgram.from_source(source, name, config=config)
-            return prepared, report
-        started = self._clock()
-        try:
-            if self.faults is not None:
-                self.faults.begin_attempt("profiler", 1)
-                self.faults.maybe_raise("profiler")
-            prepared = PreparedProgram.from_source(source, name, config=config)
-        except (InjectedFault, InterpreterError) as exc:
-            self._drain_faults(report)
-            reason = str(exc)
-            report.record_attempt(
-                "profile:dynamic", 1, "error",
-                self._clock() - started, error=reason,
-            )
-            report.record_fallback("profile:dynamic", "profile:static", reason)
-            started = self._clock()
-            prepared = PreparedProgram.from_source(
-                source, name, config=config.replace(profile="static")
-            )
-            report.record_attempt(
-                "profile:static", 1, "ok", self._clock() - started
-            )
-            return prepared, report
-        self._drain_faults(report)
-        report.record_attempt(
-            "profile:dynamic", 1, "ok", self._clock() - started
-        )
-        return prepared, report
-
-    def run(
-        self,
-        prepared,
-        scheme: str = "gdp",
-        fallback: Optional[bool] = None,
-        retries: Optional[int] = None,
-        report: Optional[RunReport] = None,
-    ) -> ResilientOutcome:
-        """Run ``scheme`` end to end, surviving failures per the policy.
-
-        Returns a :class:`ResilientOutcome`; raises
-        :class:`~repro.resilience.errors.LadderExhausted` (report attached)
-        only when every rung of the ladder failed every attempt.
-        """
-        from ..lint import check_scheme_outcome
-        from ..pipeline.schemes import run_scheme
-
-        fallback = self.fallback if fallback is None else fallback
-        retries = self.retries if retries is None else retries
-        report = report or RunReport(clock=self._clock)
-        ladder = self._ladder_from(scheme) if fallback else [scheme]
-        report.record_run(scheme, ladder)
-
-        budget = self.budget
-        total_attempts = 0
-        last_failure = "never ran"
-        stop = False
-        for rung_index, rung in enumerate(ladder):
-            for attempt in range(1, retries + 2):
-                if budget is not None and not budget.allows_attempt(
-                    total_attempts + 1
-                ):
-                    report.record_budget(
-                        rung, f"attempt cap ({budget.max_attempts}) reached"
-                    )
-                    stop = True
-                    break
-                if attempt > 1 and budget is not None and budget.expired():
-                    report.record_budget(
-                        rung,
-                        "wall-clock budget exhausted; skipping retries",
-                    )
-                    break
-                total_attempts += 1
-                if self.faults is not None:
-                    self.faults.begin_attempt(rung, attempt)
-                seed_offset = self.seed + (attempt - 1) * RESEED_STRIDE
-                started = self._clock()
-                try:
-                    outcome = run_scheme(
-                        prepared,
-                        self.machine,
-                        rung,
-                        gdp_config=self._gdp_config(seed_offset),
-                        rhop_config=self._rhop_config(seed_offset),
-                        validate=False,
-                        faults=self.faults,
-                    )
-                except Exception as exc:  # noqa: BLE001 - the whole point
-                    self._drain_faults(report)
-                    error = as_phase_error(exc, rung, rung)
-                    last_failure = str(error)
-                    report.record_attempt(
-                        rung,
-                        attempt,
-                        "error",
-                        self._clock() - started,
-                        error=last_failure,
-                    )
-                    continue
-                self._drain_faults(report)
-                if self.validate:
-                    diag = check_scheme_outcome(
-                        prepared, outcome, schedule=self.schedule_check
-                    )
-                    if diag.has_errors:
-                        last_failure = (
-                            f"validity check rejected {rung} output: "
-                            f"{diag.summary()}"
-                        )
-                        report.record_attempt(
-                            rung,
-                            attempt,
-                            "invalid",
-                            self._clock() - started,
-                            phases=outcome.timings,
-                            error=last_failure,
-                            diagnostics=[
-                                f"{d.rule}@{d.location()}" for d in diag.errors
-                            ],
-                        )
-                        continue
-                report.record_attempt(
-                    rung,
-                    attempt,
-                    "ok",
-                    self._clock() - started,
-                    phases=outcome.timings,
-                )
-                report.record_final(scheme, rung, "ok")
-                return ResilientOutcome(outcome, rung, scheme, report)
-            if stop:
-                break
-            if rung_index + 1 < len(ladder):
-                report.record_fallback(rung, ladder[rung_index + 1], last_failure)
-        report.record_final(scheme, None, "failed")
-        raise LadderExhausted(
-            f"all rungs of ladder {ladder} failed for scheme {scheme!r}; "
-            f"last failure: {last_failure}",
-            run_report=report,
-        )
-
-    def run_all(
-        self,
-        prepared,
-        schemes: Iterable[str] = ("unified", "gdp", "profilemax", "naive"),
-        report: Optional[RunReport] = None,
-    ) -> Dict[str, ResilientOutcome]:
-        """Resilient analogue of :meth:`repro.pipeline.Pipeline.run_all`
-        (duplicate scheme names are run once); all runs share ``report``
-        and this pipeline's budget."""
-        report = report or RunReport(clock=self._clock)
-        return {
-            name: self.run(prepared, name, report=report)
-            for name in dict.fromkeys(schemes)
-        }
-
-    def compare(
-        self,
-        prepared,
-        schemes: Iterable[str] = ("gdp", "profilemax", "naive"),
-        report: Optional[RunReport] = None,
-    ) -> Dict[str, float]:
-        """Relative performance vs the unified upper bound, computed from
-        whatever rung each scheme degraded to (the report says which)."""
-        ordered = ["unified"] + [s for s in schemes if s != "unified"]
-        outcomes = self.run_all(prepared, ordered, report=report)
-        base = outcomes["unified"].cycles
-        return {
-            name: (base / outcomes[name].cycles if outcomes[name].cycles else 0.0)
-            for name in dict.fromkeys(schemes)
-        }
+#: Kept as a class attribute path because ``perfbench/spans.py`` wraps
+#: ``ResilientPipeline.run`` (found with ``inspect.getattr_static``).
+ResilientPipeline = Pipeline

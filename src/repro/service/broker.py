@@ -47,6 +47,10 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+# The cell runner and the warm probe both drive repro.pipeline, which the
+# engine imports lazily; importing it with the broker keeps that one-time
+# import (and the import lock it holds) off the first requests' path.
+from .. import pipeline  # noqa: F401
 from ..exec.cache import ArtifactCache
 from ..exec.engine import lookup_cached_outcome, run_cell
 from ..exec.runconfig import RunConfig, RunConfigError

@@ -100,6 +100,25 @@ def scrub_events(events: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     return scrubbed
 
 
+def cell_summary(cell: Dict[str, Any]) -> Dict[str, Any]:
+    """The deterministic projection of one engine cell (what a job
+    reports as its result, and what byte-identity checks compare)."""
+    return {
+        "bench": cell["bench"],
+        "scheme": cell["scheme"],
+        "latency": cell["latency"],
+        "pointsto_tier": cell["pointsto_tier"],
+        "seed": cell["seed"],
+        "machine": cell["machine"],
+        "status": cell["status"],
+        "ran_as": cell["ran_as"],
+        "cycles": cell["cycles"],
+        "dynamic_moves": cell["dynamic_moves"],
+        "roofline_ratio": cell.get("roofline_ratio"),
+        "error": cell["error"],
+    }
+
+
 class Job:
     """One admitted submission and its full lifecycle.
 
@@ -211,21 +230,7 @@ class Job:
         compares against serial execution."""
         if self.result is None:
             return self.summary_override
-        cell = self.result
-        return {
-            "bench": cell["bench"],
-            "scheme": cell["scheme"],
-            "latency": cell["latency"],
-            "pointsto_tier": cell["pointsto_tier"],
-            "seed": cell["seed"],
-            "machine": cell["machine"],
-            "status": cell["status"],
-            "ran_as": cell["ran_as"],
-            "cycles": cell["cycles"],
-            "dynamic_moves": cell["dynamic_moves"],
-            "roofline_ratio": cell.get("roofline_ratio"),
-            "error": cell["error"],
-        }
+        return cell_summary(self.result)
 
     def to_dict(self, include_events: bool = False) -> Dict[str, Any]:
         """JSON descriptor for ``GET /v1/jobs/{id}`` and submit replies."""

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -85,6 +87,46 @@ class TestPartitionAndCompare:
     def test_bad_scheme_rejected(self, demo_file):
         with pytest.raises(SystemExit):
             main(["partition", demo_file, "--scheme", "nonsense"])
+
+    def test_run_report_keeps_the_artifact_cache(self, demo_file, tmp_path,
+                                                  capsys):
+        """A resilience flag (here --run-report) must not bypass
+        --cache on: the second run is answered by the outcome cache."""
+        reports, cycles = [], []
+        for run in ("cold", "warm"):
+            report = tmp_path / f"{run}.json"
+            assert main([
+                "partition", demo_file, "--cache", "on",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--run-report", str(report),
+            ]) == 0
+            reports.append(json.loads(report.read_text()))
+            cycles.append([
+                line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("cycles:")
+            ])
+        cold, warm = ([
+            (e["cache"], e["status"]) for e in r["events"]
+            if e["kind"] == "cache"
+        ] for r in reports)
+        assert ("outcome", "miss") in cold
+        assert ("outcome", "hit") in warm
+        assert cycles[0] == cycles[1] and len(cycles[0]) == 1
+
+    def test_profiler_fault_fires_over_a_warm_cache(self, demo_file,
+                                                     tmp_path, capsys):
+        """A prepared artifact from an earlier clean run must not answer
+        a faulted run: the injected profiler fault still fires."""
+        cache = ["--cache", "on", "--cache-dir", str(tmp_path / "cache")]
+        assert main(["partition", demo_file, *cache]) == 0
+        capsys.readouterr()
+        assert main([
+            "partition", demo_file, *cache,
+            "--fault-spec", "raise:profiler",
+        ]) == 1
+        assert "profile: static (fallback from dynamic)" in (
+            capsys.readouterr().out
+        )
 
 
 class TestBench:

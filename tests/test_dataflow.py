@@ -489,12 +489,14 @@ class TestStaticProfileMode:
 
     def test_profiler_fault_degrades_to_static_rung(self):
         from repro.exec import RunConfig
-        from repro.resilience import ResilientPipeline
+        from repro.pipeline import Pipeline
+        from repro.resilience import RunReport
 
-        pipe = ResilientPipeline.from_config(
-            RunConfig(fault_spec="raise:profiler@1", fallback=True)
-        )
-        prepared, report = pipe.prepare(ARRAY_SRC, "t")
+        pipe = Pipeline(RunConfig(
+            fault_spec="raise:profiler@1", fallback=True, cache="off"
+        ))
+        report = RunReport()
+        prepared = pipe.prepare(ARRAY_SRC, "t", report)
         assert prepared.profile.is_static()
         assert any(
             f.get("from") == "profile:dynamic"

@@ -1,4 +1,4 @@
-"""Execution engine: RunConfig, artifact cache, parallel sweeps, shims."""
+"""Execution engine: RunConfig, artifact cache, parallel sweeps, CLI."""
 
 import json
 import os
@@ -13,16 +13,14 @@ from repro.exec import (
     RunConfig,
     RunConfigError,
     canonical_key,
-    load_or_prepare,
     lookup_cached_outcome,
-    run_prepared_scheme,
 )
 from repro.exec.artifacts import (
     outcome_key_material,
     prepared_key_material,
 )
 from repro.pipeline import Pipeline, PreparedProgram
-from repro.resilience import ResilientPipeline
+from repro.resilience import RunReport
 
 SOURCE = """
 int N = 12;
@@ -155,63 +153,51 @@ class TestRunConfigError:
             RunConfig.from_dict(["not", "a", "dict"])
 
 
-# -- Legacy keyword shims -----------------------------------------------------
+# -- RunConfig is the only front door ----------------------------------------
 
 
-class TestLegacyKwargShims:
-    def test_pipeline_validate_warns(self):
-        with pytest.warns(DeprecationWarning, match="RunConfig.validate"):
-            pipe = Pipeline(validate=True)
-        assert pipe.validate is True
+class TestConfigFrontDoor:
+    def test_config_constructors_do_not_warn(self):
+        cfg = RunConfig(validate=True, pointsto_tier="field", retries=2,
+                        cache="off")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            pipe = Pipeline(cfg)
+            prepared = PreparedProgram.from_source(SOURCE, "tiny", config=cfg)
+        assert pipe.config is cfg and prepared.pointsto_tier == "field"
 
-    def test_pipeline_pointsto_tier_warns(self):
-        with pytest.warns(DeprecationWarning, match="pointsto_tier"):
-            pipe = Pipeline(pointsto_tier="field")
-        assert pipe.pointsto_tier == "field"
-
-    def test_resilient_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="ResilientPipeline"):
-            pipe = ResilientPipeline(retries=2, fallback=False)
-        assert pipe.retries == 2 and pipe.fallback is False
-
-    def test_prepared_from_source_tier_warns(self):
-        with pytest.warns(DeprecationWarning, match="pointsto_tier"):
+    def test_legacy_keywords_rejected(self):
+        with pytest.raises(TypeError):
+            Pipeline(validate=True)
+        with pytest.raises(TypeError):
             PreparedProgram.from_source(SOURCE, "tiny", pointsto_tier="field")
-
-    def test_from_config_does_not_warn(self):
-        cfg = RunConfig(validate=True, pointsto_tier="field", retries=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            pipe = Pipeline.from_config(cfg)
-            res = ResilientPipeline.from_config(cfg)
-            PreparedProgram.from_source(SOURCE, "tiny", config=cfg)
-        assert pipe.validate and pipe.pointsto_tier == "field"
-        assert res.retries == 2 and res.seed == 0
-
-    def test_config_and_legacy_kwargs_conflict(self):
-        with pytest.raises(ValueError):
-            Pipeline(validate=True, config=RunConfig())
-        with pytest.raises(ValueError):
-            ResilientPipeline(retries=1, config=RunConfig())
-
-    def test_legacy_defaults_preserved(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            pipe = Pipeline()
-            res = ResilientPipeline()
-        assert pipe.validate is False and pipe.config.cache == "off"
-        assert res.validate is True and res.retries == 1 and res.fallback
 
 
 # -- Artifact cache -----------------------------------------------------------
+
+
+def _prepare(cfg, cache, source=SOURCE):
+    """(prepared, IR hash, prepared-cache status) via the driver."""
+    report = RunReport()
+    prepared = Pipeline(cfg, cache=cache).prepare(source, "tiny", report)
+    [event] = report.cache_events()
+    return prepared, prepared.fingerprint(), event["status"]
+
+
+def _run(cfg, cache, prepared, scheme):
+    """(outcome, outcome-cache status) via the driver."""
+    report = RunReport()
+    outcome = Pipeline(cfg, cache=cache).run(prepared, scheme, report)
+    [event] = report.cache_events()
+    return outcome, event["status"]
 
 
 class TestArtifactCache:
     def test_prepared_miss_then_hit(self, tmp_path):
         cfg = RunConfig(cache_dir=str(tmp_path))
         cache = ArtifactCache(cfg.cache_dir, cfg.cache)
-        _p1, hash1, status1 = load_or_prepare(SOURCE, "tiny", cfg, cache)
-        _p2, hash2, status2 = load_or_prepare(SOURCE, "tiny", cfg, cache)
+        _p1, hash1, status1 = _prepare(cfg, cache)
+        _p2, hash2, status2 = _prepare(cfg, cache)
         assert (status1, status2) == ("miss", "hit")
         assert hash1 == hash2
         assert cache.hits == 1 and cache.misses == 1 and cache.stores == 1
@@ -219,17 +205,16 @@ class TestArtifactCache:
     def test_ir_mutation_invalidates(self, tmp_path):
         cfg = RunConfig(cache_dir=str(tmp_path))
         cache = ArtifactCache(cfg.cache_dir, cfg.cache)
-        _p, hash1, _ = load_or_prepare(SOURCE, "tiny", cfg, cache)
-        _p, hash2, status = load_or_prepare(MUTATED_SOURCE, "tiny", cfg, cache)
+        _p, hash1, _ = _prepare(cfg, cache)
+        _p, hash2, status = _prepare(cfg, cache, MUTATED_SOURCE)
         assert status == "miss", "a mutated program must never hit"
         assert hash1 != hash2, "IR mutation must change the module hash"
 
     def test_outcome_roundtrip_preserves_result(self, tmp_path, tiny_prepared):
         cfg = RunConfig(cache_dir=str(tmp_path))
         cache = ArtifactCache(cfg.cache_dir, cfg.cache)
-        machine = cfg.build_machine()
-        fresh, s1 = run_prepared_scheme(tiny_prepared, machine, cfg, "gdp", cache)
-        warm, s2 = run_prepared_scheme(tiny_prepared, machine, cfg, "gdp", cache)
+        fresh, s1 = _run(cfg, cache, tiny_prepared, "gdp")
+        warm, s2 = _run(cfg, cache, tiny_prepared, "gdp")
         assert (s1, s2) == ("miss", "hit")
         assert warm.cycles == fresh.cycles
         assert warm.dynamic_moves == fresh.dynamic_moves
@@ -549,16 +534,16 @@ class TestLookupCachedOutcome:
 class TestPipelineCachePath:
     def test_run_all_served_from_cache(self, tmp_path, tiny_prepared, monkeypatch):
         cfg = RunConfig(cache_dir=str(tmp_path))
-        first = Pipeline.from_config(cfg).run_all(tiny_prepared)
+        first = Pipeline(cfg).run_all(tiny_prepared)
         # Second pipeline must answer entirely from the artifact store:
         # recomputing is made impossible.
-        import repro.pipeline.schemes as schemes
+        import repro.pipeline.driver as driver
 
         def boom(*a, **k):
             raise AssertionError("cache miss: run_scheme was called")
 
-        monkeypatch.setattr(schemes, "run_scheme", boom)
-        second = Pipeline.from_config(cfg).run_all(tiny_prepared)
+        monkeypatch.setattr(driver, "run_scheme", boom)
+        second = Pipeline(cfg).run_all(tiny_prepared)
         for name, outcome in first.items():
             assert second[name].cycles == outcome.cycles
 
@@ -566,8 +551,8 @@ class TestPipelineCachePath:
         from repro.partition.rhop import RHOPConfig
 
         cfg = RunConfig(cache_dir=str(tmp_path))
-        pipe = Pipeline.from_config(cfg, rhop_config=RHOPConfig())
-        assert not pipe._cache_usable()
+        pipe = Pipeline(cfg, rhop_config=RHOPConfig())
+        assert not pipe.outcomes_cacheable
         outcomes = pipe.run_all(tiny_prepared, ["unified"])
         assert outcomes["unified"].cycles > 0
         assert ArtifactCache(str(tmp_path), "on").stats()["entries"] == 0

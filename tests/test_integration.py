@@ -5,14 +5,20 @@ subset of the suite so the test run stays fast (the full-suite versions
 live in benchmarks/).
 """
 
+import textwrap
+
 import pytest
 
+import repro
 from repro.bench import get
 from repro.evalmodel import exhaustive_search
+from repro.exec import RunConfig
+from repro.exec.artifacts import stable_op_keys
 from repro.ir import verify_module
 from repro.machine import two_cluster_machine
-from repro.pipeline import Pipeline, PreparedProgram
+from repro.pipeline import Pipeline, PreparedProgram, run_scheme
 from repro.profiler import Interpreter
+from repro.resilience import RunReport
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +29,7 @@ def rawcaudio():
 
 @pytest.fixture(scope="module")
 def outcomes(rawcaudio):
-    pipe = Pipeline(two_cluster_machine(move_latency=5))
+    pipe = Pipeline(RunConfig(latency=5, cache="off"))
     return pipe.run_all(rawcaudio)
 
 
@@ -82,7 +88,7 @@ class TestEndToEnd:
         assert outcomes["gdp"].cycles <= outcomes["naive"].cycles * 1.25
 
     def test_latency_1_near_parity(self, rawcaudio):
-        pipe = Pipeline(two_cluster_machine(move_latency=1))
+        pipe = Pipeline(RunConfig(latency=1, cache="off"))
         rel = pipe.compare(rawcaudio, schemes=("gdp",))
         assert rel["gdp"] > 0.85
 
@@ -96,7 +102,7 @@ class TestEndToEnd:
 class TestExhaustiveIntegration:
     def test_gdp_choice_in_enumerated_space(self, rawcaudio):
         machine = two_cluster_machine(move_latency=5)
-        pipe = Pipeline(machine)
+        pipe = Pipeline(RunConfig(cache="off"), machine=machine)
         gdp = pipe.run(rawcaudio, "gdp")
         result = exhaustive_search(
             rawcaudio, machine, scheme_homes={"gdp": gdp.object_home}
@@ -114,9 +120,48 @@ class TestExhaustiveIntegration:
 
 class TestCompileTimeStory:
     def test_profilemax_costs_two_rhop_runs(self, rawcaudio):
-        pipe = Pipeline(two_cluster_machine(move_latency=5))
+        pipe = Pipeline(RunConfig(latency=5, cache="off"))
         gdp = pipe.run(rawcaudio, "gdp")
         pmax = pipe.run(rawcaudio, "profilemax")
         assert pmax.rhop_runs == 2 * gdp.rhop_runs
         # Wall-clock: two runs should not be cheaper than one.
         assert pmax.rhop_seconds > gdp.rhop_seconds * 0.8
+
+
+class TestOneDriver:
+    """The driver adds caching and the ladder, never a different answer."""
+
+    @staticmethod
+    def _cells(outcome):
+        keys = stable_op_keys(outcome.module)
+        assignment = {
+            keys[uid]: cluster
+            for uid, cluster in outcome.assignment.items() if uid in keys
+        }
+        return outcome.cycles, outcome.dynamic_moves, assignment
+
+    @pytest.mark.parametrize("scheme", ["gdp", "profilemax", "naive", "unified"])
+    def test_matches_run_scheme_cold_and_warm(self, rawcaudio, scheme, tmp_path):
+        bench = get("rawcaudio")
+        expected = self._cells(
+            run_scheme(rawcaudio, two_cluster_machine(move_latency=5), scheme)
+        )
+        one_rung = RunConfig(cache="off", fallback=False, retries=0)
+        assert self._cells(Pipeline(one_rung).run(rawcaudio, scheme)) == expected
+
+        cached = one_rung.replace(cache="on", cache_dir=str(tmp_path))
+        for status in ("miss", "hit"):
+            pipe = Pipeline(cached)
+            report = RunReport()
+            prepared = pipe.prepare(bench.source, bench.name, report)
+            outcome = pipe.run(prepared, scheme, report)
+            assert ("outcome", status) in [
+                (e["cache"], e["status"]) for e in report.cache_events()
+            ]
+            assert self._cells(outcome) == expected
+
+    def test_package_docstring_example_runs(self, capsys):
+        example = textwrap.dedent(repro.__doc__.split("::\n", 1)[1])
+        source = "int g[4]; int main() { g[1] = 3; print_int(g[1]); return 0; }"
+        exec(example, {"MINIC_SOURCE": source})
+        assert float(capsys.readouterr().out) > 0

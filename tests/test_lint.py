@@ -47,7 +47,8 @@ from repro.machine import (
 from repro.partition.bugalgo import BUG
 from repro.partition.merges import MergedGroup, MergeResult
 from repro.partition.rhop import RHOP, RHOPResult, record_infeasible_locks
-from repro.pipeline import Pipeline, PreparedProgram
+from repro.exec import RunConfig
+from repro.pipeline import Pipeline, PreparedProgram, run_scheme
 from repro.cli import main
 
 
@@ -631,32 +632,32 @@ class TestPipelineValidation:
         return PreparedProgram.from_source(THREE_ARRAYS, "m")
 
     def test_all_schemes_validate_cleanly(self, prepared):
-        pipe = Pipeline(validate=True)
+        pipe = Pipeline(RunConfig(validate=True, cache="off"))
         for scheme in ("unified", "gdp", "profilemax", "naive"):
             outcome = pipe.run(prepared, scheme)
             assert outcome.cycles > 0
 
     def test_mutated_gdp_home_rejected_by_validation(self, prepared):
-        pipe = Pipeline()
-        good = pipe.run(prepared, "gdp").object_home
+        machine = two_cluster_machine(move_latency=5)
+        good = run_scheme(prepared, machine, "gdp").object_home
         bad = dict(good)
         bad[sorted(bad)[0]] = 99
         with pytest.raises(PartitionValidityError) as exc:
-            pipe.run(prepared, "gdp", object_home=bad, validate=True)
+            run_scheme(prepared, machine, "gdp", object_home=bad, validate=True)
         assert exc.value.phase == "gdp"
         assert exc.value.report.by_rule("object-home-range")
 
     def test_missing_home_rejected_by_validation(self, prepared):
-        pipe = Pipeline()
-        good = pipe.run(prepared, "gdp").object_home
+        machine = two_cluster_machine(move_latency=5)
+        good = run_scheme(prepared, machine, "gdp").object_home
         bad = dict(good)
         bad.pop(sorted(bad)[0])
         with pytest.raises(PartitionValidityError) as exc:
-            pipe.run(prepared, "gdp", object_home=bad, validate=True)
+            run_scheme(prepared, machine, "gdp", object_home=bad, validate=True)
         assert exc.value.report.by_rule("object-home-missing")
 
     def test_post_hoc_mutated_home_caught_by_lock_check(self, prepared):
-        outcome = Pipeline().run(prepared, "gdp")
+        outcome = Pipeline(RunConfig(cache="off")).run(prepared, "gdp")
         flipped = {
             obj: (1 - c) for obj, c in outcome.object_home.items()
         }
@@ -667,16 +668,16 @@ class TestPipelineValidation:
         assert report.by_rule("lock-violation")
 
     def test_check_scheme_outcome_clean_on_real_run(self, prepared):
-        outcome = Pipeline().run(prepared, "gdp")
+        outcome = Pipeline(RunConfig(cache="off")).run(prepared, "gdp")
         report = check_scheme_outcome(prepared, outcome)
         assert not report.has_errors, report.render_text()
 
     def test_validation_off_by_default_allows_bad_home(self, prepared):
-        pipe = Pipeline()
-        good = pipe.run(prepared, "gdp").object_home
+        machine = two_cluster_machine(move_latency=5)
+        good = run_scheme(prepared, machine, "gdp").object_home
         bad = dict(good)
         bad.pop(sorted(bad)[0])
-        pipe.run(prepared, "gdp", object_home=bad)  # no raise
+        run_scheme(prepared, machine, "gdp", object_home=bad)  # no raise
 
 
 # -- CLI -----------------------------------------------------------------------------

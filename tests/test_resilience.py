@@ -11,23 +11,22 @@ import os
 
 import pytest
 
+from repro.exec import RunConfig
 from repro.lint import check_scheme_outcome
 from repro.machine import two_cluster_machine
 from repro.partition.gdp import GDPConfig
 from repro.partition.multilevel import MultilevelPartitioner, PartitionGraph
 from repro.partition.rhop import RHOPConfig
-from repro.pipeline import Pipeline, PreparedProgram
+from repro.pipeline import LADDER, Pipeline, PreparedProgram
 from repro.resilience import (
     Budget,
     FaultClause,
     FaultPlan,
     InjectedFault,
     InvalidPhaseOutput,
-    LADDER,
     LadderExhausted,
     PhaseError,
     PhaseTimer,
-    ResilientPipeline,
     RunReport,
     as_phase_error,
     budget_expired,
@@ -57,6 +56,12 @@ int main() {
 @pytest.fixture(scope="module")
 def prepared():
     return PreparedProgram.from_source(SRC, "resil")
+
+
+def resilient(**fields) -> Pipeline:
+    """A pipeline with this file's defaults: every attempt validated,
+    no artifact cache."""
+    return Pipeline(RunConfig(**{"validate": True, "cache": "off", **fields}))
 
 
 # -- Budget -------------------------------------------------------------------
@@ -277,18 +282,15 @@ class TestAnytimeBudget:
         assert free.partition(_ring_graph()) == capped.partition(_ring_graph())
 
     def test_scheme_under_expired_budget_is_valid(self, prepared):
-        pipe = ResilientPipeline(budget=Budget(max_seconds=0.0), retries=2)
+        pipe = resilient(max_seconds=0.0, retries=2)
         result = pipe.run(prepared, "gdp")
         assert result.scheme == "gdp"
-        diag = check_scheme_outcome(prepared, result.outcome)
+        diag = check_scheme_outcome(prepared, result)
         assert not diag.has_errors
 
     def test_attempt_cap_stops_ladder(self, prepared):
-        pipe = ResilientPipeline(
-            retries=2,
-            budget=Budget(max_attempts=2),
-            faults=FaultPlan.parse("seed=1;raise:*"),
-        )
+        pipe = resilient(retries=2, fault_spec="seed=1;raise:*")
+        pipe.budget = Budget(max_attempts=2)
         with pytest.raises(LadderExhausted) as excinfo:
             pipe.run(prepared, "gdp")
         report = excinfo.value.run_report
@@ -303,21 +305,20 @@ class TestAnytimeBudget:
         assert rhop.seed == 207 and rhop.budget is budget
 
 
-# -- ResilientPipeline --------------------------------------------------------
+# -- The ladder ---------------------------------------------------------------
 
 
 class TestResilientPipeline:
     def test_clean_run_has_no_fallback(self, prepared):
-        result = ResilientPipeline(retries=1).run(prepared, "gdp")
+        result = resilient(retries=1).run(prepared, "gdp")
         assert result.scheme == "gdp" and not result.fell_back
+        assert result.requested == "gdp"
         assert result.report.final()["status"] == "ok"
         assert len(result.report.attempts()) == 1
-        assert result.cycles > 0  # attribute delegation to the outcome
+        assert result.cycles > 0
 
     def test_transient_fault_recovers_via_reseed_retry(self, prepared):
-        pipe = ResilientPipeline(
-            retries=1, faults=FaultPlan.parse("seed=3;raise:gdp@1")
-        )
+        pipe = resilient(retries=1, fault_spec="seed=3;raise:gdp@1")
         result = pipe.run(prepared, "gdp")
         assert result.scheme == "gdp" and not result.fell_back
         statuses = [(a["attempt"], a["status"]) for a in result.report.attempts()]
@@ -327,10 +328,7 @@ class TestResilientPipeline:
         """The acceptance-criteria scenario: injected GDP fault with
         fallback enabled completes with a Profile Max outcome whose
         assignment passes the partition validity checker."""
-        pipe = ResilientPipeline(
-            retries=1, fallback=True,
-            faults=FaultPlan.parse("seed=3;raise:gdp"),
-        )
+        pipe = resilient(retries=1, fallback=True, fault_spec="seed=3;raise:gdp")
         result = pipe.run(prepared, "gdp")
         assert result.fell_back and result.scheme == "profilemax"
         report = result.report
@@ -338,13 +336,11 @@ class TestResilientPipeline:
         assert len(report.attempts("gdp")) == 2   # retry-with-reseed happened
         assert [f["from"] for f in report.fallbacks()] == ["gdp"]
         assert report.final() == report.events[-1]
-        diag = check_scheme_outcome(prepared, result.outcome)
+        diag = check_scheme_outcome(prepared, result)
         assert not diag.has_errors
 
     def test_corrupt_homes_rejected_by_validity_checker(self, prepared):
-        pipe = ResilientPipeline(
-            retries=0, faults=FaultPlan.parse("seed=9;corrupt-homes:gdp:2")
-        )
+        pipe = resilient(retries=0, fault_spec="seed=9;corrupt-homes:gdp:2")
         result = pipe.run(prepared, "gdp")
         assert result.fell_back
         bad = result.report.attempts("gdp")[0]
@@ -352,9 +348,8 @@ class TestResilientPipeline:
         assert any("lock-violation" in d for d in bad["diagnostics"])
 
     def test_no_fallback_raises_ladder_exhausted(self, prepared):
-        pipe = ResilientPipeline(
-            retries=0, fallback=False,
-            faults=FaultPlan.parse("seed=3;raise:gdp"),
+        pipe = resilient(
+            retries=0, fallback=False, fault_spec="seed=3;raise:gdp"
         )
         with pytest.raises(LadderExhausted) as excinfo:
             pipe.run(prepared, "gdp")
@@ -363,18 +358,14 @@ class TestResilientPipeline:
         assert report.final()["status"] == "failed"
 
     def test_whole_ladder_exhausted(self, prepared):
-        pipe = ResilientPipeline(
-            retries=0, faults=FaultPlan.parse("seed=3;raise:*")
-        )
+        pipe = resilient(retries=0, fault_spec="seed=3;raise:*")
         with pytest.raises(LadderExhausted) as excinfo:
             pipe.run(prepared, "gdp")
         attempts = excinfo.value.run_report.attempts()
         assert [a["scheme"] for a in attempts] == list(LADDER)
 
     def test_ladder_starts_at_requested_rung(self, prepared):
-        pipe = ResilientPipeline(
-            retries=0, faults=FaultPlan.parse("seed=3;raise:naive")
-        )
+        pipe = resilient(retries=0, fault_spec="seed=3;raise:naive")
         result = pipe.run(prepared, "naive")
         assert result.scheme == "unified"
         assert [a["scheme"] for a in result.report.attempts()] == [
@@ -382,7 +373,7 @@ class TestResilientPipeline:
         ]
 
     def test_run_all_dedupes_schemes(self, prepared):
-        pipe = ResilientPipeline(retries=0)
+        pipe = resilient(retries=0)
         outcomes = pipe.run_all(
             prepared, ["unified", "gdp", "unified", "gdp"]
         )
@@ -391,7 +382,7 @@ class TestResilientPipeline:
         assert len(report.attempts("unified")) == 1
 
     def test_compare_ratios(self, prepared):
-        rel = ResilientPipeline(retries=0).compare(
+        rel = resilient(retries=0).compare(
             prepared, schemes=("gdp", "naive")
         )
         assert set(rel) == {"gdp", "naive"}
@@ -399,7 +390,7 @@ class TestResilientPipeline:
 
     def test_rejects_negative_retries(self):
         with pytest.raises(ValueError):
-            ResilientPipeline(retries=-1)
+            resilient(retries=-1)
 
 
 # -- Determinism and goldens --------------------------------------------------
@@ -407,9 +398,7 @@ class TestResilientPipeline:
 
 class TestDeterminism:
     def _ladder_json(self, prepared):
-        pipe = ResilientPipeline(
-            retries=1, faults=FaultPlan.parse("seed=3;raise:gdp")
-        )
+        pipe = resilient(retries=1, fault_spec="seed=3;raise:gdp")
         result = pipe.run(prepared, "gdp")
         return result.report.to_json(deterministic=True)
 
@@ -424,9 +413,8 @@ class TestDeterminism:
 
     def test_corrupt_homes_json_byte_identical(self, prepared):
         def run():
-            pipe = ResilientPipeline(
-                retries=1,
-                faults=FaultPlan.parse("seed=11;corrupt-homes:gdp:2"),
+            pipe = resilient(
+                retries=1, fault_spec="seed=11;corrupt-homes:gdp:2"
             )
             report = RunReport()
             pipe.run(prepared, "gdp", report=report)
@@ -447,26 +435,26 @@ class TestDeterminism:
 
 class TestPipelineDedupe:
     def test_run_all_runs_unified_once(self, prepared, monkeypatch):
-        pipe = Pipeline()
+        pipe = Pipeline(RunConfig(cache="off"))
         calls = []
         real_run = Pipeline.run
 
-        def counting_run(self, prep, scheme, **kwargs):
+        def counting_run(self, prep, scheme, *args, **kwargs):
             calls.append(scheme)
-            return real_run(self, prep, scheme, **kwargs)
+            return real_run(self, prep, scheme, *args, **kwargs)
 
         monkeypatch.setattr(Pipeline, "run", counting_run)
         pipe.run_all(prepared, ["unified", "gdp", "unified"])
         assert calls == ["unified", "gdp"]
 
     def test_compare_with_unified_in_list(self, prepared, monkeypatch):
-        pipe = Pipeline()
+        pipe = Pipeline(RunConfig(cache="off"))
         calls = []
         real_run = Pipeline.run
 
-        def counting_run(self, prep, scheme, **kwargs):
+        def counting_run(self, prep, scheme, *args, **kwargs):
             calls.append(scheme)
-            return real_run(self, prep, scheme, **kwargs)
+            return real_run(self, prep, scheme, *args, **kwargs)
 
         monkeypatch.setattr(Pipeline, "run", counting_run)
         rel = pipe.compare(prepared, schemes=("unified", "gdp"))

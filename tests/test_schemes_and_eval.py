@@ -12,6 +12,7 @@ from repro.evalmodel import (
     geomean,
     scatter_plot,
 )
+from repro.exec import RunConfig
 from repro.machine import two_cluster_machine
 from repro.pipeline import (
     Pipeline,
@@ -161,17 +162,17 @@ class TestSchemes:
 
 class TestPipelineDriver:
     def test_run_all(self, prepared, machine):
-        pipe = Pipeline(machine)
+        pipe = Pipeline(RunConfig(cache="off"), machine=machine)
         outcomes = pipe.run_all(prepared)
         assert set(outcomes) == {"unified", "gdp", "profilemax", "naive"}
 
     def test_compare_relative(self, prepared, machine):
-        pipe = Pipeline(machine)
+        pipe = Pipeline(RunConfig(cache="off"), machine=machine)
         rel = pipe.compare(prepared, schemes=("gdp",))
         assert 0.2 < rel["gdp"] < 2.0
 
     def test_prepare_from_source(self, machine):
-        pipe = Pipeline(machine)
+        pipe = Pipeline(RunConfig(cache="off"), machine=machine)
         prep = pipe.prepare("int main() { return 0; }")
         assert prep.result == 0
 
