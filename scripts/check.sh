@@ -18,6 +18,10 @@
 #               region-located partition invariants with a sound
 #               roofline ratio (>= 1.0), and >= 3 benches carry
 #               region-splittable advisories.
+#   rhop        computation-partitioner identity: every bench x scheme x
+#               latency {1, 5, 10} cell reproduces the status, cycles,
+#               dynamic moves and op->cluster assignment hash recorded in
+#               tests/goldens/rhop_identity.json (228 cells).
 #   cache       artifact cache smoke (cold vs warm Table-1 sweep).
 #   service     job-server smoke: `repro serve` on an ephemeral port,
 #               healthz, a small concurrent loadtest burst (zero lost
@@ -41,7 +45,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
 export PYTHONPATH="$ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
 
-STAGES="tools examples benches faults ptdiff staticdiff regioncheck cache service chaos perfbench"
+STAGES="tools examples benches faults ptdiff staticdiff regioncheck rhop cache service chaos perfbench"
 failures=0
 
 note() { printf '== %s\n' "$*"; }
@@ -290,6 +294,13 @@ else:
     print(f"ok: splittable advisories on {splittable_benches}")
 sys.exit(1 if bad else 0)
 PY
+}
+
+# -- rhop: computation-partitioner identity against the recorded golden -------
+
+stage_rhop() {
+    note "RHOP identity (all benches x schemes x latencies 1/5/10 vs golden)"
+    python scripts/rhop_identity.py || failures=$((failures + 1))
 }
 
 # -- cache: artifact cache smoke (cold vs warm Table-1 sweep) -----------------

@@ -42,7 +42,7 @@ from ..ir import Function, Module, Operation
 from ..machine import Machine
 from ..resilience.budget import budget_expired
 from ..schedule.depgraph import DependenceGraph
-from .estimator import Anchor, INFEASIBLE, ScheduleEstimator
+from .estimator import Anchor, IncrementalEstimate, ScheduleEstimator
 from .merges import UnionFind
 
 
@@ -61,7 +61,6 @@ class RHOPConfig:
         refine_passes: int = 3,
         coarsen_to_per_cluster: int = 2,
         seed: int = 777,
-        cut_tiebreak: bool = True,
         restarts: int = 2,
         global_passes: int = 2,
         budget=None,
@@ -69,7 +68,6 @@ class RHOPConfig:
         self.refine_passes = refine_passes
         self.coarsen_to_per_cluster = coarsen_to_per_cluster
         self.seed = seed
-        self.cut_tiebreak = cut_tiebreak
         self.restarts = max(1, restarts)
         self.global_passes = max(1, global_passes)
         self.budget = budget
@@ -82,7 +80,6 @@ class RHOPConfig:
             refine_passes=self.refine_passes,
             coarsen_to_per_cluster=self.coarsen_to_per_cluster,
             seed=self.seed + offset,
-            cut_tiebreak=self.cut_tiebreak,
             restarts=self.restarts,
             global_passes=self.global_passes,
             budget=budget if budget is not None else self.budget,
@@ -256,12 +253,9 @@ class RHOP:
                 break  # anytime: keep the best completed cycle
             attempt_rng = random.Random(rng.randrange(1 << 30) + attempt)
             cluster_of = self._one_block_cycle(
-                graph, base_groups, locks, estimator, uids, attempt_rng
+                graph, base_groups, locks, estimator, attempt_rng
             )
-            key = (
-                estimator.estimate(cluster_of, exposed=True),
-                estimator.move_count(cluster_of),
-            )
+            key = estimator.estimate_and_moves(cluster_of, exposed=True)
             if best_key is None or key < best_key:
                 best_key = key
                 best_cluster_of = cluster_of
@@ -272,7 +266,7 @@ class RHOP:
         self._record_pending_uses(block, best_cluster_of, pending_uses)
 
     def _one_block_cycle(
-        self, graph, base_groups, locks, estimator, uids, rng
+        self, graph, base_groups, locks, estimator, rng
     ) -> Dict[int, int]:
         levels = self._coarsen(graph, base_groups, locks, rng)
 
@@ -291,7 +285,7 @@ class RHOP:
                 choice = lock
             else:
                 choice = self._best_cluster_for(
-                    members, cluster_of, estimator, uids, rng
+                    members, cluster_of, estimator, rng
                 )
             for uid in members:
                 cluster_of[uid] = choice
@@ -299,11 +293,12 @@ class RHOP:
         # Uncoarsen with refinement at every level.  The initial
         # assignment above already covers every op, so on budget expiry
         # the remaining refinement levels can be skipped wholesale.
+        state = estimator.incremental(cluster_of)
         for level_groups in reversed(levels):
             if budget_expired(self.config.budget):
                 break
-            self._refine_level(level_groups, cluster_of, locks, estimator, rng)
-        return cluster_of
+            self._refine_level(level_groups, state, locks, rng)
+        return state.assignment()
 
     # -- locks, anchors, mandatory merges ------------------------------------------------
 
@@ -489,74 +484,68 @@ class RHOP:
         members: Set[int],
         cluster_of: Dict[int, int],
         estimator: ScheduleEstimator,
-        all_uids: List[int],
         rng: random.Random,
     ) -> int:
         """Greedy initial choice: the cluster minimising the (partial)
-        schedule estimate over the groups placed so far."""
+        schedule estimate over the groups placed so far.  The group is
+        placed in ``cluster_of`` for each candidate and removed again."""
         k = self.machine.num_clusters
-        trial = dict(cluster_of)
         best, best_key = 0, None
         order = list(range(k))
         rng.shuffle(order)
         for c in order:
             for uid in members:
-                trial[uid] = c
+                cluster_of[uid] = c
             # Estimate first; break plateau ties by communication (cut +
             # anchor moves) so placement follows affinity, not cluster ids.
-            key = (estimator.estimate(trial), estimator.move_count(trial))
+            key = estimator.estimate_and_moves(cluster_of)
             if best_key is None or key < best_key:
                 best, best_key = c, key
+        for uid in members:
+            del cluster_of[uid]
         return best
 
     def _refine_level(
         self,
         level_groups: Dict[int, Set[int]],
-        cluster_of: Dict[int, int],
+        state: IncrementalEstimate,
         locks: Dict[int, int],
-        estimator: ScheduleEstimator,
         rng: random.Random,
     ) -> None:
+        """Move whole groups across clusters while the estimate improves.
+
+        Candidate moves are scored on the incremental ``state``, so a
+        trial costs the group's incident edges plus the critical path from
+        its first op on, not a full re-estimate of the block."""
         k = self.machine.num_clusters
         movable = [
             gid
             for gid, members in level_groups.items()
             if self._group_lock(members, locks) is None
         ]
+        positions = {
+            gid: state.estimator.positions(level_groups[gid]) for gid in movable
+        }
         for _ in range(self.config.refine_passes):
             if budget_expired(self.config.budget):
                 break
-            current = estimator.estimate(cluster_of)
-            current_moves = estimator.move_count(cluster_of)
             improved = False
             rng.shuffle(movable)
             for gid in movable:
                 if budget_expired(self.config.budget):
-                    break  # estimator calls dominate; stop mid-pass too
-                members = level_groups[gid]
-                src = cluster_of[next(iter(members))]
-                best_dst, best_key = None, (current, current_moves)
+                    break  # trial moves dominate; stop mid-pass too
+                group = positions[gid]
+                src = state.cluster[group[0]]
+                best_dst, best_key = None, state.key
                 for dst in range(k):
                     if dst == src:
                         continue
-                    for uid in members:
-                        cluster_of[uid] = dst
-                    est = estimator.estimate(cluster_of)
-                    moves = (
-                        estimator.move_count(cluster_of)
-                        if self.config.cut_tiebreak
-                        else 0
-                    )
-                    key = (est, moves)
+                    key = state.trial(group, dst)
                     if key < best_key:
                         best_key = key
                         best_dst = dst
-                    for uid in members:
-                        cluster_of[uid] = src
                 if best_dst is not None:
-                    for uid in members:
-                        cluster_of[uid] = best_dst
-                    current, current_moves = best_key
+                    state.commit(group, best_dst)
                     improved = True
             if not improved:
                 break
