@@ -5,9 +5,7 @@ greedy BUG assignment (Ellis's Bulldog) under identical GDP object homes,
 mirroring the motivation for RHOP in the PLDI'03 paper.
 """
 
-from functools import lru_cache
-
-from harness import outcome, prepared, register_cache
+from harness import outcome, prepared
 
 from repro.evalmodel import arithmetic_mean, format_table
 from repro.machine import two_cluster_machine
@@ -18,8 +16,6 @@ SAMPLE = ("rawcaudio", "rawdaudio", "fsed", "fir", "latnrm", "g721dec")
 LAT = 5
 
 
-@register_cache
-@lru_cache(maxsize=None)
 def bug_outcome(name: str) -> SchemeOutcome:
     prep = prepared(name)
     machine = two_cluster_machine(move_latency=LAT)

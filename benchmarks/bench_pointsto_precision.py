@@ -9,10 +9,11 @@ shrink target sets, and on the pointer-heavy benchmarks the shrink is
 strict while no scheme's cycle count gets worse.
 """
 
-from harness import outcome, pointsto_solution, prepared
+from harness import outcome, prepared
 
 from repro.analysis import TIERS
 from repro.evalmodel import format_table
+from repro.exec.engine import SWEEP_SCHEMES
 
 #: Benchmarks whose pointer idioms (pointer tables, struct-of-pointers,
 #: pointer-returning helpers) give the sharper tiers something to win.
@@ -22,12 +23,11 @@ POINTER_SUITE = ("cjpeg", "djpeg", "unepic", "epic", "pegwit")
 #: so every tier must report identical stats and cycles.
 CONTROL_SUITE = ("rawcaudio", "huffman")
 
-SCHEMES = ("unified", "gdp", "profilemax", "naive")
 LATENCY = 5
 
 
 def _row(name, tier):
-    stats = pointsto_solution(name, tier).stats()
+    stats = prepared(name, tier).pointsto.stats()
     cycles = outcome(name, "gdp", LATENCY, tier).cycles
     return stats, cycles
 
@@ -64,9 +64,9 @@ def test_sharper_tiers_strictly_shrink_on_pointer_suite():
     clean_wins = set()
     shrink_log = []
     for name in POINTER_SUITE:
-        base = pointsto_solution(name, "andersen").stats()
+        base = prepared(name, "andersen").pointsto.stats()
         for tier in TIERS[1:]:
-            sharp = pointsto_solution(name, tier).stats()
+            sharp = prepared(name, tier).pointsto.stats()
             assert sharp.avg_set_size <= base.avg_set_size + 1e-9, (
                 name, tier, "a sharper tier may never grow the average set"
             )
@@ -75,7 +75,7 @@ def test_sharper_tiers_strictly_shrink_on_pointer_suite():
                 regressed = any(
                     outcome(name, scheme, LATENCY, tier).cycles
                     > outcome(name, scheme, LATENCY, "andersen").cycles
-                    for scheme in SCHEMES
+                    for scheme in SWEEP_SCHEMES
                 )
                 if not regressed:
                     clean_wins.add(name)
@@ -86,10 +86,10 @@ def test_control_suite_is_tier_invariant():
     """Globals-only benchmarks are already singleton-precise: every tier
     must agree exactly, so the knob is a no-op where it should be."""
     for name in CONTROL_SUITE:
-        base = pointsto_solution(name, "andersen").stats()
+        base = prepared(name, "andersen").pointsto.stats()
         assert base.singleton_ratio == 1.0
         for tier in TIERS[1:]:
-            sharp = pointsto_solution(name, tier).stats()
+            sharp = prepared(name, tier).pointsto.stats()
             assert sharp.avg_set_size == base.avg_set_size
             assert sharp.mayalias_pairs == base.mayalias_pairs
             assert (
@@ -97,18 +97,3 @@ def test_control_suite_is_tier_invariant():
                 == outcome(name, "gdp", LATENCY, "andersen").cycles
             )
 
-
-def test_pointsto_solution_cache_hits():
-    """The per-module solution is registered in the harness cache registry:
-    a second lookup must be a cache hit, not a re-solve."""
-    pointsto_solution.cache_clear()
-    first = pointsto_solution("rawcaudio", "field")
-    before = pointsto_solution.cache_info().hits
-    second = pointsto_solution("rawcaudio", "field")
-    after = pointsto_solution.cache_info().hits
-    assert second is first
-    assert after == before + 1
-    # And clear_caches() owns it (registered via register_cache).
-    import harness
-
-    assert pointsto_solution in harness._CACHES

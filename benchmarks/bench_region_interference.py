@@ -17,10 +17,10 @@ from harness import FULL_SUITE, outcome, prepared
 
 from repro.analysis.modref import ModRefAnalysis
 from repro.analysis.pointsto import TIERS
+from repro.exec.runconfig import SCHEMES
 from repro.lint.regioncheck import check_region_outcome
 
 LAT = 5
-SCHEMES = ("gdp", "profilemax", "naive", "unified")
 
 
 def test_regioncheck_zero_errors_suite_wide():

@@ -14,7 +14,7 @@ import time
 
 from repro.evalmodel import format_table
 from repro.exec import RunConfig
-from repro.exec.engine import run_cell
+from repro.exec.engine import SWEEP_SCHEMES, run_cell
 from repro.service import Broker, ServiceClient, ServiceServer
 
 FIR = """
@@ -49,11 +49,10 @@ int main() {
 }
 """
 
-SCHEMES = ("unified", "gdp", "profilemax", "naive")
 CELLS = [
     (name, source, scheme)
     for name, source in (("fir", FIR), ("hist", HIST))
-    for scheme in SCHEMES
+    for scheme in SWEEP_SCHEMES
 ]
 SUBMISSIONS = 200
 THREADS = 16

@@ -85,31 +85,15 @@ def resilient(name: str, scheme: str, latency: int):
 
 #: In-process memo tables; cleared by :func:`clear_caches` (wired into
 #: ``conftest.py``) so repeated in-process pytest sessions re-read the
-#: artifact store.  Bench modules with their own ``lru_cache`` helpers
-#: can join via :func:`register_cache`.  Never visible to pool workers —
-#: cross-process reuse goes through the on-disk artifact cache only.
+#: artifact store.  Never visible to pool workers — cross-process reuse
+#: goes through the on-disk artifact cache only.
 _CACHES = [prepared, outcome, resilient]
-
-
-def register_cache(fn):
-    """Register an ``lru_cache``-decorated callable with clear_caches()."""
-    _CACHES.append(fn)
-    return fn
 
 
 def clear_caches() -> None:
     """Drop every in-process memo (the on-disk artifacts remain)."""
     for fn in _CACHES:
         fn.cache_clear()
-
-
-@register_cache
-@lru_cache(maxsize=None)
-def pointsto_solution(name: str, pointsto_tier: str = "andersen"):
-    """The points-to solution annotating a prepared benchmark — cached so
-    the tiered solvers run once per (benchmark, tier) regardless of how
-    many schemes/figures consume the prepared program."""
-    return prepared(name, pointsto_tier).pointsto
 
 
 def relative_performance(name: str, scheme: str, latency: int) -> float:

@@ -122,21 +122,24 @@ import tempfile
 
 from repro.cli import main
 
-# (spec, expect_fallback): persistent raise / corrupt-homes faults must be
-# survived by falling down the ladder; unlock and slow-moves must at least
-# fire and finish (unlock is repaired or caught depending on the victim).
+# (spec, expect_fallback, expect_invalid): persistent raise / corrupt-homes
+# faults must be survived by falling down the ladder; unlock and slow-moves
+# must at least fire and finish (unlock is repaired or caught depending on
+# the victim).  Corrupted homes leave the scheme running to completion, so
+# the fallback must come from the validity check (an attempt with status
+# "invalid"), not from a crash.
 SPECS = [
-    ("seed=7;raise:gdp", True),
-    ("seed=7;corrupt-homes:gdp:2", True),
-    ("seed=7;unlock:gdp:4", None),
-    ("seed=7;slow-moves:4", None),
+    ("seed=7;raise:gdp", True, False),
+    ("seed=7;corrupt-homes:gdp:2", True, True),
+    ("seed=7;unlock:gdp:4", None, False),
+    ("seed=7;slow-moves:4", None, False),
     # A dead profiler degrades to the static profile rung, not to naive:
     # the run must end on a profile-guided scheme with the fallback logged.
-    ("seed=7;raise:profiler", True),
+    ("seed=7;raise:profiler", True, False),
 ]
 
 bad = 0
-for spec, expect_fallback in SPECS:
+for spec, expect_fallback, expect_invalid in SPECS:
     with tempfile.NamedTemporaryFile("r", suffix=".json") as tmp:
         code = main([
             "partition", "examples/quickstart.py",
@@ -147,15 +150,20 @@ for spec, expect_fallback in SPECS:
     faults = report["summary"]["faults"]
     fallbacks = report["summary"]["fallbacks"]
     expected_code = 1 if fallbacks >= 1 else 0
+    invalid = sum(
+        1 for e in report["events"]
+        if e["kind"] == "attempt" and e["status"] == "invalid"
+    )
     ok = (
         code == expected_code
         and faults >= 1
         and report["final"]["status"] == "ok"
         and (expect_fallback is None or (fallbacks >= 1) == expect_fallback)
+        and (not expect_invalid or invalid >= 1)
     )
     print(f"{'ok' if ok else 'FAIL'}: --fault-spec '{spec}' "
           f"(exit {code}, {faults} fault(s), {fallbacks} fallback(s), "
-          f"final {report['final']['scheme']})")
+          f"{invalid} invalid attempt(s), final {report['final']['scheme']})")
     bad += 0 if ok else 1
 sys.exit(1 if bad else 0)
 PY

@@ -3,8 +3,8 @@
 A generic worklist fixpoint engine (:mod:`.framework`) plus the client
 analyses built on it:
 
-* :mod:`.clients` — must-defined registers and live registers, the
-  engine-based replacements for the ad-hoc lint traversals;
+* :mod:`.clients` — must-defined registers, the engine-based
+  replacement for an ad-hoc lint traversal;
 * :mod:`.interval` — interval value-range analysis over MiniC IR with
   interprocedural parameter lifting;
 * :mod:`.regions` — loop trip-count bounds, per-block execution bounds,
@@ -14,7 +14,7 @@ analyses built on it:
   avoid the analysis <-> profiler import cycle).
 """
 
-from .clients import LivenessFacts, live_registers, must_defined_registers
+from .clients import must_defined_registers
 from .framework import (
     DataflowProblem,
     DataflowSolution,
@@ -35,10 +35,8 @@ __all__ = [
     "Interval",
     "IntervalAnalysis",
     "Lattice",
-    "LivenessFacts",
     "SetLattice",
     "TripCounts",
-    "live_registers",
     "must_defined_registers",
     "recursive_functions",
     "solve",

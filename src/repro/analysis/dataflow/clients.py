@@ -1,19 +1,15 @@
-"""Engine-based replacements for the ad-hoc lint dataflow traversals.
+"""Engine-based replacement for an ad-hoc lint dataflow traversal.
 
-Two finite set analyses phrased as :class:`DataflowProblem` instances:
-
-* :func:`must_defined_registers` — forward must-analysis: the register
-  ids defined on *every* path into each block (parameters count as
-  defined at entry).  Replaces ``lint.irlint._must_defined_in``.
-* :func:`live_registers` — backward may-analysis producing
-  :class:`LivenessFacts`, drop-in compatible with the queries the
-  dead-store pass makes against :class:`repro.analysis.Liveness`.
-
-Both keep the exact semantics of the traversals they replace, including
+:func:`must_defined_registers` is a forward must-analysis phrased as a
+:class:`DataflowProblem`: the register ids defined on *every* path into
+each block (parameters count as defined at entry).  It replaces
+``lint.irlint._must_defined_in`` and keeps its exact semantics, including
 the corner cases: unreachable blocks report the lattice bottom (the full
-universe for must-defined, the empty set for liveness), and the entry's
-must-defined state stays pinned to the parameter set even when a back
-edge targets the entry block.
+universe), and the entry's state stays pinned to the parameter set even
+when a back edge targets the entry block.
+
+Register liveness is :class:`repro.analysis.Liveness`, which the
+optimizer's dead-code pass and the lint dead-store pass share.
 """
 
 from __future__ import annotations
@@ -58,65 +54,4 @@ def must_defined_registers(func: Function, cfg: CFG) -> Dict[str, Set[int]]:
     return {name: set(solution.in_of(name)) for name in func.blocks}
 
 
-class _LivenessProblem(DataflowProblem):
-    direction = "backward"
-
-    def __init__(self, universe: FrozenSet[int]):
-        super().__init__(SetLattice(universe, must=False))
-
-    def boundary(self) -> FrozenSet[int]:
-        return frozenset()
-
-    def transfer(self, block: BasicBlock, state: FrozenSet[int]) -> FrozenSet[int]:
-        # Backward: the incoming state is the block's live-out; produce
-        # its live-in: use | (out - defs), with use = read-before-write.
-        use: Set[int] = set()
-        defs: Set[int] = set()
-        for op in block.ops:
-            for src in op.register_srcs():
-                if src.vid not in defs:
-                    use.add(src.vid)
-            if op.dest is not None:
-                defs.add(op.dest.vid)
-        return frozenset(use) | (state - frozenset(defs))
-
-
-class LivenessFacts:
-    """Per-block live-in/live-out sets with the :class:`Liveness` query API."""
-
-    def __init__(
-        self,
-        live_in: Dict[str, FrozenSet[int]],
-        live_out: Dict[str, FrozenSet[int]],
-    ):
-        self.live_in = live_in
-        self.live_out = live_out
-
-    def live_across(self, vid: int) -> bool:
-        """True if the register is live across any block boundary."""
-        return any(vid in live for live in self.live_out.values())
-
-    def live_out_of(self, block: str) -> FrozenSet[int]:
-        return self.live_out.get(block, frozenset())
-
-    def live_into(self, block: str) -> FrozenSet[int]:
-        return self.live_in.get(block, frozenset())
-
-
-def live_registers(func: Function, cfg: CFG) -> LivenessFacts:
-    """Backward liveness over virtual registers via the fixpoint engine."""
-    universe: Set[int] = {p.vid for p in func.params}
-    for block in func:
-        universe |= _block_defs(block)
-        for op in block.ops:
-            for src in op.register_srcs():
-                universe.add(src.vid)
-    solution = solve(func, cfg, _LivenessProblem(frozenset(universe)))
-    # Backward problem: in_of is the state at the block's *end* (live-out)
-    # and out_of the state at its start (live-in).
-    live_out = {name: frozenset(solution.in_of(name)) for name in func.blocks}
-    live_in = {name: frozenset(solution.out_of(name)) for name in func.blocks}
-    return LivenessFacts(live_in, live_out)
-
-
-__all__ = ["LivenessFacts", "live_registers", "must_defined_registers"]
+__all__ = ["must_defined_registers"]

@@ -185,15 +185,34 @@ def _save_run_report(args, report) -> None:
         print(f"[run report written to {args.run_report}]")
 
 
-def _compile(args) -> int:
+def _resolve_path(path: str) -> str:
+    """Allow extensionless paths: ``repro lint examples/quickstart``."""
+    import os
+
+    if path == "-" or os.path.exists(path):
+        return path
+    for suffix in (".py", ".mc", ".minic"):
+        if os.path.exists(path + suffix):
+            return path + suffix
+    return path  # let open() raise the usual error
+
+
+def _compile_module(args):
+    """Compile ``args.file`` as the frontend flags say, optimizing it
+    when ``--optimize`` is given (shared by compile, run and lint)."""
     module = compile_source(
-        _read_source(args.file), args.name,
+        _read_source(_resolve_path(args.file)), args.name,
         unroll_factor=args.unroll, if_convert=args.if_convert,
     )
     if args.optimize:
         from .opt import optimize_module
 
         optimize_module(module)
+    return module
+
+
+def _compile(args) -> int:
+    module = _compile_module(args)
     text = print_module(module) if args.pretty else dumps(module)
     if args.output:
         with open(args.output, "w") as handle:
@@ -204,14 +223,7 @@ def _compile(args) -> int:
 
 
 def _run(args) -> int:
-    module = compile_source(
-        _read_source(args.file), args.name,
-        unroll_factor=args.unroll, if_convert=args.if_convert,
-    )
-    if args.optimize:
-        from .opt import optimize_module
-
-        optimize_module(module)
+    module = _compile_module(args)
     interp = Interpreter(module, max_steps=args.max_steps)
     result = interp.run()
     for value in interp.profile.output:
@@ -312,18 +324,6 @@ def _compare(args) -> int:
     return EXIT_DEGRADED if degraded else EXIT_OK
 
 
-def _resolve_lint_path(path: str) -> str:
-    """Allow ``repro lint examples/quickstart`` without an extension."""
-    import os
-
-    if path == "-" or os.path.exists(path):
-        return path
-    for suffix in (".py", ".mc", ".minic"):
-        if os.path.exists(path + suffix):
-            return path + suffix
-    return path  # let open() raise the usual error
-
-
 def _lint(args) -> int:
     from .analysis.pointsto import TIERS
     from .lint import (
@@ -335,14 +335,7 @@ def _lint(args) -> int:
     )
 
     config = _config_from_args(args)
-    module = compile_source(
-        _read_source(_resolve_lint_path(args.file)), args.name,
-        unroll_factor=args.unroll, if_convert=args.if_convert,
-    )
-    if args.optimize:
-        from .opt import optimize_module
-
-        optimize_module(module)
+    module = _compile_module(args)
 
     profile = None
     if args.dynamic_oracle:
@@ -371,7 +364,7 @@ def _lint(args) -> int:
 
     if args.verify_partition:
         prepared = PreparedProgram.from_source(
-            _read_source(_resolve_lint_path(args.file)), args.name,
+            _read_source(_resolve_path(args.file)), args.name,
             config=config,
         )
         pipe = Pipeline(config.replace(validate=False), machine=machine)

@@ -12,12 +12,7 @@ Programmatic API::
 CLI: ``repro lint program.mc`` / ``repro partition --verify-partition``.
 """
 
-from .diagnostics import (
-    Diagnostic,
-    DiagnosticReport,
-    PartitionValidityError,
-    Severity,
-)
+from .diagnostics import Diagnostic, DiagnosticReport, Severity
 from .runner import (
     PASS_REGISTRY,
     LintContext,
@@ -60,7 +55,6 @@ from .regioncheck import (
 __all__ = [
     "Diagnostic",
     "DiagnosticReport",
-    "PartitionValidityError",
     "Severity",
     "LintContext",
     "LintPass",

@@ -304,15 +304,3 @@ class DiagnosticReport:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<report: {self.summary()}>"
 
-
-class PartitionValidityError(Exception):
-    """Raised by the opt-in pipeline validation hook when a phase output
-    violates one of the paper's partition/schedule invariants."""
-
-    def __init__(self, report: DiagnosticReport, phase: Optional[str] = None):
-        self.report = report
-        self.phase = phase
-        where = f" after phase {phase!r}" if phase else ""
-        super().__init__(
-            f"partition validity check failed{where}:\n{report.render_text()}"
-        )

@@ -29,6 +29,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..analysis.objects import ObjectTable
 from ..ir import Module, Opcode, Operation
 from ..machine import Machine
+from ..partition.gdp import GDPConfig, PROFILE_MAX_IMBALANCE
 from ..partition.locks import memory_locks
 from ..partition.merges import MergeResult
 from ..partition.rhop import RHOPResult
@@ -483,11 +484,9 @@ def check_scheme_outcome(
     if outcome.object_home is not None and data_phase is not None:
         cap = size_imbalance
         if cap is None and scheme == "gdp":
-            from ..partition.gdp import GDPConfig
-
             cap = GDPConfig().size_imbalance
         elif cap is None and scheme == "profilemax":
-            cap = 1.15
+            cap = PROFILE_MAX_IMBALANCE
         report.extend(
             check_data_partition(
                 prepared.objects,

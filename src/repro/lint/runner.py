@@ -12,10 +12,10 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Type
 
 from ..analysis.cfg import CFG
-from ..analysis.dataflow import IntervalAnalysis, LivenessFacts
-from ..analysis.dataflow import live_registers, must_defined_registers
+from ..analysis.dataflow import IntervalAnalysis, must_defined_registers
 from ..analysis.defuse import DefUse
 from ..analysis.dominators import DominatorTree
+from ..analysis.liveness import Liveness
 from ..analysis.loops import LoopInfo
 from ..analysis.objects import ObjectTable
 from ..analysis.pointsto import PointsToResult, solve_pointsto
@@ -46,7 +46,7 @@ class LintContext:
         self._dom: Dict[str, DominatorTree] = {}
         self._defuse: Dict[str, DefUse] = {}
         self._loops: Dict[str, LoopInfo] = {}
-        self._live_facts: Dict[str, LivenessFacts] = {}
+        self._live_facts: Dict[str, Liveness] = {}
         self._must_defined: Dict[str, Dict[str, set]] = {}
         self._pointsto: Dict[str, PointsToResult] = {}
         self._objects: Optional[ObjectTable] = None
@@ -78,12 +78,10 @@ class LintContext:
             )
         return self._loops[func.name]
 
-    def live_facts(self, func: Function) -> LivenessFacts:
-        """Register liveness solved on the generic dataflow engine."""
+    def live_facts(self, func: Function) -> Liveness:
+        """Per-block register liveness (the analysis DCE also uses)."""
         if func.name not in self._live_facts:
-            self._live_facts[func.name] = live_registers(
-                func, self.cfg(func)
-            )
+            self._live_facts[func.name] = Liveness(func, self.cfg(func))
         return self._live_facts[func.name]
 
     def must_defined(self, func: Function) -> Dict[str, set]:

@@ -19,6 +19,12 @@ from ..ir import Module
 from .merges import MergeResult, access_pattern_merge
 from .multilevel import MultilevelPartitioner, PartitionGraph
 
+#: Balance cap of the Profile Max baseline's greedy object homing: no
+#: cluster takes more than this multiple of an even share of the data
+#: bytes.  The scheme runner and the partition validity checker both
+#: read it, so the cap enforced and the cap checked cannot drift apart.
+PROFILE_MAX_IMBALANCE = 1.15
+
 
 class GDPConfig:
     """Tunables for the data-partitioning pass.

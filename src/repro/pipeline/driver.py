@@ -33,6 +33,7 @@ from typing import Any, Dict, Iterable, Optional
 from ..exec import engine
 from ..exec.artifacts import outcome_key_material, prepared_key_material
 from ..exec.cache import ArtifactCache, canonical_key
+from ..lint import check_scheme_outcome
 from ..machine import Machine
 from ..partition.gdp import GDPConfig
 from ..partition.rhop import RHOPConfig
@@ -275,8 +276,6 @@ class Pipeline:
     def _ladder(
         self, prepared: PreparedProgram, scheme: str, report: RunReport
     ) -> SchemeOutcome:
-        from ..lint import check_scheme_outcome
-
         config = self.config
         ladder = list(LADDER[LADDER.index(scheme):]) if config.fallback else [scheme]
         report.record_run(scheme, ladder)
@@ -366,7 +365,7 @@ class Pipeline:
     def run_all(
         self,
         prepared: PreparedProgram,
-        schemes: Iterable[str] = ("unified", "gdp", "profilemax", "naive"),
+        schemes: Iterable[str] = engine.SWEEP_SCHEMES,
         report: Optional[RunReport] = None,
     ) -> Dict[str, SchemeOutcome]:
         """Run each distinct scheme once, in first-seen order (a caller

@@ -14,27 +14,19 @@ scheduling.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Optional
 
-from ..evalmodel import EvalResult, evaluate_module
+from ..evalmodel import EvalResult, evaluate_module, roofline
 from ..exec.runconfig import SCHEMES
 from ..ir import Module
 from ..machine import Machine
 from ..partition.assign import insert_intercluster_moves
-from ..partition.gdp import DataPartition, GDPConfig, gdp_partition
+from ..partition.gdp import GDPConfig, PROFILE_MAX_IMBALANCE, gdp_partition
 from ..partition.locks import memory_locks
 from ..partition.rhop import RHOP, RHOPConfig, RHOPResult
 from ..resilience.faults import FaultPlan
 from ..resilience.report import PhaseTimer
-from ..lint import (
-    DiagnosticReport,
-    PartitionValidityError,
-    check_data_partition,
-    check_memory_locks,
-    check_moves,
-    check_schedule,
-    diagnose_lock_violations,
-)
 from .prepared import PreparedProgram
 
 #: The paper's quality ladder, best rung first (Table 1 order): the
@@ -144,8 +136,6 @@ def run_scheme(
     gdp_config: Optional[GDPConfig] = None,
     rhop_config: Optional[RHOPConfig] = None,
     object_home: Optional[Dict[str, int]] = None,
-    pmax_imbalance: float = 1.15,
-    validate: bool = False,
     faults: Optional[FaultPlan] = None,
 ) -> SchemeOutcome:
     """Run one named scheme end to end.
@@ -153,10 +143,10 @@ def run_scheme(
     ``object_home`` overrides the object placement (used by the exhaustive
     search of Figure 9 with the "gdp" second-pass machinery).
 
-    With ``validate=True`` every phase output is checked against the
-    paper's invariants (see :mod:`repro.lint.partcheck`) and a
-    :class:`~repro.lint.PartitionValidityError` is raised at the first
-    phase whose output violates one.
+    Schemes only partition: whether the result obeys the paper's phase
+    contracts is :func:`repro.lint.check_scheme_outcome`'s call, which
+    the :class:`~repro.pipeline.Pipeline` ladder makes when ``validate``
+    is on.
 
     ``faults`` installs a deterministic
     :class:`~repro.resilience.faults.FaultPlan` whose clauses fire at this
@@ -165,68 +155,16 @@ def run_scheme(
     if faults is not None:
         machine = faults.machine_for(machine)
     runners = {
-        "gdp": lambda: run_gdp(
-            prepared, machine, gdp_config, rhop_config, object_home,
-            validate=validate, faults=faults,
-        ),
-        "profilemax": lambda: run_profile_max(
-            prepared, machine, rhop_config, pmax_imbalance,
-            validate=validate, faults=faults,
-        ),
-        "naive": lambda: run_naive(
-            prepared, machine, rhop_config, validate=validate, faults=faults
-        ),
-        "unified": lambda: run_unified(
-            prepared, machine, rhop_config, validate=validate, faults=faults
-        ),
+        "gdp": partial(run_gdp, gdp_config=gdp_config, object_home=object_home),
+        "profilemax": run_profile_max,
+        "naive": run_naive,
+        "unified": run_unified,
     }
     if scheme not in runners:
         raise ValueError(f"unknown scheme {scheme!r} (see SCHEME_TABLE)")
-    return runners[scheme]()
-
-
-def _with_roofline(
-    prepared: PreparedProgram, outcome: SchemeOutcome
-) -> SchemeOutcome:
-    """Price the outcome's data movement against the program's I/O lower
-    bound (one memoized model per prepared program serves all schemes)."""
-    from ..evalmodel.roofline import roofline_for
-
-    outcome.roofline = roofline_for(prepared).report(outcome.dynamic_moves)
-    return outcome
-
-
-def _require_valid(report: DiagnosticReport, phase: str) -> None:
-    """Raise :class:`PartitionValidityError` if ``report`` holds errors."""
-    if report.has_errors:
-        raise PartitionValidityError(report, phase=phase)
-
-
-def _validate_computation(
-    prepared: PreparedProgram,
-    module: Module,
-    result: RHOPResult,
-    assignment: Dict[int, int],
-    object_home: Optional[Dict[str, int]],
-) -> None:
-    """Post-phase-2 hook: locks honoured and feasible for the machine."""
-    report = diagnose_lock_violations(result, module)
-    if object_home is not None:
-        report.extend(
-            check_memory_locks(
-                module, assignment, object_home,
-                prepared.object_access_counts(), phase=result.phase,
-            )
-        )
-    _require_valid(report, result.phase)
-
-
-def _validate_final(
-    machine: Machine, module: Module, assignment: Dict[int, int]
-) -> None:
-    """Post-move-insertion hook: cut edges bridged, schedule feasible."""
-    _require_valid(check_moves(module, assignment, machine), "moves")
-    _require_valid(check_schedule(module, assignment, machine), "schedule")
+    return runners[scheme](
+        prepared, machine, rhop_config=rhop_config, faults=faults
+    )
 
 
 def finalize_and_evaluate(
@@ -249,11 +187,37 @@ def finalize_and_evaluate(
     return evaluate_module(module, assignment, machine, prepared.block_freq)
 
 
+def _finish(
+    scheme: str,
+    prepared: PreparedProgram,
+    machine: Machine,
+    module: Module,
+    assignment: Dict[int, int],
+    object_home: Optional[Dict[str, int]],
+    rhop_result: RHOPResult,
+    timer: PhaseTimer,
+) -> SchemeOutcome:
+    """The tail every scheme shares: insert moves and evaluate, then
+    price the data movement against the program's I/O lower bound (one
+    memoized model per prepared program serves all schemes)."""
+    with timer.phase("finalize"):
+        eval_result = finalize_and_evaluate(
+            prepared, machine, module, assignment, rhop_result
+        )
+    outcome = SchemeOutcome(
+        scheme, machine, module, assignment, object_home, eval_result,
+        timer.timings, SCHEME_TABLE[scheme]["rhop_runs"],
+    )
+    outcome.roofline = roofline.roofline_for(prepared).report(
+        outcome.dynamic_moves
+    )
+    return outcome
+
+
 def run_unified(
     prepared: PreparedProgram,
     machine: Machine,
     rhop_config: Optional[RHOPConfig] = None,
-    validate: bool = False,
     faults: Optional[FaultPlan] = None,
 ) -> SchemeOutcome:
     """Upper bound: single multiported memory, plain RHOP."""
@@ -266,18 +230,10 @@ def run_unified(
         faults.maybe_raise("rhop")
     with timer.phase("rhop"):
         result = rhop.partition_module(module)
-    if validate:
-        _validate_computation(prepared, module, result, result.assignment, None)
-    with timer.phase("finalize"):
-        eval_result = finalize_and_evaluate(
-            prepared, machine, module, result.assignment, result
-        )
-    if validate:
-        _validate_final(machine, module, result.assignment)
-    return _with_roofline(prepared, SchemeOutcome(
-        "unified", machine, module, result.assignment, None, eval_result,
-        timer.timings, 1,
-    ))
+    return _finish(
+        "unified", prepared, machine, module, result.assignment, None,
+        result, timer,
+    )
 
 
 def run_gdp(
@@ -286,7 +242,6 @@ def run_gdp(
     gdp_config: Optional[GDPConfig] = None,
     rhop_config: Optional[RHOPConfig] = None,
     object_home: Optional[Dict[str, int]] = None,
-    validate: bool = False,
     faults: Optional[FaultPlan] = None,
 ) -> SchemeOutcome:
     """The paper's method: global data partitioning, then locked RHOP."""
@@ -305,15 +260,6 @@ def run_gdp(
                 program_graph=prepared.program_graph,
             )
         object_home = data_partition.object_home
-    if validate:
-        _require_valid(
-            check_data_partition(
-                prepared.objects, object_home, machine,
-                size_imbalance=(gdp_config or GDPConfig()).size_imbalance,
-                merge=prepared.merge, phase="gdp",
-            ),
-            "gdp",
-        )
     module, _uid_map = prepared.fresh_copy()
     locks = memory_locks(module, object_home, prepared.object_access_counts())
     if faults is not None:
@@ -329,33 +275,22 @@ def run_gdp(
     rhop = RHOP(machine.as_partitioned(), rhop_config, prepared.block_freq)
     with timer.phase("rhop"):
         result = rhop.partition_module(module, mem_locks=locks)
-    if validate:
-        _validate_computation(
-            prepared, module, result, result.assignment, object_home
-        )
-    with timer.phase("finalize"):
-        eval_result = finalize_and_evaluate(
-            prepared, machine, module, result.assignment, result
-        )
-    if validate:
-        _validate_final(machine, module, result.assignment)
-    return _with_roofline(prepared, SchemeOutcome(
-        "gdp", machine, module, result.assignment, dict(object_home),
-        eval_result, timer.timings, 1,
-    ))
+    return _finish(
+        "gdp", prepared, machine, module, result.assignment,
+        dict(object_home), result, timer,
+    )
 
 
 def run_profile_max(
     prepared: PreparedProgram,
     machine: Machine,
     rhop_config: Optional[RHOPConfig] = None,
-    imbalance: float = 1.15,
-    validate: bool = False,
     faults: Optional[FaultPlan] = None,
 ) -> SchemeOutcome:
     """Profile Max: RHOP assuming unified memory, greedy object homing by
-    dynamic access frequency (with a memory-balance threshold), then a
-    second locked RHOP run."""
+    dynamic access frequency (bytes per cluster capped at
+    :data:`~repro.partition.gdp.PROFILE_MAX_IMBALANCE` of an even split),
+    then a second locked RHOP run."""
     timer = PhaseTimer()
     module, uid_map = prepared.fresh_copy()
     rhop1 = RHOP(machine.as_unified(), rhop_config, prepared.block_freq)
@@ -369,16 +304,7 @@ def run_profile_max(
     op_counts = prepared.translated_op_counts(uid_map)
     with timer.phase("homes"):
         object_home = _greedy_profile_homes(
-            prepared, module, first.assignment, op_counts, machine, imbalance
-        )
-    if validate:
-        _require_valid(
-            check_data_partition(
-                prepared.objects, object_home, machine,
-                size_imbalance=imbalance, merge=prepared.merge,
-                phase="profilemax",
-            ),
-            "profilemax",
+            prepared, module, first.assignment, op_counts, machine
         )
 
     module2, _ = prepared.fresh_copy()
@@ -392,20 +318,10 @@ def run_profile_max(
     rhop2 = RHOP(machine.as_partitioned(), rhop_config, prepared.block_freq)
     with timer.phase("rhop"):
         second = rhop2.partition_module(module2, mem_locks=locks)
-    if validate:
-        _validate_computation(
-            prepared, module2, second, second.assignment, object_home
-        )
-    with timer.phase("finalize"):
-        eval_result = finalize_and_evaluate(
-            prepared, machine, module2, second.assignment, second
-        )
-    if validate:
-        _validate_final(machine, module2, second.assignment)
-    return _with_roofline(prepared, SchemeOutcome(
-        "profilemax", machine, module2, second.assignment, object_home,
-        eval_result, timer.timings, 2,
-    ))
+    return _finish(
+        "profilemax", prepared, machine, module2, second.assignment,
+        object_home, second, timer,
+    )
 
 
 def _greedy_profile_homes(
@@ -414,7 +330,6 @@ def _greedy_profile_homes(
     assignment: Dict[int, int],
     op_counts,
     machine: Machine,
-    imbalance: float,
 ) -> Dict[str, int]:
     """Greedy object homing in dynamic-frequency order with a balance cap.
 
@@ -445,7 +360,7 @@ def _greedy_profile_homes(
                 per[cluster] = per.get(cluster, 0.0) + dyn
 
     total_bytes = float(prepared.objects.total_size())
-    cap = imbalance * total_bytes / k if total_bytes > 0 else float("inf")
+    cap = PROFILE_MAX_IMBALANCE * total_bytes / k if total_bytes > 0 else float("inf")
     loads = [0.0] * k
     object_home: Dict[str, int] = {}
 
@@ -476,7 +391,6 @@ def run_naive(
     prepared: PreparedProgram,
     machine: Machine,
     rhop_config: Optional[RHOPConfig] = None,
-    validate: bool = False,
     faults: Optional[FaultPlan] = None,
 ) -> SchemeOutcome:
     """Naïve post-pass placement (Section 2 / Figure 2): partition assuming
@@ -529,22 +443,7 @@ def run_naive(
                 object_home, k, "naive", accessed=access_counts
             )
 
-    if validate:
-        # Naïve has no balance contract: only coverage and lock honesty.
-        _require_valid(
-            check_data_partition(
-                prepared.objects, object_home, machine, phase="naive"
-            ),
-            "naive",
-        )
-        _validate_computation(prepared, module, result, assignment, object_home)
-    with timer.phase("finalize"):
-        eval_result = finalize_and_evaluate(
-            prepared, machine, module, assignment, result
-        )
-    if validate:
-        _validate_final(machine, module, assignment)
-    return _with_roofline(prepared, SchemeOutcome(
-        "naive", machine, module, assignment, object_home, eval_result,
-        timer.timings, 1,
-    ))
+    return _finish(
+        "naive", prepared, machine, module, assignment, object_home,
+        result, timer,
+    )

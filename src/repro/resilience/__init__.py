@@ -23,7 +23,6 @@ driver, :class:`repro.pipeline.Pipeline`.
 from .budget import Budget, budget_expired
 from .errors import (
     InjectedFault,
-    InvalidPhaseOutput,
     LadderExhausted,
     PhaseError,
     ResilienceError,
@@ -38,7 +37,6 @@ __all__ = [
     "FaultClause",
     "FaultPlan",
     "InjectedFault",
-    "InvalidPhaseOutput",
     "LadderExhausted",
     "PhaseError",
     "PhaseTimer",

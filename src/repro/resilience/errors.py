@@ -20,7 +20,7 @@ class ResilienceError(Exception):
 
 
 class PhaseError(ResilienceError):
-    """A pipeline phase failed (raised, or produced an invalid output).
+    """A pipeline phase raised.
 
     ``phase`` names the phase at fault, ``scheme`` the scheme that was
     running it, and ``cause`` the original exception (also chained via
@@ -48,23 +48,6 @@ class InjectedFault(PhaseError):
     FaultPlan` — distinguishable from organic failures in reports."""
 
 
-class InvalidPhaseOutput(PhaseError):
-    """A phase completed but its output was rejected by the partition
-    validity checker (:mod:`repro.lint.partcheck`)."""
-
-    def __init__(
-        self,
-        phase: str,
-        scheme: Optional[str] = None,
-        report: Optional[object] = None,
-    ):
-        self.diagnostics = report
-        summary = (
-            report.summary() if report is not None else "validity check failed"
-        )
-        super().__init__(phase, summary, scheme=scheme)
-
-
 class LadderExhausted(ResilienceError):
     """Every rung of the degradation ladder failed; ``run_report`` holds
     the full retry/fallback history for post-mortem."""
@@ -79,21 +62,13 @@ def as_phase_error(
 ) -> PhaseError:
     """Normalise an arbitrary exception into a :class:`PhaseError`.
 
-    Exceptions that already carry a phase (``PhaseError`` subclasses and
-    :class:`repro.lint.PartitionValidityError`) keep their own attribution;
-    everything else is attributed to ``phase``.
+    ``PhaseError`` subclasses keep their own attribution; everything else
+    is attributed to ``phase``.
     """
     if isinstance(exc, PhaseError):
         if exc.scheme is None:
             exc.scheme = scheme
         return exc
-    exc_phase = getattr(exc, "phase", None)
-    if exc_phase and getattr(exc, "report", None) is not None:
-        # repro.lint.PartitionValidityError: validation rejected the output.
-        err = InvalidPhaseOutput(exc_phase, scheme=scheme, report=exc.report)
-        err.cause = exc
-        err.__cause__ = exc
-        return err
     return PhaseError(
         phase, f"{type(exc).__name__}: {exc}", scheme=scheme, cause=exc
     )

@@ -180,6 +180,28 @@ class TestLiveness:
         # 'a' is used in entry, so it is in entry's use set (live-in).
         assert func.params[0].vid in live.live_into(func.entry.name)
 
+    def test_unreachable_block_is_dead_and_leaks_nothing(self):
+        from repro.ir import Function, Opcode, Operation, VirtualRegister
+        from repro.ir.types import INT
+
+        a = VirtualRegister(0, INT, "a")
+        func = Function("f", [a], INT)
+        stray = func.new_vreg(INT, "stray")
+        func.add_block("entry").append(_br("exit"))
+        func.add_block("exit").append(Operation(Opcode.RET, srcs=[a]))
+        # The island reads a register nothing defines and branches into
+        # a reachable block, but never runs: its sets stay empty and its
+        # uses must not flow into any reachable block's live sets.
+        func.add_block("island").append(
+            Operation(Opcode.CBR, srcs=[stray], targets=["exit", "exit"])
+        )
+        live = Liveness(func)
+        assert live.live_into("island") == set()
+        assert live.live_out_of("island") == set()
+        assert live.live_into("entry") == {a.vid}
+        assert live.live_out_of("entry") == {a.vid}
+        assert not live.live_across(stray.vid)
+
 
 class TestDefUse:
     def test_straightline_chain(self):

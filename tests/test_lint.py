@@ -23,7 +23,6 @@ from repro.lint import (
     Diagnostic,
     DiagnosticReport,
     PASS_REGISTRY,
-    PartitionValidityError,
     LintPass,
     LintRunner,
     Severity,
@@ -203,14 +202,6 @@ class TestDiagnostics:
         b.error("e", "y", func="g")
         b.warning("w", "x", func="f")
         assert a.to_json() == b.to_json()
-
-    def test_partition_validity_error_message(self):
-        report = DiagnosticReport()
-        report.error("object-home-range", "object g:a homed on cluster 99")
-        exc = PartitionValidityError(report, phase="gdp")
-        assert "after phase 'gdp'" in str(exc)
-        assert "object-home-range" in str(exc)
-        assert exc.report is report
 
 
 # -- runner / registry ---------------------------------------------------------------
@@ -639,22 +630,18 @@ class TestPipelineValidation:
 
     def test_mutated_gdp_home_rejected_by_validation(self, prepared):
         machine = two_cluster_machine(move_latency=5)
-        good = run_scheme(prepared, machine, "gdp").object_home
-        bad = dict(good)
-        bad[sorted(bad)[0]] = 99
-        with pytest.raises(PartitionValidityError) as exc:
-            run_scheme(prepared, machine, "gdp", object_home=bad, validate=True)
-        assert exc.value.phase == "gdp"
-        assert exc.value.report.by_rule("object-home-range")
+        outcome = run_scheme(prepared, machine, "gdp")
+        outcome.object_home[sorted(outcome.object_home)[0]] = 99
+        report = check_scheme_outcome(prepared, outcome)
+        diags = report.by_rule("object-home-range")
+        assert diags and diags[0].phase == "gdp"
 
     def test_missing_home_rejected_by_validation(self, prepared):
         machine = two_cluster_machine(move_latency=5)
-        good = run_scheme(prepared, machine, "gdp").object_home
-        bad = dict(good)
-        bad.pop(sorted(bad)[0])
-        with pytest.raises(PartitionValidityError) as exc:
-            run_scheme(prepared, machine, "gdp", object_home=bad, validate=True)
-        assert exc.value.report.by_rule("object-home-missing")
+        outcome = run_scheme(prepared, machine, "gdp")
+        outcome.object_home.pop(sorted(outcome.object_home)[0])
+        report = check_scheme_outcome(prepared, outcome)
+        assert report.by_rule("object-home-missing")
 
     def test_post_hoc_mutated_home_caught_by_lock_check(self, prepared):
         outcome = Pipeline(RunConfig(cache="off")).run(prepared, "gdp")

@@ -23,7 +23,6 @@ from repro.resilience import (
     FaultClause,
     FaultPlan,
     InjectedFault,
-    InvalidPhaseOutput,
     LadderExhausted,
     PhaseError,
     PhaseTimer,
@@ -460,18 +459,3 @@ class TestPipelineDedupe:
         rel = pipe.compare(prepared, schemes=("unified", "gdp"))
         assert calls.count("unified") == 1
         assert rel["unified"] == 1.0
-
-
-# -- Error taxonomy odds and ends ---------------------------------------------
-
-
-def test_invalid_phase_output_holds_diagnostics():
-    class FakeReport:
-        def summary(self):
-            return "1 error(s)"
-
-    report = FakeReport()
-    err = InvalidPhaseOutput("gdp", scheme="gdp", report=report)
-    assert err.diagnostics is report
-    assert isinstance(err, PhaseError)
-    assert "1 error(s)" in str(err)

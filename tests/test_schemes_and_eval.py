@@ -14,6 +14,7 @@ from repro.evalmodel import (
 )
 from repro.exec import RunConfig
 from repro.machine import two_cluster_machine
+from repro.partition.gdp import PROFILE_MAX_IMBALANCE
 from repro.pipeline import (
     Pipeline,
     PreparedProgram,
@@ -117,7 +118,7 @@ class TestSchemes:
         assert set(outcome.object_home) == set(prepared.objects.ids())
 
     def test_profilemax_balance_cap(self, prepared, machine):
-        outcome = run_profile_max(prepared, machine, imbalance=1.10)
+        outcome = run_profile_max(prepared, machine)
         bytes_per = [0, 0]
         for obj, c in outcome.object_home.items():
             bytes_per[c] += prepared.objects[obj].size
@@ -126,7 +127,8 @@ class TestSchemes:
             prepared.objects.size_of(g.object_ids)
             for g in prepared.merge.object_groups()
         )
-        assert max(bytes_per) <= max(1.10 * total / 2, biggest_group) + 1e-9
+        cap = PROFILE_MAX_IMBALANCE * total / 2
+        assert max(bytes_per) <= max(cap, biggest_group) + 1e-9
 
     def test_naive_places_all_objects(self, prepared, machine):
         outcome = run_naive(prepared, machine)
