@@ -15,7 +15,6 @@ Three suite-wide gates:
 
 from harness import FULL_SUITE, outcome, prepared
 
-from repro.analysis.modref import ModRefAnalysis
 from repro.analysis.pointsto import TIERS
 from repro.exec.runconfig import SCHEMES
 from repro.lint.regioncheck import check_region_outcome
@@ -48,7 +47,7 @@ def test_splittable_advisories_on_at_least_three_benches():
     epic family's level slots are the expected candidates)."""
     with_advisories = {}
     for name in FULL_SUITE:
-        modref = ModRefAnalysis(prepared(name).module)
+        modref = prepared(name).analyses.modref()
         splittable = modref.splittable_objects()
         if splittable:
             with_advisories[name] = {
@@ -67,7 +66,7 @@ def test_splittable_components_are_disjoint_and_sorted():
     exactly what distinct affine slots produce)."""
     seen_any = False
     for name in FULL_SUITE:
-        modref = ModRefAnalysis(prepared(name).module)
+        modref = prepared(name).analyses.modref()
         for obj, parts in modref.splittable_objects().items():
             seen_any = True
             assert len(parts) >= 2, (name, obj)

@@ -49,6 +49,8 @@ SRC_DIR = os.path.join(REPO_ROOT, "src")
 if SRC_DIR not in sys.path:
     sys.path.insert(0, SRC_DIR)
 
+from repro.exec.engine import SWEEP_SCHEMES  # noqa: E402
+
 PROGRAMS = {
     "chfir": """
 int N = 16;
@@ -82,8 +84,6 @@ int main() {
 """,
 }
 
-SCHEMES = ("unified", "gdp", "profilemax", "naive")
-
 #: Every WORKER_CRASH_EVERY-th distinct cell also runs as a variant whose
 #: first attempt loses its worker (``raise:worker@1``): the requeue path
 #: is chaos-tested in both the baseline and the crash run.
@@ -98,7 +98,7 @@ def build_requests(
     cells: List[Dict[str, Any]] = []
     index = 0
     for name, source in sorted(PROGRAMS.items()):
-        for scheme in SCHEMES:
+        for scheme in SWEEP_SCHEMES:
             cells.append({
                 "name": name, "source": source,
                 "config": {"scheme": scheme},

@@ -5,7 +5,9 @@
 #               lenient elsewhere — see pyproject.toml); each is skipped
 #               with a notice when the tool is not installed.
 #   examples    `repro lint` over every example program: zero errors.
-#   benches     `repro lint` over every bundled benchmark: zero errors.
+#   benches     `repro lint` over every bundled benchmark: zero errors;
+#               then every bench's plain, --dynamic-oracle and prepared
+#               lint report must hash to tests/goldens/lint_identity.json.
 #   faults      fault-injection smoke (one spec per fault class) through
 #               the resilient pipeline's degradation ladder.
 #   ptdiff      points-to refinement differ over the whole suite.
@@ -84,7 +86,7 @@ stage_examples() {
     done
 }
 
-# -- benches: lint every bundled benchmark (zero errors required) -------------
+# -- benches: lint every bundled benchmark (zero errors, identical reports) ---
 
 stage_benches() {
     note "repro lint over the bundled benchmark suite"
@@ -105,6 +107,9 @@ for bench in all_benchmarks():
         bad += 1
 sys.exit(1 if bad else 0)
 PY
+
+    note "lint identity (all benches x plain/oracle/prepared vs golden)"
+    python scripts/lint_identity.py || failures=$((failures + 1))
 }
 
 # -- faults: fault-injection smoke (one spec per fault class) -----------------

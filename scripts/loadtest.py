@@ -44,6 +44,8 @@ import threading
 import time
 from typing import Any, Dict, List
 
+from repro.exec.engine import SWEEP_SCHEMES
+
 PROGRAMS = {
     "ltfir": """
 int N = 16;
@@ -77,14 +79,11 @@ int main() {
 """,
 }
 
-SCHEMES = ("unified", "gdp", "profilemax", "naive")
-
-
 def build_requests(submissions: int, tenants: int) -> List[Dict[str, Any]]:
     cells = [
         (name, source, scheme)
         for name, source in sorted(PROGRAMS.items())
-        for scheme in SCHEMES
+        for scheme in SWEEP_SCHEMES
     ]
     return [
         {

@@ -255,8 +255,7 @@ def main() -> None:
     w("imprecision.  `median ratio` is the median finite-weight-bound over")
     w("observed-count ratio — how much tightness staying static costs.")
     w("")
-    from repro.analysis.dataflow.staticprofile import build_static_profile
-    from repro.analysis.pointsto import solve_pointsto
+    from repro.analysis import Analyses
     from repro.bench import get as get_benchmark
     from repro.lang import compile_source
     from repro.lint import drift_summary
@@ -269,9 +268,7 @@ def main() -> None:
         module = compile_source(bench.source, bench.name)
         interp = Interpreter(module)
         interp.run()
-        static = build_static_profile(
-            module, pointsto=solve_pointsto(module)
-        )
+        static = Analyses(module).static_profile()
         s = drift_summary(module, interp.profile, static)
         total_violations += s["violations"]
         rows.append([

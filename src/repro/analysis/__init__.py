@@ -1,6 +1,7 @@
 """Whole-program analyses: CFG, dominators, loops, liveness, def-use,
 call graph, points-to, data objects, the program-level DFG, and the
-abstract-interpretation dataflow framework (``analysis.dataflow``)."""
+abstract-interpretation dataflow framework (``analysis.dataflow``), and
+the per-module memo over all of them (:class:`Analyses`)."""
 
 from .callgraph import CallGraph
 from .cfg import CFG
@@ -39,8 +40,11 @@ from .dataflow import (
     TripCounts,
     solve,
 )
+from .memo import Analyses, op_locations
 
 __all__ = [
+    "Analyses",
+    "op_locations",
     "AccessRegionAnalysis",
     "DataflowProblem",
     "DataflowSolution",

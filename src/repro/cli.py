@@ -33,7 +33,7 @@ from typing import List, Optional
 
 from .bench import all_benchmarks, get as get_benchmark
 from .evalmodel import format_table
-from .exec.runconfig import CACHE_POLICIES, MACHINE_PRESETS, RunConfig
+from .exec.runconfig import CACHE_POLICIES, MACHINE_PRESETS, SCHEMES, RunConfig
 from .ir import print_module
 from .ir.serialize import dumps
 from .lang import compile_source
@@ -593,8 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", help="run one partitioning scheme")
     p.add_argument("file")
     p.add_argument("--name", default="program")
-    p.add_argument("--scheme", default="gdp",
-                   choices=["gdp", "profilemax", "naive", "unified"])
+    p.add_argument("--scheme", default="gdp", choices=list(SCHEMES))
     p.add_argument("--verify-partition", action="store_true",
                    help="check every phase output against the paper's "
                    "invariants (fails on any violation)")
@@ -657,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run a scheme and check the partition "
                    "validity invariants on its output")
     p.add_argument("--scheme", default="gdp",
-                   choices=["gdp", "profilemax", "naive", "unified"],
+                   choices=list(SCHEMES),
                    help="scheme for --verify-partition (default gdp)")
     _add_compile_flags(p)
     _add_machine_flags(p)
@@ -673,8 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = config_sub.add_parser(
         "show", help="print the RunConfig a flag combination resolves to"
     )
-    p.add_argument("--scheme", default="gdp",
-                   choices=["gdp", "profilemax", "naive", "unified"])
+    p.add_argument("--scheme", default="gdp", choices=list(SCHEMES))
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.add_argument("--verify-partition", action="store_true",
                    help="resolve with validation enabled")
@@ -760,8 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tenant id for fair scheduling and quotas")
     p.add_argument("--priority", type=int, default=0,
                    help="higher runs earlier (default 0)")
-    p.add_argument("--scheme", default="gdp",
-                   choices=["gdp", "profilemax", "naive", "unified"])
+    p.add_argument("--scheme", default="gdp", choices=list(SCHEMES))
     p.add_argument("--follow", action="store_true",
                    help="stream the job's NDJSON lifecycle events while "
                    "it runs")
@@ -773,10 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pointsto_flag(p)
     _add_profile_flag(p)
     p.add_argument("--seed", type=int, default=0, metavar="N")
-    p.add_argument("--max-seconds", type=float, default=None, metavar="S")
-    p.add_argument("--retries", type=int, default=None, metavar="N")
-    p.add_argument("--fallback", action="store_true")
-    p.add_argument("--fault-spec", metavar="SPEC")
+    _add_resilience_flags(p)
     p.set_defaults(func=_submit)
 
     return parser

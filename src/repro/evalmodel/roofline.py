@@ -27,7 +27,7 @@ and in the service's ``/v1/stats`` aggregate.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..analysis.affine import coalesce_intervals
 from ..ir import Opcode
@@ -146,9 +146,6 @@ def build_roofline(prepared) -> RooflineModel:
 
 
 def roofline_for(prepared) -> RooflineModel:
-    """Memoized :func:`build_roofline` (one model serves all schemes)."""
-    model: Optional[RooflineModel] = getattr(prepared, "_roofline", None)
-    if model is None:
-        model = build_roofline(prepared)
-        prepared._roofline = model
-    return model
+    """:func:`build_roofline`, memoized in ``prepared.analyses`` (one
+    model serves all schemes)."""
+    return prepared.analyses.memo("roofline", lambda: build_roofline(prepared))

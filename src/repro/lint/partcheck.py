@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..analysis.memo import op_locations
 from ..analysis.objects import ObjectTable
 from ..ir import Module, Opcode, Operation
 from ..machine import Machine
@@ -77,16 +78,6 @@ register_rule("schedule-failure", "list scheduler failed on a block")
 register_rule(
     "schedule-infeasible", "schedule violates machine issue limits"
 )
-
-
-def _op_locations(module: Module) -> Dict[int, Tuple[str, str, Operation]]:
-    """Op uid -> (function name, block name, operation)."""
-    index: Dict[int, Tuple[str, str, Operation]] = {}
-    for func in module:
-        for block in func:
-            for op in block.ops:
-                index[op.uid] = (func.name, block.name, op)
-    return index
 
 
 # -- phase 1: data partition ---------------------------------------------------------
@@ -209,7 +200,7 @@ def check_memory_locks(
     its object's home cluster (Section 3.4's hard lock)."""
     report = DiagnosticReport()
     expected = memory_locks(module, object_home, access_counts)
-    locations = _op_locations(module)
+    locations = op_locations(module)
     for uid, cluster in sorted(expected.items()):
         placed = assignment.get(uid)
         if placed is None:
@@ -235,7 +226,7 @@ def diagnose_lock_violations(
     diagnostics attributed to the phase (``rhop`` or ``bug``) that hit
     them."""
     report = DiagnosticReport()
-    locations = _op_locations(module)
+    locations = op_locations(module)
     for func_name, uid, cluster in result.lock_violations:
         loc = locations.get(uid)
         op_text = str(loc[2]) if loc else None

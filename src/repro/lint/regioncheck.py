@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..analysis.memo import op_locations
 from ..analysis.modref import (
     Effect,
     ModRefAnalysis,
@@ -47,7 +48,7 @@ from ..analysis.modref import (
     format_effect,
 )
 from ..analysis.pointsto import TIERS
-from ..ir import Module, Opcode, Operation
+from ..ir import Module, Opcode
 from .diagnostics import (
     Diagnostic,
     DiagnosticReport,
@@ -83,15 +84,6 @@ def _as_effect(region: Optional[Tuple[int, int]]) -> Effect:
     return None if region is None else [region]
 
 
-def _op_index(module: Module) -> Dict[int, Tuple[str, str, Operation]]:
-    index: Dict[int, Tuple[str, str, Operation]] = {}
-    for func in module:
-        for block in func:
-            for op in block.ops:
-                index[op.uid] = (func.name, block.name, op)
-    return index
-
-
 def _regions_text(per_obj: Dict[str, Optional[Tuple[int, int]]]) -> str:
     parts = [
         f"{obj}:{format_effect(_as_effect(region))}"
@@ -109,7 +101,7 @@ def diff_region_tiers(
     """Mirror the ptdiff subset chain at region granularity: for every
     (op, object) both tiers claim, the sharper tier's byte region must
     lie inside the coarser tier's."""
-    index = _op_index(ctx.module)
+    index = ctx.op_locations()
     analyses = {tier: ctx.access_regions(tier) for tier in tiers}
     for coarse, fine in zip(tiers, tiers[1:]):
         coarse_regions = analyses[coarse].op_regions
@@ -173,7 +165,7 @@ def check_region_locks(
     from ..partition.locks import memory_locks
 
     report = DiagnosticReport()
-    index = _op_index(module)
+    index = op_locations(module)
     expected = memory_locks(module, object_home, access_counts)
     for uid, home in sorted(expected.items()):
         placed = assignment.get(uid)
@@ -208,7 +200,7 @@ def check_region_interference(
     multi-home ambiguity ``memory_locks`` resolves by access counts.
     """
     report = DiagnosticReport()
-    index = _op_index(module)
+    index = op_locations(module)
     per_object: Dict[
         str, List[Tuple[int, int, bool, Optional[Tuple[int, int]]]]
     ] = {}
@@ -337,10 +329,7 @@ def region_summary(modref: ModRefAnalysis) -> Dict[str, object]:
 
 
 def check_region_outcome(
-    prepared: "object",
-    outcome: "object",
-    regions=None,
-    modref: Optional[ModRefAnalysis] = None,
+    prepared: "object", outcome: "object"
 ) -> DiagnosticReport:
     """Check a full :class:`SchemeOutcome` against every region-granular
     invariant that applies to its scheme.
@@ -354,10 +343,8 @@ def check_region_outcome(
     from ..analysis.dataflow.regions import AccessRegionAnalysis
 
     module = outcome.module
-    if regions is None:
-        regions = AccessRegionAnalysis(module)
-    if modref is None:
-        modref = ModRefAnalysis(module, regions=regions)
+    regions = AccessRegionAnalysis(module)
+    modref = ModRefAnalysis(module, regions=regions)
     report = DiagnosticReport()
     if outcome.object_home is not None:
         report.extend(

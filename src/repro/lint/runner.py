@@ -2,30 +2,24 @@
 
 A lint pass is a small class with a ``name``, a ``description``, and a
 ``run(ctx)`` generator yielding :class:`Diagnostic` values.  Passes share
-one :class:`LintContext` per module so the underlying analyses (CFG,
-def-use, liveness, points-to, object table) are computed at most once
-regardless of how many passes consume them.
+one :class:`LintContext` per module — an
+:class:`~repro.analysis.Analyses` memo — so the underlying analyses
+(CFG, def-use, liveness, points-to, object table, ...) are computed at
+most once regardless of how many passes consume them.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Type
 
-from ..analysis.cfg import CFG
-from ..analysis.dataflow import IntervalAnalysis, must_defined_registers
-from ..analysis.defuse import DefUse
-from ..analysis.dominators import DominatorTree
-from ..analysis.liveness import Liveness
-from ..analysis.loops import LoopInfo
-from ..analysis.objects import ObjectTable
-from ..analysis.pointsto import PointsToResult, solve_pointsto
-from ..ir import Function, Module
+from ..analysis.memo import Analyses
+from ..ir import Module
 from ..machine import Machine
 from .diagnostics import Diagnostic, DiagnosticReport
 
 
-class LintContext:
-    """Per-module analysis cache handed to every lint pass.
+class LintContext(Analyses):
+    """Per-module analysis memo handed to every lint pass.
 
     ``profile`` is an optional :class:`repro.profiler.ProfileData`
     gathered by interpreting *this very module instance* — the refinement
@@ -39,123 +33,9 @@ class LintContext:
         machine: Optional[Machine] = None,
         profile=None,
     ):
-        self.module = module
+        super().__init__(module)
         self.machine = machine
         self.profile = profile
-        self._cfg: Dict[str, CFG] = {}
-        self._dom: Dict[str, DominatorTree] = {}
-        self._defuse: Dict[str, DefUse] = {}
-        self._loops: Dict[str, LoopInfo] = {}
-        self._live_facts: Dict[str, Liveness] = {}
-        self._must_defined: Dict[str, Dict[str, set]] = {}
-        self._pointsto: Dict[str, PointsToResult] = {}
-        self._objects: Optional[ObjectTable] = None
-        self._intervals: Optional[IntervalAnalysis] = None
-        self._static_profile = None
-        self._execution_bounds = None
-        self._access_regions: Dict[str, object] = {}
-        self._modref: Dict[str, object] = {}
-
-    def cfg(self, func: Function) -> CFG:
-        if func.name not in self._cfg:
-            self._cfg[func.name] = CFG(func)
-        return self._cfg[func.name]
-
-    def dominators(self, func: Function) -> DominatorTree:
-        if func.name not in self._dom:
-            self._dom[func.name] = DominatorTree(self.cfg(func))
-        return self._dom[func.name]
-
-    def defuse(self, func: Function) -> DefUse:
-        if func.name not in self._defuse:
-            self._defuse[func.name] = DefUse(func, self.cfg(func))
-        return self._defuse[func.name]
-
-    def loops(self, func: Function) -> LoopInfo:
-        if func.name not in self._loops:
-            self._loops[func.name] = LoopInfo(
-                self.cfg(func), self.dominators(func)
-            )
-        return self._loops[func.name]
-
-    def live_facts(self, func: Function) -> Liveness:
-        """Per-block register liveness (the analysis DCE also uses)."""
-        if func.name not in self._live_facts:
-            self._live_facts[func.name] = Liveness(func, self.cfg(func))
-        return self._live_facts[func.name]
-
-    def must_defined(self, func: Function) -> Dict[str, set]:
-        """Block name -> registers defined on *every* path to its entry."""
-        if func.name not in self._must_defined:
-            self._must_defined[func.name] = must_defined_registers(
-                func, self.cfg(func)
-            )
-        return self._must_defined[func.name]
-
-    def intervals(self) -> IntervalAnalysis:
-        """Module-wide interprocedural value-range analysis."""
-        if self._intervals is None:
-            self._intervals = IntervalAnalysis(self.module)
-        return self._intervals
-
-    def pointsto(self, tier: str = "andersen") -> PointsToResult:
-        if tier not in self._pointsto:
-            self._pointsto[tier] = solve_pointsto(self.module, tier)
-        return self._pointsto[tier]
-
-    def static_profile(self):
-        """Abstract-interpretation access profile (sound static bounds)."""
-        if self._static_profile is None:
-            from ..analysis.dataflow.staticprofile import (
-                build_static_profile,
-            )
-
-            self._static_profile = build_static_profile(
-                self.module, pointsto=self.pointsto()
-            )
-        return self._static_profile
-
-    def execution_bounds(self):
-        """Whole-program block execution bounds (shared across tiers —
-        the interval fixpoint under the coarsest tier contains every
-        sharper tier's, so one solve serves all region analyses)."""
-        if self._execution_bounds is None:
-            from ..analysis.dataflow.regions import ExecutionBounds
-
-            self._execution_bounds = ExecutionBounds(
-                self.module, pointsto=self.pointsto()
-            )
-        return self._execution_bounds
-
-    def access_regions(self, tier: str = "andersen"):
-        """Per-op static byte regions under one points-to tier."""
-        if tier not in self._access_regions:
-            from ..analysis.dataflow.regions import AccessRegionAnalysis
-
-            self._access_regions[tier] = AccessRegionAnalysis(
-                self.module,
-                pointsto=self.pointsto(tier),
-                bounds=self.execution_bounds(),
-            )
-        return self._access_regions[tier]
-
-    def modref(self, tier: str = "andersen"):
-        """Interprocedural region-level MOD/REF summaries under one
-        points-to tier, computed once per context across all passes."""
-        if tier not in self._modref:
-            from ..analysis.modref import ModRefAnalysis
-
-            self._modref[tier] = ModRefAnalysis(
-                self.module,
-                pointsto=self.pointsto(tier),
-                regions=self.access_regions(tier),
-            )
-        return self._modref[tier]
-
-    def objects(self) -> ObjectTable:
-        if self._objects is None:
-            self._objects = ObjectTable(self.module)
-        return self._objects
 
 
 class LintPass:

@@ -25,9 +25,10 @@ EXPERIMENTS.md drift table aggregates.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
-from ..ir import Module, Operation
+from ..analysis.memo import Analyses, op_locations
+from ..ir import Module
 from .diagnostics import (
     Diagnostic,
     DiagnosticReport,
@@ -59,16 +60,6 @@ DRIFT_FACTOR = 64
 DRIFT_SLACK = 1024
 
 
-def _op_index(module: Module) -> Dict[int, Tuple[str, str, Operation]]:
-    """uid -> (function, block, op) for diagnostic locations."""
-    index: Dict[int, Tuple[str, str, Operation]] = {}
-    for func in module:
-        for block in func:
-            for op in block.ops:
-                index[op.uid] = (func.name, block.name, op)
-    return index
-
-
 def _fmt_bound(bound: float) -> str:
     return "inf" if math.isinf(bound) else str(int(bound))
 
@@ -76,7 +67,7 @@ def _fmt_bound(bound: float) -> str:
 def _diff_iter(
     module: Module, dynamic, static
 ) -> Iterator[Diagnostic]:
-    ops = _op_index(module)
+    ops = op_locations(module)
 
     for (func, block), count in sorted(dynamic.block_counts.items()):
         bound = static.block_bounds.get((func, block))
@@ -187,17 +178,14 @@ def diff_static_dynamic(
     """Check every static bound against a measured profile of ``module``.
 
     ``dynamic`` must come from interpreting *this module instance* (the
-    comparison joins on op uids).  ``static`` defaults to building a
-    fresh :class:`~repro.analysis.dataflow.staticprofile.StaticProfile`
-    over an Andersen points-to solution (without one, the region
-    analysis only sees ops that already carry ``mem_objects``
-    annotations and would falsely claim nothing).
+    comparison joins on op uids).  ``static`` defaults to the module's
+    :meth:`~repro.analysis.Analyses.static_profile`, built over an
+    Andersen points-to solution (without one, the region analysis only
+    sees ops that already carry ``mem_objects`` annotations and would
+    falsely claim nothing).
     """
     if static is None:
-        from ..analysis.dataflow.staticprofile import build_static_profile
-        from ..analysis.pointsto import solve_pointsto
-
-        static = build_static_profile(module, pointsto=solve_pointsto(module))
+        static = Analyses(module).static_profile()
     report = DiagnosticReport(_diff_iter(module, dynamic, static))
     report.stats["staticdiff"] = drift_summary(module, dynamic, static)
     return report

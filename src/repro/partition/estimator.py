@@ -248,12 +248,16 @@ class ScheduleEstimator:
         )
 
     def estimate(self, cluster_of: Dict[int, int], exposed: bool = False) -> float:
-        """Estimated schedule length (see :meth:`estimate_and_moves`)."""
+        """Estimated schedule length (see :meth:`estimate_and_moves`).
+        RHOP calls that and :meth:`incremental`; this stays because
+        ``perfbench/spans.py`` wraps it and ``tests/test_estimator.py``
+        uses it."""
         return self.estimate_and_moves(cluster_of, exposed)[0]
 
     def move_count(self, cluster_of: Dict[int, int]) -> int:
         """Static intercluster moves this (possibly partial) assignment
-        implies for the block (see :meth:`estimate_and_moves`)."""
+        implies for the block (see :meth:`estimate_and_moves`); kept,
+        like :meth:`estimate`, for perfbench and the estimator tests."""
         return self.estimate_and_moves(cluster_of)[1]
 
     def incremental(self, cluster_of: Dict[int, int]) -> "IncrementalEstimate":

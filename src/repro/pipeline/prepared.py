@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from ..analysis import (
+    Analyses,
     ObjectTable,
     PointsToResult,
     ProgramGraph,
@@ -79,6 +80,9 @@ class PreparedProgram:
                 else annotate_memory_ops(module, tier=self.pointsto_tier)
             )
         self._fingerprint: Optional[str] = None
+        # Starts empty: ``pointsto`` may be a cached stand-in that cannot
+        # answer queries, and ``objects`` carries profiled heap sizes.
+        self.analyses = Analyses(module)
         self.objects = ObjectTable(module, dict(profile.heap_sizes))
         self.block_freq: Callable[[str, str], float] = profile.frequency_fn()
         self.program_graph = ProgramGraph(module, self.block_freq)

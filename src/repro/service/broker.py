@@ -337,13 +337,9 @@ class Broker:
         idempotent: work whose outcome landed before the crash is served
         warm, everything else recomputes deterministically.
         """
-        probe = ArtifactCache(self.config.cache_dir, "readonly")
         for rec in state.jobs.values():
             try:
-                config = RunConfig.from_dict(rec["config"]).replace(
-                    jobs=None, cache=self.config.cache,
-                    cache_dir=self.config.cache_dir,
-                )
+                config = self._server_owned(RunConfig.from_dict(rec["config"]))
                 job = Job(
                     rec["job"], rec["key"], rec["bench"], rec["source"],
                     config, tenant=rec.get("tenant", "default"),
@@ -368,11 +364,7 @@ class Broker:
                 job.record("recovered", state=rec["state"],
                            requeues=job.requeues)
                 continue
-            job.warm = (
-                lookup_cached_outcome(
-                    job.source, job.bench, config, probe
-                ) is not None
-            )
+            job.warm = self._probe_warm(job.source, job.bench, config)
             job.record("recovered", state=QUEUED, attempt=job.attempt,
                        warm=job.warm)
             self._inflight[job.key] = job
@@ -395,14 +387,23 @@ class Broker:
             ) from None
         except ValueError as exc:
             raise ServiceError(400, "invalid_config", str(exc)) from None
-        # The server owns the shared store and the worker pool; a job is
-        # one cell, so client-side parallelism/cache knobs are stripped
-        # before the config reaches the engine (and the coalescing key
-        # already ignores them).
+        return self._server_owned(config)
+
+    def _server_owned(self, config: RunConfig) -> RunConfig:
+        """The server owns the shared store and the worker pool; a job is
+        one cell, so client-side parallelism/cache knobs are stripped
+        before the config reaches the engine (and the coalescing key
+        already ignores them)."""
         return config.replace(
             jobs=None, cache=self.config.cache,
             cache_dir=self.config.cache_dir,
         )
+
+    def _probe_warm(self, source: str, name: str, config: RunConfig) -> bool:
+        """Whether the store already holds this job's outcome (read-only;
+        telemetry only — the worker's cell runner re-resolves it)."""
+        probe = ArtifactCache(self.config.cache_dir, "readonly")
+        return lookup_cached_outcome(source, name, config, probe) is not None
 
     def _resolve_program(self, request: Dict[str, Any]) -> Tuple[str, str]:
         source = request.get("source")
@@ -526,12 +527,8 @@ class Broker:
             "submit", job=job.id, key=key, bench=name, source=source,
             config=config.to_dict(), tenant=tenant, priority=priority,
         )
-        # Warm probe outside the broker lock (it touches the disk store):
-        # purely telemetry — the worker's cell runner re-resolves it.
-        probe = ArtifactCache(self.config.cache_dir, "readonly")
-        job.warm = (
-            lookup_cached_outcome(source, name, config, probe) is not None
-        )
+        # Warm probe outside the broker lock (it touches the disk store).
+        job.warm = self._probe_warm(source, name, config)
         if job.warm:
             with self._lock:
                 self.warm_submissions += 1

@@ -234,14 +234,60 @@ class TestRunner:
         assert [d.rule for d in report] == ["always"]
 
     def test_analysis_context_caches(self):
+        from repro.analysis import TIERS, Analyses, op_locations
         from repro.lint import LintContext
 
-        module = compile_source("int main() { return 0; }", "m")
+        module = compile_source(
+            "int g[4]; int main() { g[1] = 3; print_int(g[1]); return 0; }",
+            "m",
+        )
         ctx = LintContext(module)
+        assert isinstance(ctx, Analyses)
         func = module.function("main")
-        assert ctx.cfg(func) is ctx.cfg(func)
-        assert ctx.defuse(func) is ctx.defuse(func)
-        assert ctx.pointsto() is ctx.pointsto()
+        per_function = (
+            ctx.cfg, ctx.dominators, ctx.defuse, ctx.live_facts,
+            ctx.must_defined,
+        )
+        for accessor in per_function:
+            assert accessor(func) is accessor(func), accessor.__name__
+        whole_module = (
+            ctx.intervals, ctx.execution_bounds, ctx.static_profile,
+            ctx.objects, ctx.op_locations,
+        )
+        for accessor in whole_module:
+            assert accessor() is accessor(), accessor.__name__
+        for tier in TIERS:
+            for accessor in (ctx.pointsto, ctx.access_regions, ctx.modref):
+                assert accessor(tier) is accessor(tier), (accessor, tier)
+            assert ctx.pointsto(tier).tier == tier
+        assert ctx.pointsto() is ctx.pointsto("andersen")
+        assert ctx.access_regions("cs") is not ctx.access_regions()
+        assert ctx.op_locations() == op_locations(module)
+        assert "g:g" in ctx.objects().objects
+        assert ctx.memo("custom", lambda: [1]) is ctx.memo("custom", list)
+
+    def test_dynamic_oracle_lint_solves_execution_bounds_once(
+        self, monkeypatch
+    ):
+        from repro.analysis import ExecutionBounds
+        from repro.lint import lint_with_stats
+        from repro.profiler import Interpreter
+
+        bench = get_benchmark("rawcaudio")
+        module = compile_source(bench.source, bench.name)
+        interp = Interpreter(module)
+        interp.run()
+        built = []
+        init = ExecutionBounds.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExecutionBounds, "__init__", counting_init)
+        report, ctx = lint_with_stats(module, profile=interp.profile)
+        assert ctx.static_profile() is ctx.static_profile()
+        assert len(built) == 1
 
 
 # -- IR lint rules: one deliberately broken fixture per rule -------------------------
