@@ -18,7 +18,7 @@ from repro.partition import (
     single_cluster_homes,
     size_balanced_homes,
 )
-from repro.pipeline.schemes import run_gdp
+from repro.pipeline.schemes import run_scheme
 
 SAMPLE = ("rawcaudio", "rawdaudio", "fsed", "pegwit", "huffman", "latnrm")
 LAT = 5
@@ -38,7 +38,7 @@ def policy_outcome(name: str, policy: str):
     prep = prepared(name)
     machine = two_cluster_machine(move_latency=LAT)
     homes = POLICIES[policy](prep, machine.num_clusters)
-    return run_gdp(prep, machine, object_home=homes)
+    return run_scheme(prep, machine, "gdp", object_home=homes)
 
 
 def compute():

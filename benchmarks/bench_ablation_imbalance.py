@@ -13,7 +13,7 @@ from harness import outcome, prepared
 from repro.evalmodel import format_table
 from repro.machine import two_cluster_machine
 from repro.partition.gdp import GDPConfig, gdp_partition
-from repro.pipeline.schemes import run_gdp
+from repro.pipeline.schemes import run_scheme
 
 SAMPLE = ("rawcaudio", "rawdaudio", "sobel", "fsed")
 RATIOS = (1.05, 1.2, 1.5, 2.0, 4.0)
@@ -34,7 +34,7 @@ def swept(name: str, ratio: float):
         program_graph=prep.program_graph,
         merge=prep.merge,
     )
-    out = run_gdp(prep, machine, object_home=dp.object_home)
+    out = run_scheme(prep, machine, "gdp", object_home=dp.object_home)
     bytes_split = dp.cluster_bytes(prep.objects)
     return out, bytes_split
 

@@ -15,7 +15,7 @@ from repro.evalmodel import arithmetic_mean, format_table
 from repro.machine import two_cluster_machine
 from repro.partition import slack_merge
 from repro.partition.gdp import gdp_partition
-from repro.pipeline.schemes import run_gdp
+from repro.pipeline.schemes import run_scheme
 from repro.schedule import DependenceGraph
 
 SAMPLE = ("rawcaudio", "rawdaudio", "fsed", "g721enc", "gsmenc", "fir")
@@ -41,7 +41,7 @@ def slack_merged_outcome(name: str):
         merge=merge,
         program_graph=prep.program_graph,
     )
-    return run_gdp(prep, machine, object_home=dp.object_home)
+    return run_scheme(prep, machine, "gdp", object_home=dp.object_home)
 
 
 def compute():

@@ -9,7 +9,9 @@
 #               then every bench's plain, --dynamic-oracle and prepared
 #               lint report must hash to tests/goldens/lint_identity.json.
 #   faults      fault-injection smoke (one spec per fault class) through
-#               the resilient pipeline's degradation ladder.
+#               the resilient pipeline's degradation ladder; then every
+#               scheme x fault-spec cell of rawcaudio/fir/huffman must
+#               reproduce tests/goldens/scheme_identity.json (144 cells).
 #   ptdiff      points-to refinement differ over the whole suite.
 #   staticdiff  static-vs-dynamic drift differ over the whole suite:
 #               every static access bound must contain the observed
@@ -172,6 +174,9 @@ for spec, expect_fallback, expect_invalid in SPECS:
     bad += 0 if ok else 1
 sys.exit(1 if bad else 0)
 PY
+
+    note "scheme identity (rawcaudio/fir/huffman x schemes x fault specs vs golden)"
+    python scripts/scheme_identity.py || failures=$((failures + 1))
 }
 
 # -- ptdiff: points-to refinement differ over the whole suite -----------------
@@ -258,18 +263,9 @@ import sys
 from repro.bench import all_benchmarks
 from repro.lint import check_region_outcome, lint_module
 from repro.machine import two_cluster_machine
-from repro.pipeline import (
-    PreparedProgram,
-    run_gdp,
-    run_naive,
-    run_profile_max,
-    run_unified,
-)
+from repro.exec.runconfig import SCHEMES
+from repro.pipeline import PreparedProgram, run_scheme
 
-SCHEMES = (
-    ("gdp", run_gdp), ("profilemax", run_profile_max),
-    ("naive", run_naive), ("unified", run_unified),
-)
 machine = two_cluster_machine(move_latency=5)
 bad = 0
 splittable_benches = []
@@ -283,8 +279,8 @@ for bench in all_benchmarks():
         splittable_benches.append(bench.name)
     errors = len(lint.errors)
     worst = 1.0
-    for name, run in SCHEMES:
-        outcome = run(prepared, machine)
+    for name in SCHEMES:
+        outcome = run_scheme(prepared, machine, name)
         report = check_region_outcome(prepared, outcome)
         errors += len(report.errors)
         for diag in report.errors:

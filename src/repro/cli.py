@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from .bench import all_benchmarks, get as get_benchmark
 from .evalmodel import format_table
@@ -48,20 +49,36 @@ EXIT_HARD_FAILURE = 2
 
 
 def _read_source(path: str) -> str:
+    """The MiniC program at ``path``: ``-`` reads stdin, extensionless
+    paths resolve (``examples/quickstart``), and an examples/*.py script
+    yields its module-level SOURCE block.  An unreadable file or a script
+    without that block is an invalid invocation: one stderr line, exit 2.
+    """
     if path == "-":
         return sys.stdin.read()
-    with open(path) as handle:
-        text = handle.read()
-    if path.endswith(".py"):
-        # Example scripts (examples/*.py) embed their program in a
-        # module-level SOURCE triple-quoted string; lint them directly.
-        match = re.search(r'SOURCE\s*=\s*"""(.*?)"""', text, re.DOTALL)
-        if match is None:
-            raise SystemExit(
-                f"{path}: no MiniC SOURCE = \"\"\"...\"\"\" block found"
-            )
-        return match.group(1)
-    return text
+    path = next(
+        (p for p in (path, path + ".py", path + ".mc", path + ".minic")
+         if os.path.exists(p)),
+        path,
+    )
+    try:
+        with open(path) as handle:
+            text = handle.read()
+    except OSError as exc:
+        _invalid_invocation(f"cannot read {path}: {exc.strerror}")
+    if not path.endswith(".py"):
+        return text
+    match = re.search(r'SOURCE\s*=\s*"""(.*?)"""', text, re.DOTALL)
+    if match is None:
+        _invalid_invocation(
+            f"{path}: no MiniC SOURCE = \"\"\"...\"\"\" block found"
+        )
+    return match.group(1)
+
+
+def _invalid_invocation(message: str) -> NoReturn:
+    print(f"repro: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_HARD_FAILURE)
 
 
 def _add_compile_flags(parser: argparse.ArgumentParser) -> None:
@@ -185,23 +202,11 @@ def _save_run_report(args, report) -> None:
         print(f"[run report written to {args.run_report}]")
 
 
-def _resolve_path(path: str) -> str:
-    """Allow extensionless paths: ``repro lint examples/quickstart``."""
-    import os
-
-    if path == "-" or os.path.exists(path):
-        return path
-    for suffix in (".py", ".mc", ".minic"):
-        if os.path.exists(path + suffix):
-            return path + suffix
-    return path  # let open() raise the usual error
-
-
 def _compile_module(args):
     """Compile ``args.file`` as the frontend flags say, optimizing it
     when ``--optimize`` is given (shared by compile, run and lint)."""
     module = compile_source(
-        _read_source(_resolve_path(args.file)), args.name,
+        _read_source(args.file), args.name,
         unroll_factor=args.unroll, if_convert=args.if_convert,
     )
     if args.optimize:
@@ -364,7 +369,7 @@ def _lint(args) -> int:
 
     if args.verify_partition:
         prepared = PreparedProgram.from_source(
-            _read_source(_resolve_path(args.file)), args.name,
+            _read_source(args.file), args.name,
             config=config,
         )
         pipe = Pipeline(config.replace(validate=False), machine=machine)

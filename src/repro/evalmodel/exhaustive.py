@@ -86,7 +86,7 @@ def exhaustive_search(
     ``scheme_homes`` optionally maps scheme labels (e.g. ``"gdp"``) to
     object placements whose points should be marked on the result.
     """
-    from ..pipeline.schemes import run_gdp  # local import: avoids a cycle
+    from ..pipeline.schemes import run_scheme  # local import: avoids a cycle
 
     if machine.num_clusters != 2:
         raise ValueError("exhaustive search is defined for 2 clusters")
@@ -111,8 +111,9 @@ def exhaustive_search(
             for obj in group.object_ids:
                 mapping[obj] = cluster
             cluster_bytes[cluster] += objects.size_of(group.object_ids)
-        outcome = run_gdp(
-            prepared, machine, rhop_config=rhop_config, object_home=mapping
+        outcome = run_scheme(
+            prepared, machine, "gdp", rhop_config=rhop_config,
+            object_home=mapping,
         )
         points.append(MappingPoint(mapping, outcome.cycles, cluster_bytes))
 

@@ -24,7 +24,7 @@ report instead of a silently wrong cycle count.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..analysis.memo import op_locations
 from ..analysis.objects import ObjectTable
@@ -199,24 +199,37 @@ def check_memory_locks(
     """Verify the phase-2 contract: every memory operation is placed on
     its object's home cluster (Section 3.4's hard lock)."""
     report = DiagnosticReport()
-    expected = memory_locks(module, object_home, access_counts)
-    locations = op_locations(module)
-    for uid, cluster in sorted(expected.items()):
-        placed = assignment.get(uid)
-        if placed is None:
-            continue  # coverage is checked by check_moves
-        if placed != cluster:
-            func, block, op = locations[uid]
-            objs = ",".join(sorted(op.mem_objects()))
-            report.error(
-                "lock-violation",
-                f"memory operation placed on cluster {placed} but its "
-                f"object(s) {{{objs}}} are homed on cluster {cluster}",
-                func=func, block=block, op=str(op), phase=phase,
-                hint="the computation partitioner must honour memory "
-                "locks; a remote access has no hardware path",
-            )
+    for _uid, placed, cluster, (func, block, op) in misplaced_memory_ops(
+        module, assignment, object_home, access_counts
+    ):
+        objs = ",".join(sorted(op.mem_objects()))
+        report.error(
+            "lock-violation",
+            f"memory operation placed on cluster {placed} but its "
+            f"object(s) {{{objs}}} are homed on cluster {cluster}",
+            func=func, block=block, op=str(op), phase=phase,
+            hint="the computation partitioner must honour memory "
+            "locks; a remote access has no hardware path",
+        )
     return report
+
+
+def misplaced_memory_ops(
+    module: Module,
+    assignment: Dict[int, int],
+    object_home: Dict[str, int],
+    access_counts: Optional[Dict[str, int]] = None,
+) -> Iterator[Tuple[int, int, int, Tuple[str, str, Operation]]]:
+    """``(uid, placed, home, (func, block, op))`` for every memory
+    operation locked to ``home`` but placed on another cluster, in uid
+    order.  Unplaced operations are skipped: coverage is
+    :func:`check_moves`' job."""
+    locations = op_locations(module)
+    expected = memory_locks(module, object_home, access_counts)
+    for uid, home in sorted(expected.items()):
+        placed = assignment.get(uid)
+        if placed is not None and placed != home:
+            yield uid, placed, home, locations[uid]
 
 
 def diagnose_lock_violations(

@@ -55,6 +55,7 @@ from .diagnostics import (
     Severity,
     register_rule,
 )
+from .partcheck import misplaced_memory_ops
 from .runner import LintContext, LintPass, register_pass
 
 register_rule(
@@ -162,16 +163,10 @@ def check_region_locks(
     """The Section 3.4 lock contract, located at byte regions: every
     memory op locked to an object home must sit on that cluster, and the
     diagnostic names the exact bytes the misplaced op touches."""
-    from ..partition.locks import memory_locks
-
     report = DiagnosticReport()
-    index = op_locations(module)
-    expected = memory_locks(module, object_home, access_counts)
-    for uid, home in sorted(expected.items()):
-        placed = assignment.get(uid)
-        if placed is None or placed == home:
-            continue
-        func, block, op = index[uid]
+    for uid, placed, home, (func, block, op) in misplaced_memory_ops(
+        module, assignment, object_home, access_counts
+    ):
         per_obj = regions.op_regions.get(uid, {})
         report.error(
             "region-cross-cluster",

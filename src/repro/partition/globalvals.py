@@ -5,7 +5,7 @@ data, including unified, round-robin, affinity and 2-pass schemes" for
 global values on clustered VLIWs.  These simple object-placement policies
 are kept as ablation baselines: each produces an ``object_home`` map that
 plugs into the locked phase-2 RHOP run (via
-``run_gdp(..., object_home=...)``).
+``run_scheme(..., "gdp", object_home=...)``).
 """
 
 from __future__ import annotations

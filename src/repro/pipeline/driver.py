@@ -33,6 +33,7 @@ from typing import Any, Dict, Iterable, Optional
 from ..exec import engine
 from ..exec.artifacts import outcome_key_material, prepared_key_material
 from ..exec.cache import ArtifactCache, canonical_key
+from ..exec.runconfig import SCHEMES
 from ..lint import check_scheme_outcome
 from ..machine import Machine
 from ..partition.gdp import GDPConfig
@@ -41,7 +42,7 @@ from ..profiler import InterpreterError
 from ..resilience.errors import InjectedFault, LadderExhausted, as_phase_error
 from ..resilience.report import RunReport
 from .prepared import PreparedProgram
-from .schemes import LADDER, SchemeOutcome, run_scheme
+from .schemes import SchemeOutcome, run_scheme
 
 #: Seed stride between retry attempts.  The multilevel partitioners run
 #: ``restarts`` internal cycles seeded ``seed + 0 .. seed + restarts-1``;
@@ -254,7 +255,7 @@ class Pipeline:
         when every rung failed every attempt.
         """
         scheme = scheme or self.config.scheme
-        if scheme not in LADDER:
+        if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r} (see SCHEME_TABLE)")
         report = RunReport() if report is None else report
         material = None
@@ -277,7 +278,7 @@ class Pipeline:
         self, prepared: PreparedProgram, scheme: str, report: RunReport
     ) -> SchemeOutcome:
         config = self.config
-        ladder = list(LADDER[LADDER.index(scheme):]) if config.fallback else [scheme]
+        ladder = list(SCHEMES[SCHEMES.index(scheme):]) if config.fallback else [scheme]
         report.record_run(scheme, ladder)
         budget = self.budget
         total_attempts = 0

@@ -7,18 +7,18 @@
 | Naïve       | none (post-pass moves)    | max-access, no balance | RHOP        |
 | Unified     | n/a (single memory)       | n/a                    | RHOP        |
 
-Every scheme works on its own clone of the prepared module, ends with
-intercluster move insertion, and is evaluated by profile-weighted list
+All four rows run through one skeleton, :func:`run_scheme`: place the
+data objects, run RHOP on the scheme's own clone of the prepared module
+(locked to the homes when there are any), apply Naïve's post-pass, then
+insert intercluster moves and evaluate by profile-weighted list
 scheduling.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..evalmodel import EvalResult, evaluate_module, roofline
-from ..exec.runconfig import SCHEMES
 from ..ir import Module
 from ..machine import Machine
 from ..partition.assign import insert_intercluster_moves
@@ -28,10 +28,6 @@ from ..partition.rhop import RHOP, RHOPConfig, RHOPResult
 from ..resilience.faults import FaultPlan
 from ..resilience.report import PhaseTimer
 from .prepared import PreparedProgram
-
-#: The paper's quality ladder, best rung first (Table 1 order): the
-#: degradation order a failing scheme falls down.
-LADDER = SCHEMES
 
 #: Scheme descriptors used to regenerate Table 1.
 SCHEME_TABLE = {
@@ -104,7 +100,7 @@ class SchemeOutcome:
         self.requested = scheme
         self.report = None
         #: Data-movement roofline summary (``evalmodel.roofline``), set by
-        #: the scheme runners once the move count is known.
+        #: :func:`run_scheme` once the move count is known.
         self.roofline: Optional[Dict[str, float]] = None
 
     @property
@@ -138,33 +134,118 @@ def run_scheme(
     object_home: Optional[Dict[str, int]] = None,
     faults: Optional[FaultPlan] = None,
 ) -> SchemeOutcome:
-    """Run one named scheme end to end.
+    """Run one named scheme end to end, in the three steps every Table-1
+    row shares: place the data objects (GDP's graph partition; Profile
+    Max's greedy homing after a unified RHOP pass; nobody for Naïve and
+    Unified), run RHOP on a fresh copy of the module (locked to the homes
+    when there are any), then apply Naïve's post-pass homing before
+    moves are inserted and cycles evaluated.
 
-    ``object_home`` overrides the object placement (used by the exhaustive
-    search of Figure 9 with the "gdp" second-pass machinery).
-
-    Schemes only partition: whether the result obeys the paper's phase
-    contracts is :func:`repro.lint.check_scheme_outcome`'s call, which
-    the :class:`~repro.pipeline.Pipeline` ladder makes when ``validate``
-    is on.
-
-    ``faults`` installs a deterministic
-    :class:`~repro.resilience.faults.FaultPlan` whose clauses fire at this
-    function's injection points.
+    ``object_home`` overrides GDP's placement (the exhaustive search of
+    Figure 9 and the ablations); the other schemes ignore it.  Schemes
+    only partition: :func:`repro.lint.check_scheme_outcome` is the
+    validity gate, which the :class:`~repro.pipeline.Pipeline` ladder
+    runs when ``validate`` is on.  ``faults`` is a deterministic
+    :class:`~repro.resilience.faults.FaultPlan`: ``raise`` clauses fire
+    entering placement (phase = the scheme) and each RHOP pass
+    (``rhop``), ``unlock``/``corrupt-homes`` on the homes a pass is
+    locked to and on Naïve's post-pass homes.
     """
-    if faults is not None:
-        machine = faults.machine_for(machine)
-    runners = {
-        "gdp": partial(run_gdp, gdp_config=gdp_config, object_home=object_home),
-        "profilemax": run_profile_max,
-        "naive": run_naive,
-        "unified": run_unified,
-    }
-    if scheme not in runners:
+    if scheme not in SCHEME_TABLE:
         raise ValueError(f"unknown scheme {scheme!r} (see SCHEME_TABLE)")
-    return runners[scheme](
-        prepared, machine, rhop_config=rhop_config, faults=faults
+    faults = faults or FaultPlan()
+    machine = faults.machine_for(machine)
+    timer = PhaseTimer()
+
+    if scheme == "gdp":
+        if object_home is None:
+            faults.maybe_raise("gdp")
+            with timer.phase("gdp"):
+                object_home = gdp_partition(
+                    prepared.module,
+                    prepared.objects,
+                    machine.num_clusters,
+                    block_freq=prepared.block_freq,
+                    config=gdp_config,
+                    merge=prepared.merge,
+                    program_graph=prepared.program_graph,
+                ).object_home
+    elif scheme == "profilemax":
+        module, uid_map, first, _ = _rhop(
+            prepared, machine, rhop_config, faults, timer, scheme
+        )
+        faults.maybe_raise("profilemax")
+        op_counts = prepared.translated_op_counts(uid_map)
+        with timer.phase("homes"):
+            object_home = _greedy_profile_homes(
+                prepared,
+                _accesses_by_cluster(module, first.assignment, op_counts),
+                machine,
+            )
+    else:
+        faults.maybe_raise(scheme)
+        object_home = None
+
+    module, uid_map, result, object_home = _rhop(
+        prepared, machine, rhop_config, faults, timer, scheme, object_home
     )
+    assignment = result.assignment
+    if scheme == "naive":
+        with timer.phase("homes"):
+            object_home, assignment = _naive_post_pass(
+                prepared, module, assignment, uid_map, machine, faults
+            )
+
+    # Insert moves and evaluate, then price the data movement against
+    # the program's I/O lower bound (one memoized model per prepared
+    # program serves all schemes).
+    with timer.phase("finalize"):
+        eval_result = finalize_and_evaluate(
+            prepared, machine, module, assignment, result
+        )
+    outcome = SchemeOutcome(
+        scheme, machine, module, assignment, object_home, eval_result,
+        timer.timings, SCHEME_TABLE[scheme]["rhop_runs"],
+    )
+    outcome.roofline = roofline.roofline_for(prepared).report(
+        outcome.dynamic_moves
+    )
+    return outcome
+
+
+def _rhop(
+    prepared: PreparedProgram,
+    machine: Machine,
+    rhop_config: Optional[RHOPConfig],
+    faults: FaultPlan,
+    timer: PhaseTimer,
+    scheme: str,
+    object_home: Optional[Dict[str, int]] = None,
+) -> Tuple[Module, Dict[int, int], RHOPResult, Optional[Dict[str, int]]]:
+    """One RHOP pass on a fresh copy of the module: with ``object_home``
+    memory operations are locked to their objects' clusters, without it
+    RHOP sees one unified memory.  Returns (copy, uid map, result, the
+    homes the outcome records)."""
+    module, uid_map = prepared.fresh_copy()
+    locks = None
+    target = machine.as_unified()
+    if object_home is not None:
+        accessed = prepared.object_access_counts()
+        # Post-lock corruption models phase-1 output poisoning: the homes
+        # the run records disagree with the locks RHOP honoured — exactly
+        # the cross-phase inconsistency the validity checker detects.
+        locks = faults.drop_locks(
+            memory_locks(module, object_home, accessed), scheme
+        )
+        object_home = dict(faults.corrupt_homes(
+            object_home, machine.num_clusters, scheme, accessed=accessed
+        ))
+        target = machine.as_partitioned()
+    faults.maybe_raise("rhop")
+    rhop = RHOP(target, rhop_config, prepared.block_freq)
+    with timer.phase("rhop"):
+        result = rhop.partition_module(module, mem_locks=locks)
+    return module, uid_map, result, object_home
 
 
 def finalize_and_evaluate(
@@ -187,151 +268,33 @@ def finalize_and_evaluate(
     return evaluate_module(module, assignment, machine, prepared.block_freq)
 
 
-def _finish(
-    scheme: str,
-    prepared: PreparedProgram,
-    machine: Machine,
-    module: Module,
-    assignment: Dict[int, int],
-    object_home: Optional[Dict[str, int]],
-    rhop_result: RHOPResult,
-    timer: PhaseTimer,
-) -> SchemeOutcome:
-    """The tail every scheme shares: insert moves and evaluate, then
-    price the data movement against the program's I/O lower bound (one
-    memoized model per prepared program serves all schemes)."""
-    with timer.phase("finalize"):
-        eval_result = finalize_and_evaluate(
-            prepared, machine, module, assignment, rhop_result
-        )
-    outcome = SchemeOutcome(
-        scheme, machine, module, assignment, object_home, eval_result,
-        timer.timings, SCHEME_TABLE[scheme]["rhop_runs"],
-    )
-    outcome.roofline = roofline.roofline_for(prepared).report(
-        outcome.dynamic_moves
-    )
-    return outcome
-
-
-def run_unified(
-    prepared: PreparedProgram,
-    machine: Machine,
-    rhop_config: Optional[RHOPConfig] = None,
-    faults: Optional[FaultPlan] = None,
-) -> SchemeOutcome:
-    """Upper bound: single multiported memory, plain RHOP."""
-    timer = PhaseTimer()
-    if faults is not None:
-        faults.maybe_raise("unified")
-    module, _uid_map = prepared.fresh_copy()
-    rhop = RHOP(machine.as_unified(), rhop_config, prepared.block_freq)
-    if faults is not None:
-        faults.maybe_raise("rhop")
-    with timer.phase("rhop"):
-        result = rhop.partition_module(module)
-    return _finish(
-        "unified", prepared, machine, module, result.assignment, None,
-        result, timer,
-    )
-
-
-def run_gdp(
-    prepared: PreparedProgram,
-    machine: Machine,
-    gdp_config: Optional[GDPConfig] = None,
-    rhop_config: Optional[RHOPConfig] = None,
-    object_home: Optional[Dict[str, int]] = None,
-    faults: Optional[FaultPlan] = None,
-) -> SchemeOutcome:
-    """The paper's method: global data partitioning, then locked RHOP."""
-    timer = PhaseTimer()
-    if object_home is None:
-        if faults is not None:
-            faults.maybe_raise("gdp")
-        with timer.phase("gdp"):
-            data_partition = gdp_partition(
-                prepared.module,
-                prepared.objects,
-                machine.num_clusters,
-                block_freq=prepared.block_freq,
-                config=gdp_config,
-                merge=prepared.merge,
-                program_graph=prepared.program_graph,
-            )
-        object_home = data_partition.object_home
-    module, _uid_map = prepared.fresh_copy()
-    locks = memory_locks(module, object_home, prepared.object_access_counts())
-    if faults is not None:
-        # Post-lock corruption models phase-1 output poisoning: the homes
-        # the run records disagree with the locks RHOP honoured — exactly
-        # the cross-phase inconsistency the validity checker detects.
-        locks = faults.drop_locks(locks, "gdp")
-        object_home = faults.corrupt_homes(
-            object_home, machine.num_clusters, "gdp",
-            accessed=prepared.object_access_counts(),
-        )
-        faults.maybe_raise("rhop")
-    rhop = RHOP(machine.as_partitioned(), rhop_config, prepared.block_freq)
-    with timer.phase("rhop"):
-        result = rhop.partition_module(module, mem_locks=locks)
-    return _finish(
-        "gdp", prepared, machine, module, result.assignment,
-        dict(object_home), result, timer,
-    )
-
-
-def run_profile_max(
-    prepared: PreparedProgram,
-    machine: Machine,
-    rhop_config: Optional[RHOPConfig] = None,
-    faults: Optional[FaultPlan] = None,
-) -> SchemeOutcome:
-    """Profile Max: RHOP assuming unified memory, greedy object homing by
-    dynamic access frequency (bytes per cluster capped at
-    :data:`~repro.partition.gdp.PROFILE_MAX_IMBALANCE` of an even split),
-    then a second locked RHOP run."""
-    timer = PhaseTimer()
-    module, uid_map = prepared.fresh_copy()
-    rhop1 = RHOP(machine.as_unified(), rhop_config, prepared.block_freq)
-    if faults is not None:
-        faults.maybe_raise("rhop")
-    with timer.phase("rhop"):
-        first = rhop1.partition_module(module)
-
-    if faults is not None:
-        faults.maybe_raise("profilemax")
-    op_counts = prepared.translated_op_counts(uid_map)
-    with timer.phase("homes"):
-        object_home = _greedy_profile_homes(
-            prepared, module, first.assignment, op_counts, machine
-        )
-
-    module2, _ = prepared.fresh_copy()
-    locks = memory_locks(module2, object_home, prepared.object_access_counts())
-    if faults is not None:
-        locks = faults.drop_locks(locks, "profilemax")
-        object_home = faults.corrupt_homes(
-            object_home, machine.num_clusters, "profilemax",
-            accessed=prepared.object_access_counts(),
-        )
-    rhop2 = RHOP(machine.as_partitioned(), rhop_config, prepared.block_freq)
-    with timer.phase("rhop"):
-        second = rhop2.partition_module(module2, mem_locks=locks)
-    return _finish(
-        "profilemax", prepared, machine, module2, second.assignment,
-        object_home, second, timer,
-    )
+def _accesses_by_cluster(
+    module: Module, assignment: Dict[int, int], op_counts
+) -> Dict[str, Dict[int, float]]:
+    """Dynamic accesses of each data object per cluster, under the
+    computation partition ``assignment``."""
+    per_object: Dict[str, Dict[int, float]] = {}
+    for func in module:
+        for op in func.operations():
+            if not op.is_memory_access():
+                continue
+            counts = op_counts.get(op.uid)
+            cluster = assignment[op.uid]
+            for obj in op.mem_objects():
+                dyn = counts.get(obj, 0) if counts else 0
+                per = per_object.setdefault(obj, {})
+                per[cluster] = per.get(cluster, 0.0) + dyn
+    return per_object
 
 
 def _greedy_profile_homes(
     prepared: PreparedProgram,
-    module: Module,
-    assignment: Dict[int, int],
-    op_counts,
+    per_object: Dict[str, Dict[int, float]],
     machine: Machine,
 ) -> Dict[str, int]:
-    """Greedy object homing in dynamic-frequency order with a balance cap.
+    """Greedy object homing in dynamic-frequency order with a balance cap
+    (bytes per cluster at most :data:`PROFILE_MAX_IMBALANCE` of an even
+    split), from the first-pass (unified) per-object access tally.
 
     Objects grouped exactly as GDP's coarsening grouped them (the paper:
     "The program-level graph of the application is created and coarsened
@@ -341,22 +304,12 @@ def _greedy_profile_homes(
     merge = prepared.merge
     groups = merge.object_groups()
 
-    # Dynamic accesses of each group per cluster, under the first-pass
-    # (unified) computation partition.
     group_freq: Dict[int, Dict[int, float]] = {g.gid: {} for g in groups}
-    group_by_object = merge.group_of_object
-    for func in module:
-        for op in func.operations():
-            if not op.is_memory_access():
-                continue
-            counts = op_counts.get(op.uid)
-            cluster = assignment[op.uid]
-            for obj in op.mem_objects():
-                gid = group_by_object.get(obj)
-                if gid is None:
-                    continue
-                dyn = counts.get(obj, 0) if counts else 0
-                per = group_freq.setdefault(gid, {})
+    for obj, per_cluster in per_object.items():
+        gid = merge.group_of_object.get(obj)
+        if gid is not None:
+            per = group_freq.setdefault(gid, {})
+            for cluster, dyn in per_cluster.items():
                 per[cluster] = per.get(cluster, 0.0) + dyn
 
     total_bytes = float(prepared.objects.total_size())
@@ -387,63 +340,33 @@ def _greedy_profile_homes(
     return object_home
 
 
-def run_naive(
+def _naive_post_pass(
     prepared: PreparedProgram,
+    module: Module,
+    assignment: Dict[int, int],
+    uid_map: Dict[int, int],
     machine: Machine,
-    rhop_config: Optional[RHOPConfig] = None,
-    faults: Optional[FaultPlan] = None,
-) -> SchemeOutcome:
-    """Naïve post-pass placement (Section 2 / Figure 2): partition assuming
-    unified memory, then home each object where it is accessed most and
-    patch remote accesses with intercluster transfers.  No balance, and
-    the computation partitioner never sees the data locations."""
-    timer = PhaseTimer()
-    if faults is not None:
-        faults.maybe_raise("naive")
-    module, uid_map = prepared.fresh_copy()
-    rhop = RHOP(machine.as_unified(), rhop_config, prepared.block_freq)
-    if faults is not None:
-        faults.maybe_raise("rhop")
-    with timer.phase("rhop"):
-        result = rhop.partition_module(module)
-    assignment = dict(result.assignment)
-
-    op_counts = prepared.translated_op_counts(uid_map)
+    faults: FaultPlan,
+) -> Tuple[Dict[str, int], Dict[int, int]]:
+    """Naïve post-pass placement (Section 2 / Figure 2): home each object
+    where the unified partition accesses it most (no balance) and rebind
+    its memory operations there; the move inserter then materialises the
+    transfers.  Returns (homes, rebound assignment)."""
     k = machine.num_clusters
-    with timer.phase("homes"):
-        per_object: Dict[str, Dict[int, float]] = {}
-        for func in module:
-            for op in func.operations():
-                if not op.is_memory_access():
-                    continue
-                counts = op_counts.get(op.uid)
-                cluster = assignment[op.uid]
-                for obj in op.mem_objects():
-                    dyn = counts.get(obj, 0) if counts else 0
-                    per = per_object.setdefault(obj, {})
-                    per[cluster] = per.get(cluster, 0.0) + dyn
-
-        object_home: Dict[str, int] = {}
-        for obj in prepared.objects.ids():
-            per = per_object.get(obj, {})
-            object_home[obj] = (
-                max(range(k), key=lambda c: (per.get(c, 0.0), -c)) if per else 0
-            )
-
-        # Post-pass: rebind each memory operation to its object's cluster;
-        # the generic move inserter then materialises the transfers.
-        access_counts = prepared.object_access_counts()
-        rebinds = memory_locks(module, object_home, access_counts)
-        if faults is not None:
-            rebinds = faults.drop_locks(rebinds, "naive")
-        for uid, cluster in rebinds.items():
-            assignment[uid] = cluster
-        if faults is not None:
-            object_home = faults.corrupt_homes(
-                object_home, k, "naive", accessed=access_counts
-            )
-
-    return _finish(
-        "naive", prepared, machine, module, assignment, object_home,
-        result, timer,
+    per_object = _accesses_by_cluster(
+        module, assignment, prepared.translated_op_counts(uid_map)
     )
+    object_home: Dict[str, int] = {}
+    for obj in prepared.objects.ids():
+        per = per_object.get(obj, {})
+        object_home[obj] = (
+            max(range(k), key=lambda c: (per.get(c, 0.0), -c)) if per else 0
+        )
+
+    accessed = prepared.object_access_counts()
+    rebound = dict(assignment)
+    rebound.update(faults.drop_locks(
+        memory_locks(module, object_home, accessed), "naive"
+    ))
+    object_home = faults.corrupt_homes(object_home, k, "naive", accessed=accessed)
+    return object_home, rebound

@@ -39,9 +39,6 @@ class PhaseTimer:
             elapsed = self._clock() - start
             self.timings[name] = self.timings.get(name, 0.0) + elapsed
 
-    def add(self, name: str, seconds: float) -> None:
-        self.timings[name] = self.timings.get(name, 0.0) + seconds
-
     def total(self) -> float:
         return sum(self.timings.values())
 

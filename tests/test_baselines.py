@@ -15,7 +15,7 @@ from repro.partition import (
     single_cluster_homes,
     size_balanced_homes,
 )
-from repro.pipeline import PreparedProgram, finalize_and_evaluate, run_gdp
+from repro.pipeline import PreparedProgram, finalize_and_evaluate, run_scheme
 from repro.profiler import Interpreter
 
 SRC = """
@@ -118,6 +118,6 @@ class TestGlobalValuePolicies:
     )
     def test_policies_plug_into_phase2(self, prepared, machine, policy):
         homes = policy(prepared.objects, 2)
-        outcome = run_gdp(prepared, machine, object_home=homes)
+        outcome = run_scheme(prepared, machine, "gdp", object_home=homes)
         assert outcome.cycles > 0
         assert outcome.object_home == homes

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +85,11 @@ class TestPartitionAndCompare:
         for scheme in ("unified", "gdp", "profilemax", "naive"):
             assert scheme in out
 
+    def test_partition_resolves_extensionless_example(self, capsys):
+        quickstart = Path(__file__).resolve().parents[1] / "examples/quickstart"
+        assert main(["partition", str(quickstart)]) == 0
+        assert "cycles" in capsys.readouterr().out
+
     def test_bad_scheme_rejected(self, demo_file):
         with pytest.raises(SystemExit):
             main(["partition", demo_file, "--scheme", "nonsense"])
@@ -150,3 +156,25 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    @pytest.mark.parametrize("command", ["partition", "lint", "compile"])
+    def test_missing_file_is_an_invalid_invocation(self, command, tmp_path,
+                                                   capsys):
+        missing = str(tmp_path / "nope.mc")
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, missing])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.strip() == (
+            f"repro: error: cannot read {missing}: No such file or directory"
+        )
+
+    def test_script_without_source_block_is_an_invalid_invocation(
+        self, tmp_path, capsys
+    ):
+        script = tmp_path / "empty.py"
+        script.write_text("print('no program here')\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", str(script)])
+        assert excinfo.value.code == 2
+        assert "no MiniC SOURCE" in capsys.readouterr().err

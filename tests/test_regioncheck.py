@@ -26,7 +26,7 @@ from repro.lint.regioncheck import (
     check_region_moves,
 )
 from repro.machine import two_cluster_machine
-from repro.pipeline import PreparedProgram, run_gdp, run_unified
+from repro.pipeline import PreparedProgram, run_scheme
 
 POINTER_TABLE = """
 int a[4];
@@ -188,8 +188,8 @@ def table_prepared():
 
 class TestOutcomeChecks:
     def test_valid_outcomes_are_clean(self, table_prepared, machine):
-        for run in (run_gdp, run_unified):
-            outcome = run(table_prepared, machine)
+        for scheme in ("gdp", "unified"):
+            outcome = run_scheme(table_prepared, machine, scheme)
             report = check_region_outcome(table_prepared, outcome)
             assert not report.has_errors, [
                 d.render() for d in report.errors
@@ -201,7 +201,7 @@ class TestOutcomeChecks:
     ):
         from repro.partition.locks import memory_locks
 
-        outcome = run_gdp(table_prepared, machine)
+        outcome = run_scheme(table_prepared, machine, "gdp")
         regions = AccessRegionAnalysis(outcome.module)
         locks = memory_locks(
             outcome.module,
@@ -321,8 +321,8 @@ class TestRoofline:
         assert roofline_for(table_prepared) is roofline_for(table_prepared)
 
     def test_outcomes_carry_roofline(self, table_prepared, machine):
-        unified = run_unified(table_prepared, machine)
-        gdp = run_gdp(table_prepared, machine)
+        unified = run_scheme(table_prepared, machine, "unified")
+        gdp = run_scheme(table_prepared, machine, "gdp")
         for outcome in (unified, gdp):
             assert outcome.roofline is not None
             assert outcome.roofline["ratio"] >= 1.0

@@ -12,12 +12,13 @@ import os
 import pytest
 
 from repro.exec import RunConfig
+from repro.exec.runconfig import SCHEMES
 from repro.lint import check_scheme_outcome
 from repro.machine import two_cluster_machine
 from repro.partition.gdp import GDPConfig
 from repro.partition.multilevel import MultilevelPartitioner, PartitionGraph
 from repro.partition.rhop import RHOPConfig
-from repro.pipeline import LADDER, Pipeline, PreparedProgram
+from repro.pipeline import Pipeline, PreparedProgram
 from repro.resilience import (
     Budget,
     FaultClause,
@@ -361,7 +362,7 @@ class TestResilientPipeline:
         with pytest.raises(LadderExhausted) as excinfo:
             pipe.run(prepared, "gdp")
         attempts = excinfo.value.run_report.attempts()
-        assert [a["scheme"] for a in attempts] == list(LADDER)
+        assert [a["scheme"] for a in attempts] == list(SCHEMES)
 
     def test_ladder_starts_at_requested_rung(self, prepared):
         pipe = resilient(retries=0, fault_spec="seed=3;raise:naive")

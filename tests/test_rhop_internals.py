@@ -128,12 +128,16 @@ class TestReverseAnchors:
 
 class TestGlobalPasses:
     def test_two_passes_not_worse_than_one(self):
-        from repro.pipeline import PreparedProgram, run_unified
+        from repro.pipeline import PreparedProgram, run_scheme
 
         prep = PreparedProgram.from_source(LOOPY, "t")
         machine = two_cluster_machine(move_latency=5)
-        one = run_unified(prep, machine, RHOPConfig(global_passes=1))
-        two = run_unified(prep, machine, RHOPConfig(global_passes=2))
+        one = run_scheme(
+            prep, machine, "unified", rhop_config=RHOPConfig(global_passes=1)
+        )
+        two = run_scheme(
+            prep, machine, "unified", rhop_config=RHOPConfig(global_passes=2)
+        )
         assert two.cycles <= one.cycles * 1.10
 
     def test_full_use_map_counts(self):

@@ -19,11 +19,7 @@ from repro.pipeline import (
     Pipeline,
     PreparedProgram,
     SCHEME_TABLE,
-    run_gdp,
-    run_naive,
-    run_profile_max,
     run_scheme,
-    run_unified,
 )
 
 SRC = """
@@ -101,24 +97,24 @@ class TestSchemes:
             run_scheme(prepared, machine, "magic")
 
     def test_unified_has_no_object_homes(self, prepared, machine):
-        assert run_unified(prepared, machine).object_home is None
+        assert run_scheme(prepared, machine, "unified").object_home is None
 
     def test_gdp_homes_cover_objects(self, prepared, machine):
-        outcome = run_gdp(prepared, machine)
+        outcome = run_scheme(prepared, machine, "gdp")
         assert set(outcome.object_home) == set(prepared.objects.ids())
 
     def test_gdp_respects_override(self, prepared, machine):
         homes = {o: 0 for o in prepared.objects.ids()}
-        outcome = run_gdp(prepared, machine, object_home=homes)
+        outcome = run_scheme(prepared, machine, "gdp", object_home=homes)
         assert outcome.object_home == homes
 
     def test_profilemax_runs_rhop_twice(self, prepared, machine):
-        outcome = run_profile_max(prepared, machine)
+        outcome = run_scheme(prepared, machine, "profilemax")
         assert outcome.rhop_runs == 2
         assert set(outcome.object_home) == set(prepared.objects.ids())
 
     def test_profilemax_balance_cap(self, prepared, machine):
-        outcome = run_profile_max(prepared, machine)
+        outcome = run_scheme(prepared, machine, "profilemax")
         bytes_per = [0, 0]
         for obj, c in outcome.object_home.items():
             bytes_per[c] += prepared.objects[obj].size
@@ -131,11 +127,11 @@ class TestSchemes:
         assert max(bytes_per) <= max(cap, biggest_group) + 1e-9
 
     def test_naive_places_all_objects(self, prepared, machine):
-        outcome = run_naive(prepared, machine)
+        outcome = run_scheme(prepared, machine, "naive")
         assert set(outcome.object_home) == set(prepared.objects.ids())
 
     def test_naive_memory_ops_on_object_home(self, prepared, machine):
-        outcome = run_naive(prepared, machine)
+        outcome = run_scheme(prepared, machine, "naive")
         for func in outcome.module:
             for op in func.operations():
                 if op.is_memory_access() and op.mem_objects():
@@ -148,15 +144,17 @@ class TestSchemes:
                         assert outcome.assignment[op.uid] in homes
 
     def test_scheme_outcomes_deterministic(self, machine):
-        a = run_gdp(PreparedProgram.from_source(SRC, "x"), machine)
-        b = run_gdp(PreparedProgram.from_source(SRC, "x"), machine)
+        a = run_scheme(PreparedProgram.from_source(SRC, "x"), machine, "gdp")
+        b = run_scheme(PreparedProgram.from_source(SRC, "x"), machine, "gdp")
         assert a.cycles == b.cycles
         assert a.object_home == b.object_home
 
     def test_latency_sweep_monotone_for_naive(self, prepared):
         """More latency never makes the naive scheme run faster."""
         cycles = [
-            run_naive(prepared, two_cluster_machine(move_latency=lat)).cycles
+            run_scheme(
+                prepared, two_cluster_machine(move_latency=lat), "naive"
+            ).cycles
             for lat in (1, 5, 10)
         ]
         assert cycles[0] <= cycles[1] <= cycles[2]
@@ -181,7 +179,7 @@ class TestPipelineDriver:
 
 class TestEvalModel:
     def test_totals_are_weighted_sums(self, prepared, machine):
-        outcome = run_unified(prepared, machine)
+        outcome = run_scheme(prepared, machine, "unified")
         ev = outcome.eval
         cycles = sum(b.length * b.frequency for b in ev.blocks.values())
         moves = sum(b.moves * b.frequency for b in ev.blocks.values())
@@ -197,7 +195,7 @@ class TestEvalModel:
         }
         """
         prep = PreparedProgram.from_source(src, "t")
-        outcome = run_unified(prep, machine)
+        outcome = run_scheme(prep, machine, "unified")
         dead = [
             b for b in outcome.eval.blocks.values() if b.frequency == 0
         ]
@@ -213,7 +211,7 @@ class TestExhaustive:
         assert result.best_cycles <= result.worst_cycles
 
     def test_scheme_point_located(self, prepared, machine):
-        gdp = run_gdp(prepared, machine)
+        gdp = run_scheme(prepared, machine, "gdp")
         result = exhaustive_search(
             prepared, machine, scheme_homes={"gdp": gdp.object_home}
         )
