@@ -4,7 +4,10 @@
 #   tools       ruff + mypy over the tree (strict on src/repro/lint/,
 #               lenient elsewhere — see pyproject.toml); each is skipped
 #               with a notice when the tool is not installed.
-#   examples    `repro lint` over every example program: zero errors.
+#   examples    `repro lint` over every example program: zero errors;
+#               then every CLI invocation of scripts/cli_identity.py must
+#               reproduce the exit code, scrubbed output and run report
+#               recorded in tests/goldens/cli_identity.json (33 cells).
 #   benches     `repro lint` over every bundled benchmark: zero errors;
 #               then every bench's plain, --dynamic-oracle and prepared
 #               lint report must hash to tests/goldens/lint_identity.json.
@@ -72,7 +75,7 @@ stage_tools() {
     fi
 }
 
-# -- examples: lint every example program -------------------------------------
+# -- examples: lint every example program, then the CLI identity matrix ------
 
 stage_examples() {
     note "repro lint over examples/ SOURCE programs"
@@ -86,6 +89,9 @@ stage_examples() {
             fi
         fi
     done
+
+    note "cli identity (argv matrix: exit codes, output, run reports vs golden)"
+    python scripts/cli_identity.py || failures=$((failures + 1))
 }
 
 # -- benches: lint every bundled benchmark (zero errors, identical reports) ---

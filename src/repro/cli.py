@@ -17,8 +17,9 @@ submit     submit a job to a running server and await its result
 Exit codes (uniform across partition/compare/bench/lint):
 
 - ``0`` — success, the requested work completed as asked
-- ``1`` — degraded but survived: a scheme fell down the resilience
-  ladder, a sweep cell degraded, or lint found findings
+- ``1`` — degraded but survived: a scheme or the profiler fell down
+  the resilience ladder (``RunReport.outcome_state()``), a sweep cell
+  degraded, or lint found findings
 - ``2`` — hard failure: ladder exhausted, partition validity violated,
   or the invocation itself was invalid
 """
@@ -26,6 +27,7 @@ Exit codes (uniform across partition/compare/bench/lint):
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -34,6 +36,7 @@ from typing import List, NoReturn, Optional
 
 from .bench import all_benchmarks, get as get_benchmark
 from .evalmodel import format_table
+from .exec.engine import SWEEP_SCHEMES
 from .exec.runconfig import CACHE_POLICIES, MACHINE_PRESETS, SCHEMES, RunConfig
 from .ir import print_module
 from .ir.serialize import dumps
@@ -90,28 +93,24 @@ def _add_compile_flags(parser: argparse.ArgumentParser) -> None:
                         help="run constant folding / copy-prop / CSE / DCE")
 
 
-def _add_machine_flags(parser: argparse.ArgumentParser) -> None:
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The result-affecting RunConfig knobs: machine, latency, points-to
+    tier, profile source and seed."""
+    from .analysis import TIERS
+    from .exec.runconfig import PROFILE_MODES
+
     parser.add_argument("--latency", type=int, default=5, metavar="CYCLES",
                         help="intercluster move latency (default 5)")
     parser.add_argument("--machine", default="two_cluster",
                         choices=list(MACHINE_PRESETS),
                         help="machine preset (default two_cluster, the "
                         "paper's evaluation configuration)")
-
-
-def _add_pointsto_flag(parser: argparse.ArgumentParser) -> None:
-    from .analysis import TIERS
-
-    parser.add_argument("--pointsto", default="andersen", choices=list(TIERS),
+    parser.add_argument("--pointsto", dest="pointsto_tier",
+                        default="andersen", choices=list(TIERS),
                         help="points-to precision tier annotating the "
                         "memory ops (default andersen; field adds "
                         "field-sensitivity, cs adds 1-CFA call-site "
                         "context sensitivity on top)")
-
-
-def _add_profile_flag(parser: argparse.ArgumentParser) -> None:
-    from .exec.runconfig import PROFILE_MODES
-
     parser.add_argument("--profile", default="dynamic",
                         choices=list(PROFILE_MODES),
                         help="profile source for the partitioners: "
@@ -119,13 +118,13 @@ def _add_profile_flag(parser: argparse.ArgumentParser) -> None:
                         "execution profiling), 'static' derives weights "
                         "and access regions from abstract interpretation "
                         "with zero interpreter runs")
+    parser.add_argument("--seed", type=int, default=0, metavar="N",
+                        help="base seed for the randomized partitioners "
+                        "(part of the artifact-cache key)")
 
 
 def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
     """The normalized flag set every evaluating subcommand accepts."""
-    parser.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="base seed for the randomized partitioners "
-                        "(part of the artifact-cache key)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes for sweeps (default: "
                         "os.cpu_count())")
@@ -161,14 +160,19 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args, **overrides) -> RunConfig:
-    """The resolved RunConfig for a parsed flag set (missing flags fall
-    back to the RunConfig field defaults).
+    """The resolved RunConfig for a parsed flag set: the CLI base (no
+    fallback), then every parsed flag named after a RunConfig field, then
+    ``overrides``.
 
     Commands that run schemes (those taking ``--verify-partition``) also
     validate every attempt whenever a resilience flag is given: a fault
     or an anytime budget must not slip an invalid partition through.
     """
-    retries = getattr(args, "retries", None)
+    fields = {field.name for field in dataclasses.fields(RunConfig)}
+    flags = {
+        name: value for name, value in vars(args).items()
+        if name in fields and value is not None
+    }
     resilience = getattr(args, "fallback", False) or any(
         getattr(args, flag, None) is not None
         for flag in ("max_seconds", "retries", "run_report", "fault_spec")
@@ -176,37 +180,26 @@ def _config_from_args(args, **overrides) -> RunConfig:
     validate = getattr(args, "verify_partition", False) or (
         hasattr(args, "verify_partition") and resilience
     )
-    kwargs = dict(
-        scheme=getattr(args, "scheme", "gdp"),
-        pointsto_tier=getattr(args, "pointsto", "andersen"),
-        profile=getattr(args, "profile", "dynamic"),
-        machine=getattr(args, "machine", "two_cluster"),
-        latency=getattr(args, "latency", 5),
-        seed=getattr(args, "seed", 0),
-        max_seconds=getattr(args, "max_seconds", None),
-        retries=retries if retries is not None else 1,
-        fallback=bool(getattr(args, "fallback", False)),
-        fault_spec=getattr(args, "fault_spec", None),
-        validate=bool(validate),
-        jobs=getattr(args, "jobs", None),
-        cache=getattr(args, "cache", "off"),
-        cache_dir=getattr(args, "cache_dir", None),
-    )
-    kwargs.update(overrides)
-    return RunConfig(**kwargs)
+    return RunConfig(**{
+        "fallback": False, **flags, "validate": bool(validate), **overrides
+    })
 
 
 def _save_run_report(args, report) -> None:
+    """Write ``report`` (a RunReport, lint report or SweepResult) to
+    ``--run-report`` when one was given."""
     if getattr(args, "run_report", None):
-        report.save(args.run_report)
+        with open(args.run_report, "w") as handle:
+            handle.write(report.to_json())
+            handle.write("\n")
         print(f"[run report written to {args.run_report}]")
 
 
-def _compile_module(args):
-    """Compile ``args.file`` as the frontend flags say, optimizing it
-    when ``--optimize`` is given (shared by compile, run and lint)."""
+def _compile_module(args, source: str):
+    """Compile ``source`` as the frontend flags say, optimizing it when
+    ``--optimize`` is given (shared by compile, run and lint)."""
     module = compile_source(
-        _read_source(args.file), args.name,
+        source, args.name,
         unroll_factor=args.unroll, if_convert=args.if_convert,
     )
     if args.optimize:
@@ -217,7 +210,7 @@ def _compile_module(args):
 
 
 def _compile(args) -> int:
-    module = _compile_module(args)
+    module = _compile_module(args, _read_source(args.file))
     text = print_module(module) if args.pretty else dumps(module)
     if args.output:
         with open(args.output, "w") as handle:
@@ -228,7 +221,7 @@ def _compile(args) -> int:
 
 
 def _run(args) -> int:
-    module = _compile_module(args)
+    module = _compile_module(args, _read_source(args.file))
     interp = Interpreter(module, max_steps=args.max_steps)
     result = interp.run()
     for value in interp.profile.output:
@@ -241,52 +234,54 @@ def _print_precision(prepared: PreparedProgram) -> None:
     print(f"pointsto: {prepared.pointsto.stats().describe()}")
 
 
-def _print_roofline(roofline) -> None:
-    """One-line distance-from-data-movement-optimum summary."""
-    if not roofline:
-        return
-    print(
-        f"roofline: {roofline['total_traffic_bytes']:.0f} bytes moved "
-        f"vs {roofline['lower_bound_bytes']:.0f} I/O lower bound "
-        f"(x{roofline['ratio']:.2f} from optimum)"
-    )
-
-
-def _prepare(args, config: RunConfig):
-    """(pipeline, prepared, report, profile degraded?) for a file."""
+def _run_schemes(args) -> int:
+    """``partition`` (the requested scheme) and ``compare`` (every
+    Table-1 scheme): one prepare, one ``run_all``, one exit rule.  Exit 1
+    exactly when the run report's outcome state is degraded."""
+    config = _config_from_args(args)
     pipe = Pipeline(config)
     report = RunReport()
     prepared = pipe.prepare(_read_source(args.file), args.name, report)
     report.record_pointsto(
         prepared.pointsto_tier, prepared.pointsto.stats().to_dict()
     )
-    degraded = config.profile == "dynamic" and prepared.profile.is_static()
-    return pipe, prepared, report, degraded
-
-
-def _partition(args) -> int:
-    config = _config_from_args(args)
-    pipe, prepared, report, profile_degraded = _prepare(args, config)
+    compare = args.command == "compare"
     try:
-        outcome = pipe.run(prepared, args.scheme, report)
+        outcomes = pipe.run_all(
+            prepared, SWEEP_SCHEMES if compare else [args.scheme], report
+        )
     except LadderExhausted as exc:
         print(exc)
         _save_run_report(args, report)
         return EXIT_HARD_FAILURE
-    if outcome.roofline:
-        report.record_roofline(outcome.scheme, outcome.roofline)
+    for outcome in outcomes.values():
+        if outcome.roofline:
+            report.record_roofline(outcome.scheme, outcome.roofline)
+    if compare:
+        _print_comparison(prepared, outcomes)
+    else:
+        _print_partition(config, prepared, outcomes[args.scheme], report)
+    _save_run_report(args, report)
+    return EXIT_DEGRADED if report.outcome_state() == "degraded" else EXIT_OK
+
+
+def _print_partition(config, prepared, outcome, report) -> None:
     if outcome.fell_back:
         print(f"scheme:  {outcome.scheme} (fallback from {outcome.requested})")
     else:
         print(f"scheme:  {outcome.scheme}")
-    if profile_degraded:
+    if config.profile == "dynamic" and prepared.profile.is_static():
         print("profile: static (fallback from dynamic)")
     else:
         print(f"profile: {config.profile}")
     _print_precision(prepared)
     print(f"cycles:  {outcome.cycles:.0f}")
     print(f"dynamic intercluster moves: {outcome.dynamic_moves:.0f}")
-    _print_roofline(outcome.roofline)
+    roofline = outcome.roofline
+    if roofline:
+        print(f"roofline: {roofline['total_traffic_bytes']:.0f} bytes moved "
+              f"vs {roofline['lower_bound_bytes']:.0f} I/O lower bound "
+              f"(x{roofline['ratio']:.2f} from optimum)")
     summary = report.to_dict()["summary"]
     print(f"attempts: {summary['attempts']}  faults: {summary['faults']}  "
           f"fallbacks: {summary['fallbacks']}")
@@ -295,38 +290,24 @@ def _partition(args) -> int:
         for obj, cluster in sorted(outcome.object_home.items()):
             size = prepared.objects[obj].size
             print(f"  cluster {cluster}: {obj} ({size} bytes)")
-    _save_run_report(args, report)
-    return EXIT_DEGRADED if outcome.fell_back or profile_degraded else EXIT_OK
 
 
-def _compare(args) -> int:
-    config = _config_from_args(args)
-    pipe, prepared, report, degraded = _prepare(args, config)
-    try:
-        outcomes = pipe.run_all(prepared, report=report)
-    except LadderExhausted as exc:
-        print(exc)
-        _save_run_report(args, report)
-        return EXIT_HARD_FAILURE
+def _print_comparison(prepared, outcomes) -> None:
     base = outcomes["unified"].cycles
-    rows = []
-    for name, out in outcomes.items():
-        degraded = degraded or out.fell_back
-        if out.roofline:
-            report.record_roofline(name, out.roofline)
-        rows.append([
+    rows = [
+        [
             name, out.scheme if out.fell_back else "", f"{out.cycles:.0f}",
             f"{base / out.cycles:.3f}" if out.cycles else "-",
             f"{out.dynamic_moves:.0f}",
             f"{out.roofline['ratio']:.2f}" if out.roofline else "-",
-        ])
+        ]
+        for name, out in outcomes.items()
+    ]
     _print_precision(prepared)
     print(format_table(
         ["scheme", "ran as", "cycles", "vs unified", "dyn moves",
          "x-roofline"], rows
     ))
-    _save_run_report(args, report)
-    return EXIT_DEGRADED if degraded else EXIT_OK
 
 
 def _lint(args) -> int:
@@ -340,7 +321,8 @@ def _lint(args) -> int:
     )
 
     config = _config_from_args(args)
-    module = _compile_module(args)
+    source = _read_source(args.file)
+    module = _compile_module(args, source)
 
     profile = None
     if args.dynamic_oracle:
@@ -368,11 +350,8 @@ def _lint(args) -> int:
         report.stats[tier] = {c: stats[c] for c in DETERMINISTIC_COLUMNS}
 
     if args.verify_partition:
-        prepared = PreparedProgram.from_source(
-            _read_source(args.file), args.name,
-            config=config,
-        )
         pipe = Pipeline(config.replace(validate=False), machine=machine)
+        prepared = pipe.prepare(source, args.name)
         outcome = pipe.run(prepared, args.scheme)
         report.extend(check_scheme_outcome(prepared, outcome))
         report.extend(check_region_outcome(prepared, outcome))
@@ -384,11 +363,7 @@ def _lint(args) -> int:
         print(report.to_sarif())
     else:
         print(report.render_text())
-    if args.run_report:
-        with open(args.run_report, "w") as handle:
-            handle.write(report.to_json())
-            handle.write("\n")
-        print(f"[run report written to {args.run_report}]")
+    _save_run_report(args, report)
     if report.has_errors:
         return EXIT_DEGRADED
     if args.strict and any(
@@ -410,13 +385,17 @@ def _bench(args) -> int:
     config = _config_from_args(args)
     bench = get_benchmark(args.name)
     pipe = Pipeline(config)
-    prepared = pipe.prepare(bench.source, bench.name)
-    rel = pipe.compare(prepared, schemes=("gdp", "profilemax", "naive"))
+    report = RunReport()
+    prepared = pipe.prepare(bench.source, bench.name, report)
+    rel = pipe.compare(
+        prepared, schemes=("gdp", "profilemax", "naive"), report=report
+    )
     rows = [[scheme, f"{value:.3f}"] for scheme, value in rel.items()]
     print(f"{bench.name} @ {args.latency}-cycle move latency "
           f"(relative to unified memory):")
     _print_precision(prepared)
     print(format_table(["scheme", "vs unified"], rows))
+    _save_run_report(args, report)
     return EXIT_OK
 
 
@@ -430,9 +409,7 @@ def _bench_sweep(args) -> int:
     runner = ParallelRunner(config)
     result = runner.sweep(benches, latencies=[args.latency])
     print(result.render_table())
-    if args.run_report:
-        result.save(args.run_report)
-        print(f"[run report written to {args.run_report}]")
+    _save_run_report(args, result)
     counts = result.counts()
     if counts["failed"]:
         return EXIT_HARD_FAILURE
@@ -595,40 +572,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_compile_flags(p)
     p.set_defaults(func=_run)
 
-    p = sub.add_parser("partition", help="run one partitioning scheme")
-    p.add_argument("file")
-    p.add_argument("--name", default="program")
-    p.add_argument("--scheme", default="gdp", choices=list(SCHEMES))
-    p.add_argument("--verify-partition", action="store_true",
-                   help="check every phase output against the paper's "
-                   "invariants (fails on any violation)")
-    _add_machine_flags(p)
-    _add_pointsto_flag(p)
-    _add_profile_flag(p)
-    _add_exec_flags(p)
-    _add_resilience_flags(p)
-    p.set_defaults(func=_partition)
-
-    p = sub.add_parser("compare", help="compare all four schemes")
-    p.add_argument("file")
-    p.add_argument("--name", default="program")
-    p.add_argument("--verify-partition", action="store_true",
-                   help="validate each scheme's phase outputs while running")
-    _add_machine_flags(p)
-    _add_pointsto_flag(p)
-    _add_profile_flag(p)
-    _add_exec_flags(p)
-    _add_resilience_flags(p)
-    p.set_defaults(func=_compare)
+    for command, help_text in (("partition", "run one partitioning scheme"),
+                               ("compare", "compare all four schemes")):
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("file")
+        p.add_argument("--name", default="program")
+        if command == "partition":
+            p.add_argument("--scheme", default="gdp", choices=list(SCHEMES))
+        p.add_argument("--verify-partition", action="store_true",
+                       help="check every scheme attempt against the paper's "
+                       "invariants (an invalid attempt counts as failed)")
+        _add_run_flags(p)
+        _add_exec_flags(p)
+        _add_resilience_flags(p)
+        p.set_defaults(func=_run_schemes)
 
     p = sub.add_parser("bench", help="list or evaluate bundled benchmarks")
     p.add_argument("name", nargs="?", default=None)
     p.add_argument("--all", action="store_true",
                    help="run every benchmark x scheme cell as one parallel "
                    "sweep (honours --jobs and the artifact cache)")
-    _add_machine_flags(p)
-    _add_pointsto_flag(p)
-    _add_profile_flag(p)
+    _add_run_flags(p)
     _add_exec_flags(p)
     p.set_defaults(func=_bench)
 
@@ -664,9 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=list(SCHEMES),
                    help="scheme for --verify-partition (default gdp)")
     _add_compile_flags(p)
-    _add_machine_flags(p)
-    _add_pointsto_flag(p)
-    _add_profile_flag(p)
+    _add_run_flags(p)
     _add_exec_flags(p)
     p.set_defaults(func=_lint)
 
@@ -681,9 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.add_argument("--verify-partition", action="store_true",
                    help="resolve with validation enabled")
-    _add_machine_flags(p)
-    _add_pointsto_flag(p)
-    _add_profile_flag(p)
+    _add_run_flags(p)
     _add_exec_flags(p)
     _add_resilience_flags(p)
     p.set_defaults(func=_config_show)
@@ -771,10 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the submit reply and exit immediately")
     p.add_argument("--timeout", type=float, default=300.0, metavar="S",
                    help="overall wait budget (default 300s)")
-    _add_machine_flags(p)
-    _add_pointsto_flag(p)
-    _add_profile_flag(p)
-    p.add_argument("--seed", type=int, default=0, metavar="N")
+    _add_run_flags(p)
     _add_resilience_flags(p)
     p.set_defaults(func=_submit)
 

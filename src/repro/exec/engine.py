@@ -93,7 +93,8 @@ def run_cell(
     A fully warm cell is answered by the outcome artifact alone (its key's
     IR hash lives in the prepared artifact), so it never compiles or
     rehydrates; otherwise the pipeline prepares and runs the scheme under
-    the resilience ladder.
+    the resilience ladder.  The cell's ``status`` is the run report's
+    :meth:`~repro.resilience.RunReport.outcome_state`.
     """
     from ..pipeline import Pipeline
     from ..resilience import LadderExhausted, RunReport
@@ -125,7 +126,7 @@ def run_cell(
         if roofline is not None:
             report.record_roofline(ran_as, roofline)
         cell.update(
-            status="degraded" if ran_as != config.scheme else "ok",
+            status=report.outcome_state(),
             ran_as=ran_as,
             cycles=cycles,
             dynamic_moves=moves,
@@ -273,11 +274,6 @@ class SweepResult:
         return json.dumps(
             self.to_dict(deterministic), indent=indent, sort_keys=True
         )
-
-    def save(self, path: str, deterministic: bool = False) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_json(deterministic))
-            handle.write("\n")
 
     def render_table(self) -> str:
         """Human-readable sweep table with cache-hit and speedup columns."""

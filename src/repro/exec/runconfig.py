@@ -251,12 +251,6 @@ class RunConfig:
     def from_json(cls, text: str) -> "RunConfig":
         return cls.from_dict(json.loads(text))
 
-    def canonical_json(self) -> str:
-        """Minimal, key-sorted form (the form hashed into cache keys)."""
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-
     def describe(self) -> str:
         """Compact multi-line rendering for ``repro config show``."""
         lines = []

@@ -29,7 +29,7 @@ from .errors import (
     as_phase_error,
 )
 from .faults import FaultClause, FaultPlan
-from .report import PhaseTimer, RunReport, outcome_state_from_final
+from .report import PhaseTimer, RunReport
 
 __all__ = [
     "Budget",
@@ -42,6 +42,5 @@ __all__ = [
     "PhaseTimer",
     "ResilienceError",
     "RunReport",
-    "outcome_state_from_final",
     "as_phase_error",
 ]

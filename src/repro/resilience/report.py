@@ -43,19 +43,6 @@ class PhaseTimer:
         return sum(self.timings.values())
 
 
-def outcome_state_from_final(final: Optional[Dict[str, Any]]) -> str:
-    """Map a ``final`` event (live or deserialised from a report dict) to
-    the resilience-ladder outcome state: ``ok`` / ``degraded`` /
-    ``failed``.  A run that finished on a rung other than the one
-    requested — including the cache-served fast path, which records no
-    fallback events — counts as degraded."""
-    if not final or final.get("status") != "ok":
-        return "failed"
-    if final.get("scheme") != final.get("requested"):
-        return "degraded"
-    return "ok"
-
-
 class RunReport:
     """Ordered event log of one resilient run (or comparison of runs).
 
@@ -141,9 +128,6 @@ class RunReport:
         serialisation unscrubbed."""
         self._event("roofline", scheme=scheme, stats=dict(stats))
 
-    def roofline_events(self) -> List[Dict[str, Any]]:
-        return [e for e in self.events if e["kind"] == "roofline"]
-
     def record_cache(self, kind: str, status: str, detail: str = "") -> None:
         """Record an artifact-cache consultation (``kind`` is ``prepared``
         or ``outcome``; ``status`` is ``hit`` / ``miss`` / ``stale``).
@@ -185,17 +169,26 @@ class RunReport:
                 return event
         return None
 
-    def outcome_state(self) -> Optional[str]:
-        """The job-facing terminal state of this run: ``"ok"`` when the
-        requested scheme itself won, ``"degraded"`` when any ladder rung
-        or profile fallback produced the result, ``"failed"`` when the
-        ladder exhausted.  None while the run is still open (no ``final``
-        event yet).  This is the single mapping the job server uses to
-        surface per-job budgets/retries as job states."""
-        final = self.final()
-        if final is None:
-            return None
-        return outcome_state_from_final(final)
+    def outcome_state(self) -> str:
+        """The terminal state of this run, the one rule every front end
+        (CLI exit code, sweep cell, job) applies:
+
+        - ``"failed"`` unless every ``final`` event has status ok (a
+          report with no ``final`` event yet counts as failed);
+        - ``"degraded"`` when any ``fallback`` event is present (a ladder
+          rung or ``profile:dynamic -> profile:static``) or any ``final``
+          was answered by a scheme other than the requested one (a warm
+          hit on a degraded outcome records no fallback);
+        - ``"ok"`` otherwise.
+        """
+        finals = [e for e in self.events if e["kind"] == "final"]
+        if not finals or any(e["status"] != "ok" for e in finals):
+            return "failed"
+        if self.fallbacks() or any(
+            e["scheme"] != e["requested"] for e in finals
+        ):
+            return "degraded"
+        return "ok"
 
     def phase_seconds(
         self, phase: str, scheme: Optional[str] = None, status: str = "ok"
@@ -267,11 +260,6 @@ class RunReport:
         return json.dumps(
             self.to_dict(deterministic), indent=indent, sort_keys=True
         )
-
-    def save(self, path: str, deterministic: bool = False) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_json(deterministic))
-            handle.write("\n")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

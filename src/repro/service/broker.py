@@ -54,7 +54,6 @@ from .. import pipeline  # noqa: F401
 from ..exec.cache import ArtifactCache
 from ..exec.engine import lookup_cached_outcome, run_cell
 from ..exec.runconfig import RunConfig, RunConfigError
-from ..resilience.report import outcome_state_from_final
 from .jobs import (
     CANCELLED,
     DEGRADED,
@@ -133,13 +132,13 @@ class Broker:
     max_requeues:
         How many times a job survives losing its worker before it is
         failed.
-    journal / journal_dir:
-        An explicit :class:`~repro.service.journal.Journal`, or a
-        directory to open one in (``fsync`` selects its policy).  With
-        either, every lifecycle transition is write-ahead logged and a
-        fresh broker on the same directory *recovers*: terminal jobs are
-        restored as history, queued/running ones are requeued (served
-        warm from the artifact cache when their outcome already landed).
+    journal_dir:
+        A directory to open a :class:`~repro.service.journal.Journal` in
+        (``fsync`` selects its policy).  With one, every lifecycle
+        transition is write-ahead logged and a fresh broker on the same
+        directory *recovers*: terminal jobs are restored as history,
+        queued/running ones are requeued (served warm from the artifact
+        cache when their outcome already landed).
     max_depth:
         Queue-depth admission bound: a submission that would push the
         backlog past it is refused with 429 + ``Retry-After``
@@ -158,7 +157,6 @@ class Broker:
         max_requeues: int = 1,
         start: bool = True,
         clock=time.perf_counter,
-        journal: Optional[Journal] = None,
         journal_dir: Optional[str] = None,
         fsync: str = "always",
         max_depth: Optional[int] = None,
@@ -207,9 +205,10 @@ class Broker:
         self.parked = 0
         self._worker_count = workers
         self._workers: List[threading.Thread] = []
-        if journal is None and journal_dir is not None:
-            journal = Journal(journal_dir, fsync=fsync)
-        self.journal = journal
+        self.journal = (
+            Journal(journal_dir, fsync=fsync) if journal_dir is not None
+            else None
+        )
         if self.journal is not None:
             self._recover(self.journal.load())
             # Fold recovery into a fresh snapshot immediately: restart
@@ -367,10 +366,7 @@ class Broker:
             job.warm = self._probe_warm(job.source, job.bench, config)
             job.record("recovered", state=QUEUED, attempt=job.attempt,
                        warm=job.warm)
-            self._inflight[job.key] = job
-            self._tenant_pending[job.tenant] = (
-                self._tenant_pending.get(job.tenant, 0) + 1
-            )
+            self._admit(job)
             self.queue.push(job)
             self.recovery_requeued += 1
 
@@ -402,8 +398,7 @@ class Broker:
     def _probe_warm(self, source: str, name: str, config: RunConfig) -> bool:
         """Whether the store already holds this job's outcome (read-only;
         telemetry only — the worker's cell runner re-resolves it)."""
-        probe = ArtifactCache(self.config.cache_dir, "readonly")
-        return lookup_cached_outcome(source, name, config, probe) is not None
+        return lookup_cached_outcome(source, name, config) is not None
 
     def _resolve_program(self, request: Dict[str, Any]) -> Tuple[str, str]:
         source = request.get("source")
@@ -514,10 +509,7 @@ class Broker:
                     tenant=tenant, priority=priority, clock=self._clock,
                 )
                 self._jobs[job.id] = job
-                self._inflight[key] = job
-                self._tenant_pending[tenant] = (
-                    self._tenant_pending.get(tenant, 0) + 1
-                )
+                self._admit(job)
         if journal_coalesce is not None:
             self._journal_append("coalesce", job=journal_coalesce)
             return existing, False
@@ -570,9 +562,7 @@ class Broker:
                 f"cancelled",
             )
         with self._lock:
-            if self._inflight.get(job.key) is job:
-                del self._inflight[job.key]
-            self._release_tenant(job.tenant)
+            self._retire(job)
         self._journal_append("cancel", job=job.id)
         return job
 
@@ -666,20 +656,18 @@ class Broker:
                        requeues=job.requeues)
 
     def _finish(self, job: Job, cell: Dict[str, Any]) -> None:
-        """Map a finished engine cell onto the job's terminal state."""
+        """Map a finished engine cell onto the job's terminal state (the
+        cell's status is the run report's one outcome rule)."""
         job.result = cell
         with self._lock:
             if cell["cache"].get("outcome") == "hit":
                 self.warm_outcomes += 1
-        ladder_state = outcome_state_from_final(
-            cell["report"].get("final")
-        )
-        if cell["status"] == "failed" or ladder_state == "failed":
+        if cell["status"] == "failed":
             job.error = cell["error"]
             self._terminal(job, FAILED, error=cell["error"],
                            requeues=job.requeues)
             return
-        if cell["status"] == "degraded" or ladder_state == "degraded":
+        if cell["status"] == "degraded":
             job.record("degraded", ran_as=cell["ran_as"],
                        requested=cell["scheme"])
             final = DEGRADED
@@ -696,22 +684,31 @@ class Broker:
         job.finished_at = self._clock()
         with self._lock:
             self.completed += 1
-            if self._inflight.get(job.key) is job:
-                del self._inflight[job.key]
-            self._release_tenant(job.tenant)
+            self._retire(job)
         job.record("finished", state=state, **fields)
         self._journal_append(
             "finish", job=job.id, state=state, error=job.error,
             summary=job.result_summary(), requeues=job.requeues,
         )
 
-    def _release_tenant(self, tenant: str) -> None:
-        """Drop one from the tenant's non-terminal count (lock held)."""
-        count = self._tenant_pending.get(tenant, 0) - 1
+    def _admit(self, job: Job) -> None:
+        """Make ``job`` the in-flight one for its key and count it against
+        its tenant's non-terminal bound (lock held, or not yet shared)."""
+        self._inflight[job.key] = job
+        self._tenant_pending[job.tenant] = (
+            self._tenant_pending.get(job.tenant, 0) + 1
+        )
+
+    def _retire(self, job: Job) -> None:
+        """Undo :meth:`_admit` once ``job`` is cancelled or terminal
+        (lock held)."""
+        if self._inflight.get(job.key) is job:
+            del self._inflight[job.key]
+        count = self._tenant_pending.get(job.tenant, 0) - 1
         if count > 0:
-            self._tenant_pending[tenant] = count
+            self._tenant_pending[job.tenant] = count
         else:
-            self._tenant_pending.pop(tenant, None)
+            self._tenant_pending.pop(job.tenant, None)
 
     # -- observability ---------------------------------------------------------
 

@@ -230,14 +230,13 @@ class ServiceServer:
 
     def __init__(
         self,
-        broker: Optional[Broker] = None,
+        broker: Broker,
         host: str = "127.0.0.1",
         port: int = 0,
         verbose: bool = False,
         max_wait: float = 300.0,
-        **broker_kwargs: Any,
     ):
-        self.broker = broker or Broker(**broker_kwargs)
+        self.broker = broker
         self.verbose = verbose
         #: Server-side cap on one ``?wait=`` long-poll (clients re-poll).
         self.max_wait = max_wait

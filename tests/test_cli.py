@@ -134,6 +134,19 @@ class TestPartitionAndCompare:
             capsys.readouterr().out
         )
 
+    def test_compare_roofline_names_the_answering_scheme(self, demo_file,
+                                                         tmp_path, capsys):
+        path = tmp_path / "report.json"
+        assert main([
+            "compare", demo_file, "--fallback",
+            "--fault-spec", "seed=7;raise:gdp", "--run-report", str(path),
+        ]) == 1
+        events = json.loads(path.read_text())["events"]
+        answered = [e["scheme"] for e in events if e["kind"] == "final"]
+        rooflines = [e["scheme"] for e in events if e["kind"] == "roofline"]
+        assert answered == ["unified", "profilemax", "profilemax", "naive"]
+        assert rooflines == answered
+
 
 class TestBench:
     def test_bench_listing(self, capsys):
@@ -146,6 +159,27 @@ class TestBench:
         assert main(["bench", "rawdaudio", "--latency", "1"]) == 0
         out = capsys.readouterr().out
         assert "gdp" in out and "vs unified" in out
+
+    def test_bench_single_writes_run_report(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        assert main(["bench", "rawdaudio", "--run-report", str(path)]) == 0
+        events = json.loads(path.read_text())["events"]
+        finals = [e for e in events if e["kind"] == "final"]
+        assert len(finals) == 4
+        assert f"[run report written to {path}]" in capsys.readouterr().out
+
+
+class TestLint:
+    def test_stdin_with_verify_partition(self, capsys, monkeypatch):
+        """The source is read once: stdin still holds the program when
+        --verify-partition prepares it."""
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(DEMO))
+        assert main(["lint", "-", "--verify-partition"]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "stats[regioncheck]" in captured.out
 
 
 class TestParser:

@@ -588,6 +588,16 @@ class TestParallelRunner:
         for i, cell in enumerate(warm.cells):
             assert cell["cycles"] == cold.cells[i]["cycles"]
 
+    def test_profiler_fallback_cell_is_degraded(self):
+        from repro.exec.engine import run_cell
+
+        cell = run_cell({
+            "bench": "tiny", "source": SOURCE,
+            "config": {"cache": "off", "fault_spec": "seed=1;raise:profiler"},
+        })
+        assert cell["status"] == "degraded"
+        assert cell["ran_as"] == cell["scheme"] == "gdp"
+
     def test_failed_cell_degrades_not_kills(self, tmp_path):
         cfg = RunConfig(
             cache_dir=str(tmp_path), fault_spec="seed=3;raise:unified",

@@ -251,6 +251,39 @@ class TestRunReport:
             "seconds"
         ] == 12.5
 
+    @staticmethod
+    def _finals(*finals):
+        report = RunReport(clock=lambda: 0.0)
+        for requested, scheme, status in finals:
+            report.record_final(requested, scheme, status)
+        return report
+
+    def test_outcome_state_without_final_is_failed(self):
+        assert RunReport().outcome_state() == "failed"
+
+    def test_outcome_state_one_exhausted_final_fails_the_run(self):
+        report = self._finals(
+            ("unified", "unified", "ok"), ("gdp", None, "failed"),
+            ("naive", "naive", "ok"),
+        )
+        assert report.outcome_state() == "failed"
+
+    def test_outcome_state_profile_fallback_is_degraded(self):
+        report = RunReport(clock=lambda: 0.0)
+        report.record_fallback("profile:dynamic", "profile:static", "boom")
+        report.record_final("gdp", "gdp", "ok")
+        assert report.outcome_state() == "degraded"
+
+    def test_outcome_state_other_answering_scheme_is_degraded(self):
+        # A warm hit on a degraded outcome records no fallback event.
+        report = self._finals(("gdp", "profilemax", "ok"))
+        assert report.fallbacks() == []
+        assert report.outcome_state() == "degraded"
+
+    def test_outcome_state_clean_run_is_ok(self):
+        report = self._finals(("unified", "unified", "ok"), ("gdp", "gdp", "ok"))
+        assert report.outcome_state() == "ok"
+
 
 # -- Anytime partitioning under budgets ---------------------------------------
 

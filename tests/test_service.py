@@ -419,6 +419,24 @@ class TestBrokerExecution:
         finally:
             broker.shutdown()
 
+    def test_profiler_fallback_surfaces_as_degraded(self, tmp_path):
+        """A dead profiler degrades to the static profile: the requested
+        scheme still answers, but the job is degraded, not done."""
+        broker = make_broker(tmp_path, workers=1)
+        try:
+            job, _ = broker.submit({
+                "source": SOURCE,
+                "config": {"scheme": "gdp",
+                           "fault_spec": "seed=1;raise:profiler"},
+            })
+            assert job.wait(timeout=120)
+            assert job.state == DEGRADED
+            events = {e["kind"]: e for e in job.snapshot_events()}
+            assert events["degraded"]["ran_as"] == "gdp"
+            assert events["degraded"]["requested"] == "gdp"
+        finally:
+            broker.shutdown()
+
     def test_cancel_queued_job(self, tmp_path):
         broker = make_broker(tmp_path, workers=1, start=False)
         job, _ = broker.submit(
