@@ -10,7 +10,10 @@
 #               recorded in tests/goldens/cli_identity.json (33 cells).
 #   benches     `repro lint` over every bundled benchmark: zero errors;
 #               then every bench's plain, --dynamic-oracle and prepared
-#               lint report must hash to tests/goldens/lint_identity.json.
+#               lint report must hash to tests/goldens/lint_identity.json,
+#               and every bench's plain and prepared interpreter profile
+#               (counts, regions, heap sizes, steps, output, return value)
+#               must match tests/goldens/profile_identity.json.
 #   faults      fault-injection smoke (one spec per fault class) through
 #               the resilient pipeline's degradation ladder; then every
 #               scheme x fault-spec cell of rawcaudio/fir/huffman must
@@ -118,6 +121,9 @@ PY
 
     note "lint identity (all benches x plain/oracle/prepared vs golden)"
     python scripts/lint_identity.py || failures=$((failures + 1))
+
+    note "profile identity (all benches x plain/prepared vs golden)"
+    python scripts/profile_identity.py || failures=$((failures + 1))
 }
 
 # -- faults: fault-injection smoke (one spec per fault class) -----------------

@@ -9,7 +9,7 @@ the paper gathers with execution profiling.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from ..ir import Module
 from ..ir.types import ArrayType, FloatType, IntType, PointerType, StructType
@@ -31,10 +31,11 @@ class Memory:
         self.module = module
         self.cells: Dict[int, Union[int, float]] = {}
         self.global_base: Dict[str, int] = {}
-        # Parallel sorted arrays for object lookup by address.
-        self._starts: List[int] = []
-        self._ends: List[int] = []
-        self._ids: List[str] = []
+        # Parallel arrays sorted by start address: the object ranges the
+        # interpreter's memory ops look addresses up in.
+        self.starts: List[int] = []
+        self.ends: List[int] = []
+        self.ids: List[str] = []
         self._heap_next = _HEAP_BASE
         self._layout_globals()
 
@@ -70,10 +71,10 @@ class Memory:
                 self.cells[base] = _wrap32(int(init))
 
     def _register(self, start: int, size: int, obj_id: str) -> None:
-        idx = bisect.bisect_left(self._starts, start)
-        self._starts.insert(idx, start)
-        self._ends.insert(idx, start + size)
-        self._ids.insert(idx, obj_id)
+        idx = bisect.bisect_left(self.starts, start)
+        self.starts.insert(idx, start)
+        self.ends.insert(idx, start + size)
+        self.ids.insert(idx, obj_id)
 
     # -- allocation -----------------------------------------------------------------
 
@@ -101,14 +102,9 @@ class Memory:
 
     def object_at(self, addr: int) -> Optional[str]:
         """Data-object id whose range covers ``addr`` (None if unmapped)."""
-        span = self.span_at(addr)
-        return span[0] if span is not None else None
-
-    def span_at(self, addr: int) -> Optional[Tuple[str, int]]:
-        """``(object id, object start address)`` covering ``addr``."""
-        idx = bisect.bisect_right(self._starts, addr) - 1
-        if idx >= 0 and self._starts[idx] <= addr < self._ends[idx]:
-            return self._ids[idx], self._starts[idx]
+        idx = bisect.bisect_right(self.starts, addr) - 1
+        if idx >= 0 and addr < self.ends[idx]:
+            return self.ids[idx]
         return None
 
     def address_of_global(self, name: str) -> int:

@@ -40,19 +40,8 @@ class ProfileData:
     def record_access(self, op_uid: int, obj_id: str) -> None:
         self.op_object_counts.setdefault(op_uid, Counter())[obj_id] += 1
 
-    def record_region(self, op_uid: int, obj_id: str, lo: int, hi: int) -> None:
-        regions = self.op_object_regions.setdefault(op_uid, {})
-        prev = regions.get(obj_id)
-        if prev is None:
-            regions[obj_id] = (lo, hi)
-        else:
-            regions[obj_id] = (min(prev[0], lo), max(prev[1], hi))
-
     def record_malloc(self, obj_id: str, size: int) -> None:
         self.heap_sizes[obj_id] += size
-
-    def record_call(self, callee: str) -> None:
-        self.call_counts[callee] += 1
 
     # -- queries ------------------------------------------------------------------------
 

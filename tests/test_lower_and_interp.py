@@ -4,9 +4,22 @@ Each snippet is compiled and run; results and printed output are compared
 against the C semantics computed by hand (or by Python reference code).
 """
 
+import gc
+import weakref
+
 import pytest
 
-from repro.ir import Opcode, verify_module
+from repro.ir import (
+    INT,
+    Constant,
+    Function,
+    FunctionRef,
+    IRBuilder,
+    Module,
+    Opcode,
+    Operation,
+    verify_module,
+)
 from repro.lang import compile_source
 from repro.profiler import Interpreter, InterpreterError, StepLimitExceeded
 
@@ -354,3 +367,175 @@ class TestInterpreterMachinery:
         module = compile_source("int main() { return 0; }")
         with pytest.raises(InterpreterError):
             Interpreter(module).run([1, 2])
+
+
+# A 42-step program: ``print_int`` mid-block in main, a call whose callee
+# loops and prints, then more work after the call returns.
+GUARD_SRC = """
+int g[4];
+int f(int x) {
+  int s = 0;
+  for (int i = 0; i < 3; i = i + 1) { s = s + x; }
+  print_int(s);
+  return s;
+}
+int main() {
+  print_int(7);
+  g[1] = f(2);
+  print_int(g[1] + 1);
+  return g[1];
+}
+"""
+GUARD_STEPS = 42
+GUARD_BLOCKS = {("main", "entry"): 1, ("f", "entry"): 1, ("f", "bb0"): 4,
+                ("f", "bb1"): 3, ("f", "bb2"): 3, ("f", "bb3"): 1}
+
+
+class TestStepGuard:
+    """``max_steps`` stops the program at exactly the same operation, with
+    exactly the same output, steps and block counts, wherever it falls.
+    The expected values were recorded from the op-by-op interpreter."""
+
+    @pytest.fixture(scope="class")
+    def module(self):
+        return compile_source(GUARD_SRC, "t")
+
+    def test_exact_budget_runs(self, module):
+        interp = Interpreter(module, max_steps=GUARD_STEPS)
+        assert interp.run() == 6
+        assert interp.steps == GUARD_STEPS
+        assert interp.profile.instructions_executed == GUARD_STEPS
+        assert interp.profile.output == [7, 6, 7]
+        assert dict(interp.profile.block_counts) == GUARD_BLOCKS
+
+    def test_one_step_short_raises(self, module):
+        interp = Interpreter(module, max_steps=GUARD_STEPS - 1)
+        with pytest.raises(StepLimitExceeded, match=f"exceeded {GUARD_STEPS - 1}"):
+            interp.run()
+        assert interp.steps == GUARD_STEPS
+        assert interp.profile.output == [7, 6, 7]
+        assert interp.profile.instructions_executed == 0
+
+    @pytest.mark.parametrize("limit, output, blocks", [
+        # the call to f, right after main's mid-block print_int
+        (1, [7], {("main", "entry"): 1}),
+        # f's first op: f's call and entry block are already recorded
+        (2, [7], {("main", "entry"): 1, ("f", "entry"): 1}),
+        # inside f's loop body
+        (10, [7], {("main", "entry"): 1, ("f", "entry"): 1, ("f", "bb0"): 1,
+                   ("f", "bb1"): 1, ("f", "bb2"): 1}),
+        # f's ret, right after f's print_int
+        (32, [7, 6], GUARD_BLOCKS),
+        # main's ret, the last op
+        (41, [7, 6, 7], GUARD_BLOCKS),
+    ])
+    def test_limit_inside_block(self, module, limit, output, blocks):
+        interp = Interpreter(module, max_steps=limit)
+        with pytest.raises(StepLimitExceeded):
+            interp.run()
+        assert interp.steps == limit + 1
+        assert interp.profile.output == output
+        assert dict(interp.profile.block_counts) == blocks
+        assert interp.profile.call_counts["f"] == (0 if limit < 2 else 1)
+
+    def test_every_limit_stops_at_its_step(self, module):
+        full = [7, 6, 7]
+        seen = []
+        for limit in range(GUARD_STEPS):
+            interp = Interpreter(module, max_steps=limit)
+            with pytest.raises(StepLimitExceeded):
+                interp.run()
+            assert interp.steps == limit + 1
+            output = interp.profile.output
+            assert output == full[:len(output)]
+            seen.append(len(output))
+        assert seen == sorted(seen)
+        assert seen.index(1) == 1 and seen.index(2) == 32 and seen.index(3) == 39
+
+
+def _main_with_blocks(reached):
+    """``main`` returning 0 from ``entry``, plus a block ``other`` that is
+    entered only when ``reached``; returns (module, builder positioned in
+    ``other``)."""
+    module = Module("m")
+    func = Function("main", [], INT)
+    module.add_function(func)
+    b = IRBuilder(func)
+    entry, other = b.new_block("entry"), b.new_block("other")
+    b.set_block(entry)
+    if reached:
+        b.br(other)
+    else:
+        b.ret(b.const(0))
+    b.set_block(other)
+    return module, func, b
+
+
+class _Bogus:
+    """An opcode no interpreter handles."""
+
+    mnemonic = "bogus"
+
+
+class TestRuntimeErrors:
+    def test_uninitialised_register_read(self):
+        module, func, b = _main_with_blocks(reached=True)
+        never_set = func.new_vreg(INT, "u")
+        b.ret(b.add(never_set, b.const(1)))
+        with pytest.raises(InterpreterError,
+                           match=f"uninitialised register {never_set}"):
+            Interpreter(module).run()
+
+    @pytest.mark.parametrize("bad, message", [
+        (lambda func: Operation(_Bogus(), func.new_vreg(INT), [Constant(1)]),
+         "cannot interpret opcode"),
+        (lambda func: Operation(Opcode.MOV, func.new_vreg(INT),
+                                [FunctionRef("main", INT)]),
+         "not first-class"),
+    ])
+    @pytest.mark.parametrize("reached", [False, True])
+    def test_bad_op_raises_only_when_executed(self, bad, message, reached):
+        module, func, b = _main_with_blocks(reached)
+        b.block.append(bad(func))
+        b.ret(b.const(1))
+        interp = Interpreter(module)
+        if not reached:
+            assert interp.run() == 0
+            assert interp.steps == 1
+            return
+        with pytest.raises(InterpreterError, match=message):
+            interp.run()
+        assert interp.steps == 2
+
+
+class TestInterpreterLifetime:
+    """A finished interpreter holds no reference cycle: it and its memory
+    are freed by reference counting alone, with the cycle collector off."""
+
+    # A loop whose body calls and touches memory.
+    SRC = """
+    int t[4];
+    int sq(int x) { return x * x; }
+    int main() {
+      int s = 0;
+      for (int i = 0; i < 4; i = i + 1) { t[i] = sq(i); s = s + t[i]; }
+      print_int(s);
+      return s;
+    }
+    """
+
+    @pytest.mark.parametrize("max_steps", [1000, 30])
+    def test_freed_without_cycle_collector(self, max_steps):
+        module = compile_source(self.SRC, "t")
+        gc.disable()
+        try:
+            interp = Interpreter(module, max_steps=max_steps)
+            try:
+                interp.run()
+            except StepLimitExceeded:
+                pass
+            refs = [weakref.ref(interp), weakref.ref(interp.memory)]
+            del interp
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
