@@ -31,8 +31,11 @@
 #   rhop        computation-partitioner identity: every bench x scheme x
 #               latency {1, 5, 10} cell reproduces the status, cycles,
 #               dynamic moves and op->cluster assignment hash recorded in
-#               tests/goldens/rhop_identity.json (228 cells).
-#   cache       artifact cache smoke (cold vs warm Table-1 sweep).
+#               tests/goldens/rhop_identity.json (228 cells), once with the
+#               cache off and once through one shared cache store (where
+#               Unified, Naive and Profile Max share the unlocked RHOP pass).
+#   cache       artifact cache smoke (cold vs warm Table-1 sweep; the cold
+#               sweep stores one unlocked RHOP pass per bench/latency/tier).
 #   service     job-server smoke: `repro serve` on an ephemeral port,
 #               healthz, a small concurrent loadtest burst (zero lost
 #               jobs, duplicates deduped), then graceful shutdown.
@@ -322,6 +325,12 @@ PY
 stage_rhop() {
     note "RHOP identity (all benches x schemes x latencies 1/5/10 vs golden)"
     python scripts/rhop_identity.py || failures=$((failures + 1))
+
+    note "RHOP identity through one shared cache store (same golden)"
+    RHOP_CACHE_TMP="$(mktemp -d)"
+    python scripts/rhop_identity.py --cache-dir "$RHOP_CACHE_TMP" \
+        || failures=$((failures + 1))
+    rm -rf "$RHOP_CACHE_TMP"
 }
 
 # -- cache: artifact cache smoke (cold vs warm Table-1 sweep) -----------------
@@ -329,8 +338,10 @@ stage_rhop() {
 # against a throwaway cache root: the second pass must serve >= 90% of
 # its cells from the outcome cache and reproduce every cell's result
 # exactly (cycles / moves / ran-as; the run *reports* legitimately
-# differ — a warm cell records no partitioner attempts).  Finishes with
-# a `repro cache stats` / `cache gc` smoke over the same store.
+# differ — a warm cell records no partitioner attempts).  The cold sweep
+# must leave exactly one shared unlocked-RHOP artifact per distinct
+# (bench, latency, points-to tier).  Finishes with a `repro cache stats`
+# / `cache gc` smoke over the same store.
 
 stage_cache() {
     note "artifact cache smoke (Table-1 sweep twice, --jobs 2, >=90% warm hits)"
@@ -341,12 +352,15 @@ import os
 import sys
 
 from repro.bench import names as bench_names
-from repro.exec import ParallelRunner, RunConfig
+from repro.exec import ArtifactCache, ParallelRunner, RunConfig
 
 config = RunConfig(jobs=2, cache="on",
                    cache_dir=os.environ["REPRO_CHECK_CACHE_DIR"])
 runner = ParallelRunner(config)
 cold = runner.sweep(bench_names())
+triples = {(c["bench"], c["latency"], c["pointsto_tier"]) for c in cold.cells}
+disk = ArtifactCache(config.cache_dir, "readonly").stats()["disk"]
+rhop_entries = disk.get("rhop", {}).get("entries", 0)
 warm = runner.sweep(bench_names())
 ratio = warm.cache_hit_ratio("outcome")
 RESULT_FIELDS = ("bench", "scheme", "latency", "pointsto_tier", "seed",
@@ -358,7 +372,12 @@ same = all(
 statuses = warm.counts()
 print(f"cold {cold.wall_seconds:.2f}s, warm {warm.wall_seconds:.2f}s, "
       f"warm outcome hit ratio {ratio:.2f}, cells {statuses}")
+print(f"cold sweep stored {rhop_entries} rhop artifact(s) for "
+      f"{len(triples)} (bench, latency, tier) triple(s)")
 bad = 0
+if rhop_entries != len(triples):
+    print(f"FAIL: {rhop_entries} rhop artifact(s), expected {len(triples)}")
+    bad += 1
 if ratio < 0.9:
     print(f"FAIL: warm hit ratio {ratio:.2f} < 0.90")
     bad += 1

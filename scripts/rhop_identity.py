@@ -11,11 +11,19 @@ prove it changed nothing else.  Each cell stores
   keyed by ``func:block:index`` (:func:`repro.exec.artifacts.stable_op_keys`)
   so it is independent of process-global op uids.
 
+By default every cell runs with the artifact cache off.  With
+``--cache-dir DIR`` the same cells run through one shared store in
+``DIR``, so Unified, Naïve and Profile Max's first pass share one
+unlocked RHOP pass per (bench, latency) through its ``rhop`` artifact;
+they must still match the same golden.  Point it at an empty directory:
+outcomes a previous run left there are served without partitioning.
+
 Run from the repository root with ``PYTHONPATH=src``:
 
     python scripts/rhop_identity.py              # check every cell
     python scripts/rhop_identity.py --record     # rewrite the golden
     python scripts/rhop_identity.py --bench fir  # check a subset
+    python scripts/rhop_identity.py --cache-dir "$(mktemp -d)"
 """
 
 from __future__ import annotations
@@ -49,8 +57,10 @@ def assignment_sha256(outcome) -> str:
 def compute_cells(
     benches: Optional[Iterable[str]] = None,
     latencies: Iterable[int] = LATENCIES,
+    cache_dir: Optional[str] = None,
 ) -> Dict[str, Dict[str, object]]:
-    """``"bench/scheme/latency"`` -> cell, cache off, default seed."""
+    """``"bench/scheme/latency"`` -> cell, default seed; cache off, or
+    on with one shared store when ``cache_dir`` is given."""
     from repro.bench import all_benchmarks, get
     from repro.exec.runconfig import SCHEMES, RunConfig
     from repro.pipeline import Pipeline
@@ -59,14 +69,18 @@ def compute_cells(
         [get(name) for name in benches] if benches is not None
         else all_benchmarks()
     )
+    base = (
+        RunConfig(cache="off") if cache_dir is None
+        else RunConfig(cache="on", cache_dir=cache_dir)
+    )
     cells: Dict[str, Dict[str, object]] = {}
     for bench in chosen:
         # The prepared program does not depend on the move latency.
-        prepared = Pipeline(RunConfig(cache="off")).prepare(
+        prepared = Pipeline(base).prepare(
             bench.source, bench.name
         )
         for latency in latencies:
-            pipe = Pipeline(RunConfig(latency=latency, cache="off"))
+            pipe = Pipeline(base.replace(latency=latency))
             for scheme in SCHEMES:
                 outcome = pipe.run(prepared, scheme)
                 cells[f"{bench.name}/{scheme}/{latency}"] = {
@@ -104,9 +118,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="rewrite the golden instead of checking it")
     parser.add_argument("--bench", action="append",
                         help="restrict to this bench (repeatable)")
+    parser.add_argument("--cache-dir", metavar="DIR",
+                        help="run every cell through one shared artifact "
+                             "store in DIR (cache on) instead of cache off")
     args = parser.parse_args(argv)
 
-    cells = compute_cells(args.bench)
+    if args.record and args.cache_dir is not None:
+        parser.error("--record computes the golden with the cache off")
+    cells = compute_cells(args.bench, cache_dir=args.cache_dir)
     if args.record:
         GOLDEN.write_text(
             json.dumps({"latencies": list(LATENCIES), "cells": cells},
@@ -117,7 +136,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     bad = mismatches(cells, complete=args.bench is None)
     for line in bad:
         print(f"MISMATCH {line}")
-    print(f"rhop identity: {len(cells) - len(bad)}/{len(cells)} cell(s) match")
+    mode = "cache off" if args.cache_dir is None else "shared cache"
+    print(f"rhop identity ({mode}): {len(cells) - len(bad)}/{len(cells)} "
+          f"cell(s) match")
     return 1 if bad else 0
 
 

@@ -7,7 +7,7 @@ that survive the exact textual serialization round-trip of
 :mod:`repro.ir.serialize` — and re-binds them onto the rehydrating
 process's uids on load.
 
-Two artifact kinds cover the pipeline:
+Three artifact kinds cover the pipeline:
 
 ``prepared``
     The annotated IR module (its serialized text carries the points-to
@@ -22,6 +22,14 @@ Two artifact kinds cover the pipeline:
     object homes, the evaluation totals, and the phase timings.
     Rehydration reconstructs a genuine
     :class:`~repro.pipeline.schemes.SchemeOutcome`.
+
+``rhop``
+    The unlocked RHOP pass (no memory locks, unified-memory target) that
+    Unified, Naïve and Profile Max's first pass all start from: the
+    per-op cluster assignment (stable-keyed) and the register homes.
+    Rehydration re-binds them onto the scheme's own fresh module copy,
+    so the pass runs once per (program, target machine, tier, profile,
+    seed) instead of once per scheme.
 """
 
 from __future__ import annotations
@@ -237,9 +245,12 @@ def outcome_key_material(
     pointsto_tier: str,
     scheme: str,
     seed: int,
+    profile: str = "dynamic",
 ) -> Dict[str, Any]:
     """Cache key inputs for one scheme outcome: the paper sweep's cell
-    coordinates — IR content, machine config, tier, scheme, seed."""
+    coordinates — IR content, machine config, tier, scheme, seed — plus
+    the profile the run used (a static and a dynamic profile of one
+    module partition differently)."""
     return {
         "kind": "outcome",
         "ir_hash": ir_hash,
@@ -247,10 +258,11 @@ def outcome_key_material(
         "pointsto_tier": pointsto_tier,
         "scheme": scheme,
         "seed": seed,
-        # Payload schema revision: bumping it retires artifacts whose
-        # payloads predate a field the engine now reads (v2 added the
-        # data-movement roofline summary).
-        "schema": 2,
+        "profile": profile,
+        # Key/payload schema revision: bumping it retires artifacts that
+        # predate a field the engine now reads or keys on (v2 added the
+        # data-movement roofline summary, v3 the profile mode).
+        "schema": 3,
     }
 
 
@@ -323,3 +335,68 @@ def outcome_from_payload(payload: Dict[str, Any], machine):
     roofline = payload.get("roofline")
     outcome.roofline = dict(roofline) if roofline is not None else None
     return outcome
+
+
+# ---------------------------------------------------------------------------
+# The unlocked RHOP pass
+# ---------------------------------------------------------------------------
+
+
+def rhop_key_material(
+    ir_hash: str,
+    target,
+    pointsto_tier: str,
+    profile: str,
+    seed: int,
+) -> Dict[str, Any]:
+    """Cache key inputs for one unlocked RHOP pass: IR content, the
+    *target* machine (the unified-memory copy RHOP partitions for), tier,
+    the profile mode whose block frequencies order the regions, and the
+    partitioner seed after any ladder reseed."""
+    return {
+        "kind": "rhop",
+        "ir_hash": ir_hash,
+        "machine": target.fingerprint(),
+        "pointsto_tier": pointsto_tier,
+        "profile": profile,
+        "seed": seed,
+        "schema": 1,
+    }
+
+
+def rhop_to_payload(result, module: Module) -> Dict[str, Any]:
+    """Serialize an unlocked :class:`~repro.partition.rhop.RHOPResult`
+    computed on ``module``: the assignment re-keyed to stable op keys and
+    the register homes, both in their original insertion order.  An
+    unlocked pass has no lock violations and its phase is ``rhop``, so
+    neither is stored."""
+    op_keys = stable_op_keys(module)
+    return {
+        "assignment": [
+            [op_keys[uid], cluster]
+            for uid, cluster in result.assignment.items()
+        ],
+        "vreg_home": [
+            [func, [[vid, cluster] for vid, cluster in homes.items()]]
+            for func, homes in result.vreg_home.items()
+        ],
+    }
+
+
+def rhop_from_payload(payload: Dict[str, Any], module: Module):
+    """Rebuild the :class:`~repro.partition.rhop.RHOPResult` of an
+    unlocked pass on ``module``, a fresh copy of the module it was
+    computed on (register numbering survives copies and serialization,
+    so only the op keys need re-binding)."""
+    from ..partition.rhop import RHOPResult
+
+    uid_by_key = uids_by_stable_key(module)
+    result = RHOPResult()
+    result.assignment = {
+        uid_by_key[key]: cluster for key, cluster in payload["assignment"]
+    }
+    result.vreg_home = {
+        func: {vid: cluster for vid, cluster in homes}
+        for func, homes in payload["vreg_home"]
+    }
+    return result

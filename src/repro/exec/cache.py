@@ -5,8 +5,8 @@ groups, partition assignments, scheme outcomes) are stored as JSON under
 ``<root>/objects/<kind>/<kk>/<key>.json`` where ``key`` is the SHA-256 of
 the canonical JSON of the artifact's *key material* — for outcomes that
 is ``(IR module hash, machine fingerprint, points-to tier, scheme,
-seed)`` plus the schema version, so a cache entry can never be confused
-with a result produced under different inputs.
+seed, profile mode)`` plus the schema version, so a cache entry can
+never be confused with a result produced under different inputs.
 
 The root defaults to ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``; every
 CLI entry point accepts ``--cache-dir``.  Writes are atomic
@@ -59,7 +59,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 from .runconfig import SCHEMA_VERSION
 
 #: Artifact kinds the engine stores (subdirectories of ``objects/``).
-KINDS = ("prepared", "outcome")
+KINDS = ("prepared", "outcome", "rhop")
 
 
 def default_cache_dir() -> str:

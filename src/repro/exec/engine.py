@@ -30,6 +30,8 @@ from .artifacts import (  # noqa: F401
     outcome_to_payload,
     prepared_from_payload,
     prepared_to_payload,
+    rhop_from_payload,
+    rhop_to_payload,
 )
 from .cache import ArtifactCache
 from .runconfig import SCHEMA_VERSION, RunConfig

@@ -11,7 +11,9 @@ evaluate from one frozen :class:`~repro.exec.RunConfig`:
   quality ladder GDP → Profile Max → Naïve → Unified (one rung when
   ``fallback`` is off): each rung is retried ``retries`` times with a
   reseeded partitioner, each attempt's output is validated when
-  ``validate`` is on, and the result is stored;
+  ``validate`` is on, and the result is stored.  The unlocked RHOP pass
+  that Unified, Naïve and Profile Max's first pass share is itself an
+  artifact: the first scheme to need it stores it, the others load it;
 - :meth:`Pipeline.run_all` / :meth:`Pipeline.compare` sit on top, and
   :meth:`Pipeline.lookup` is the read-only warm probe (it never
   compiles, rehydrates, or stores).
@@ -31,18 +33,23 @@ from typing import Any, Dict, Iterable, Optional
 # The artifact (de)serialisers are called as ``engine.<name>``: those
 # module attributes are what perfbench/spans.py wraps to time them.
 from ..exec import engine
-from ..exec.artifacts import outcome_key_material, prepared_key_material
+from ..exec.artifacts import (
+    outcome_key_material,
+    prepared_key_material,
+    rhop_key_material,
+)
 from ..exec.cache import ArtifactCache, canonical_key
 from ..exec.runconfig import SCHEMES
+from ..ir import Module
 from ..lint import check_scheme_outcome
 from ..machine import Machine
 from ..partition.gdp import GDPConfig
-from ..partition.rhop import RHOPConfig
+from ..partition.rhop import RHOP, RHOPConfig, RHOPResult
 from ..profiler import InterpreterError
 from ..resilience.errors import InjectedFault, LadderExhausted, as_phase_error
 from ..resilience.report import RunReport
 from .prepared import PreparedProgram
-from .schemes import SchemeOutcome, run_scheme
+from .schemes import SchemeOutcome, UnlockedPass, run_scheme
 
 #: Seed stride between retry attempts.  The multilevel partitioners run
 #: ``restarts`` internal cycles seeded ``seed + 0 .. seed + restarts-1``;
@@ -98,8 +105,9 @@ class Pipeline:
 
     @property
     def outcomes_cacheable(self) -> bool:
-        """Whether outcomes are a pure function of the cache key: the
-        config allows it and no custom partitioner config is in play."""
+        """Whether outcomes — and the shared unlocked RHOP pass — are a
+        pure function of the cache key: the config allows it and no
+        custom partitioner config is in play."""
         return (
             self.config.cacheable_results
             and self.gdp_config is None
@@ -131,11 +139,35 @@ class Pipeline:
             profile=self.config.profile,
         )
 
-    def _outcome_material(self, ir_hash: str, scheme: str):
+    def _outcome_material(self, ir_hash: str, scheme: str, profile: str):
         return outcome_key_material(
             ir_hash, self.machine, self.config.pointsto_tier, scheme,
-            self.config.seed,
+            self.config.seed, profile,
         )
+
+    def _unlocked_pass(
+        self, prepared: PreparedProgram, report: RunReport
+    ) -> UnlockedPass:
+        """The shared unlocked RHOP pass for ``prepared``: loaded from
+        the ``rhop`` artifact, else computed on the caller's module copy
+        and stored for the next scheme that needs it."""
+
+        def unlocked_pass(rhop: RHOP, module: Module) -> RHOPResult:
+            material = rhop_key_material(
+                prepared.fingerprint(), rhop.machine, prepared.pointsto_tier,
+                prepared.profile_mode, rhop.config.seed,
+            )
+            payload = self._load("rhop", material, report)
+            if payload is not None:
+                return engine.rhop_from_payload(payload, module)
+            result = rhop.partition_module(module)
+            self._store(
+                "rhop", material, engine.rhop_to_payload(result, module),
+                report,
+            )
+            return result
+
+        return unlocked_pass
 
     def lookup(
         self,
@@ -158,8 +190,13 @@ class Pipeline:
         )
         if prepared is None:
             return None
+        # A prepared artifact is only stored under the profile it was
+        # built with, so the config's profile is the one it carries.
         payload = self._load(
-            "outcome", self._outcome_material(prepared["ir_hash"], scheme),
+            "outcome",
+            self._outcome_material(
+                prepared["ir_hash"], scheme, self.config.profile
+            ),
             report,
         )
         if payload is not None and report is not None:
@@ -260,7 +297,9 @@ class Pipeline:
         report = RunReport() if report is None else report
         material = None
         if self.outcomes_cacheable:
-            material = self._outcome_material(prepared.fingerprint(), scheme)
+            material = self._outcome_material(
+                prepared.fingerprint(), scheme, prepared.profile_mode
+            )
             payload = self._load("outcome", material, report)
             if payload is not None:
                 report.record_run(scheme, [scheme])
@@ -280,6 +319,10 @@ class Pipeline:
         config = self.config
         ladder = list(SCHEMES[SCHEMES.index(scheme):]) if config.fallback else [scheme]
         report.record_run(scheme, ladder)
+        unlocked_pass = (
+            self._unlocked_pass(prepared, report)
+            if self.outcomes_cacheable else None
+        )
         budget = self.budget
         total_attempts = 0
         last_failure = "never ran"
@@ -314,6 +357,7 @@ class Pipeline:
                             seed_offset, budget=budget
                         ),
                         faults=self.faults,
+                        unlocked_pass=unlocked_pass,
                     )
                 except Exception as exc:  # noqa: BLE001 - the whole point
                     self._drain_faults(report)

@@ -16,7 +16,7 @@ scheduling.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..evalmodel import EvalResult, evaluate_module, roofline
 from ..ir import Module
@@ -28,6 +28,12 @@ from ..partition.rhop import RHOP, RHOPConfig, RHOPResult
 from ..resilience.faults import FaultPlan
 from ..resilience.report import PhaseTimer
 from .prepared import PreparedProgram
+
+#: ``unlocked_pass(rhop, module)`` answers the unlocked RHOP pass on a
+#: fresh module copy — loaded from a shared artifact or computed with
+#: ``rhop.partition_module(module)`` — so the schemes that start from it
+#: (Unified, Naïve, Profile Max's first pass) can share one run.
+UnlockedPass = Callable[[RHOP, Module], RHOPResult]
 
 #: Scheme descriptors used to regenerate Table 1.
 SCHEME_TABLE = {
@@ -106,7 +112,10 @@ class SchemeOutcome:
     @property
     def rhop_seconds(self) -> float:
         """Seconds spent in the detailed computation partitioner (the
-        Section 4.5 compile-time metric), derived from :attr:`timings`."""
+        Section 4.5 compile-time metric), derived from :attr:`timings`.
+        A pass answered by ``unlocked_pass`` counts what the hook took
+        (a load, when the pass was shared), so measure compile time with
+        the cache off."""
         return self.timings.get("rhop", 0.0)
 
     @property
@@ -133,6 +142,7 @@ def run_scheme(
     rhop_config: Optional[RHOPConfig] = None,
     object_home: Optional[Dict[str, int]] = None,
     faults: Optional[FaultPlan] = None,
+    unlocked_pass: Optional[UnlockedPass] = None,
 ) -> SchemeOutcome:
     """Run one named scheme end to end, in the three steps every Table-1
     row shares: place the data objects (GDP's graph partition; Profile
@@ -149,7 +159,10 @@ def run_scheme(
     :class:`~repro.resilience.faults.FaultPlan`: ``raise`` clauses fire
     entering placement (phase = the scheme) and each RHOP pass
     (``rhop``), ``unlock``/``corrupt-homes`` on the homes a pass is
-    locked to and on Naïve's post-pass homes.
+    locked to and on Naïve's post-pass homes.  ``unlocked_pass``, when
+    given, answers every RHOP pass that has no locks (see
+    :data:`UnlockedPass`); the :class:`~repro.pipeline.Pipeline` passes
+    one backed by the artifact cache when outcomes are cacheable.
     """
     if scheme not in SCHEME_TABLE:
         raise ValueError(f"unknown scheme {scheme!r} (see SCHEME_TABLE)")
@@ -172,7 +185,8 @@ def run_scheme(
                 ).object_home
     elif scheme == "profilemax":
         module, uid_map, first, _ = _rhop(
-            prepared, machine, rhop_config, faults, timer, scheme
+            prepared, machine, rhop_config, faults, timer, scheme,
+            unlocked_pass=unlocked_pass,
         )
         faults.maybe_raise("profilemax")
         op_counts = prepared.translated_op_counts(uid_map)
@@ -187,7 +201,8 @@ def run_scheme(
         object_home = None
 
     module, uid_map, result, object_home = _rhop(
-        prepared, machine, rhop_config, faults, timer, scheme, object_home
+        prepared, machine, rhop_config, faults, timer, scheme, object_home,
+        unlocked_pass,
     )
     assignment = result.assignment
     if scheme == "naive":
@@ -221,11 +236,13 @@ def _rhop(
     timer: PhaseTimer,
     scheme: str,
     object_home: Optional[Dict[str, int]] = None,
+    unlocked_pass: Optional[UnlockedPass] = None,
 ) -> Tuple[Module, Dict[int, int], RHOPResult, Optional[Dict[str, int]]]:
     """One RHOP pass on a fresh copy of the module: with ``object_home``
     memory operations are locked to their objects' clusters, without it
-    RHOP sees one unified memory.  Returns (copy, uid map, result, the
-    homes the outcome records)."""
+    RHOP sees one unified memory (and ``unlocked_pass``, when given,
+    answers it).  Returns (copy, uid map, result, the homes the outcome
+    records)."""
     module, uid_map = prepared.fresh_copy()
     locks = None
     target = machine.as_unified()
@@ -244,7 +261,10 @@ def _rhop(
     faults.maybe_raise("rhop")
     rhop = RHOP(target, rhop_config, prepared.block_freq)
     with timer.phase("rhop"):
-        result = rhop.partition_module(module, mem_locks=locks)
+        if locks is None and unlocked_pass is not None:
+            result = unlocked_pass(rhop, module)
+        else:
+            result = rhop.partition_module(module, mem_locks=locks)
     return module, uid_map, result, object_home
 
 

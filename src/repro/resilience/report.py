@@ -129,8 +129,9 @@ class RunReport:
         self._event("roofline", scheme=scheme, stats=dict(stats))
 
     def record_cache(self, kind: str, status: str, detail: str = "") -> None:
-        """Record an artifact-cache consultation (``kind`` is ``prepared``
-        or ``outcome``; ``status`` is ``hit`` / ``miss`` / ``stale``).
+        """Record an artifact-cache consultation (``kind`` is ``prepared``,
+        ``outcome`` or ``rhop``; ``status`` is ``hit`` / ``miss`` /
+        ``stale``).
         Carries no wall clocks, so it is stable under deterministic
         serialisation."""
         self._event("cache", cache=kind, status=status, detail=detail)

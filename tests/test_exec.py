@@ -18,7 +18,9 @@ from repro.exec import (
 from repro.exec.artifacts import (
     outcome_key_material,
     prepared_key_material,
+    stable_op_keys,
 )
+from repro.partition.rhop import RHOPConfig
 from repro.pipeline import Pipeline, PreparedProgram
 from repro.resilience import RunReport
 
@@ -231,6 +233,25 @@ class TestArtifactCache:
         )
         assert canonical_key(base) != canonical_key(seeded)
         assert canonical_key(base) != canonical_key(other)
+
+    def test_outcome_key_covers_profile_mode(self, tmp_path):
+        # One store, dynamic then static: the static run must not be
+        # served the dynamic outcome (the IR hash alone is the same).
+        from repro.bench import get
+
+        bench = get("fsed")
+
+        def gdp_cycles(profile, cache):
+            cfg = RunConfig(profile=profile, cache=cache,
+                            cache_dir=str(tmp_path))
+            pipe = Pipeline(cfg)
+            prepared = pipe.prepare(bench.source, bench.name)
+            return pipe.run(prepared, "gdp").cycles
+
+        dynamic = gdp_cycles("dynamic", "on")
+        static = gdp_cycles("static", "on")
+        assert static == gdp_cycles("static", "off")
+        assert static != dynamic
 
     def test_stale_schema_entry_dropped(self, tmp_path):
         cache = ArtifactCache(str(tmp_path), "on")
@@ -556,6 +577,135 @@ class TestPipelineCachePath:
         outcomes = pipe.run_all(tiny_prepared, ["unified"])
         assert outcomes["unified"].cycles > 0
         assert ArtifactCache(str(tmp_path), "on").stats()["entries"] == 0
+
+
+class TestSharedRhopPass:
+    """Unified, Naïve and Profile Max's first pass share one unlocked
+    RHOP pass per program through the ``rhop`` artifact; GDP and Profile
+    Max's locked second pass always run their own."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        from repro.partition.rhop import RHOP
+
+        calls = []
+        original = RHOP.partition_module
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RHOP, "partition_module", counted)
+        return calls
+
+    @staticmethod
+    def _cells(outcomes):
+        """scheme -> (status, cycles, dynamic moves, stable assignment)."""
+        cells = {}
+        for name, outcome in outcomes.items():
+            keys = stable_op_keys(outcome.module)
+            cells[name] = (
+                "degraded" if outcome.fell_back else "ok",
+                outcome.cycles,
+                outcome.dynamic_moves,
+                sorted((keys[uid], c) for uid, c in outcome.assignment.items()
+                       if uid in keys),
+            )
+        return cells
+
+    def _cache_off_cells(self, bench):
+        pipe = Pipeline(RunConfig(latency=5, cache="off"))
+        prepared = pipe.prepare(bench.source, bench.name)
+        return self._cells(pipe.run_all(prepared))
+
+    @pytest.mark.parametrize("name", ["rawcaudio", "fir"])
+    def test_run_all_runs_the_unlocked_pass_once(
+        self, name, tmp_path, monkeypatch
+    ):
+        from repro.bench import get
+
+        bench = get(name)
+        calls = self._counting(monkeypatch)
+        expected = self._cache_off_cells(bench)
+        assert len(calls) == 5
+        del calls[:]
+        pipe = Pipeline(RunConfig(latency=5, cache_dir=str(tmp_path)))
+        prepared = pipe.prepare(bench.source, bench.name)
+        assert self._cells(pipe.run_all(prepared)) == expected
+        assert len(calls) == 3
+        assert pipe.cache.stats()["disk"]["rhop"]["entries"] == 1
+
+    @pytest.mark.parametrize("name", ["rawcaudio", "fir"])
+    def test_rehydrated_prepared_hits_the_shared_pass(
+        self, name, tmp_path, monkeypatch
+    ):
+        from repro.bench import get
+
+        bench = get(name)
+        expected = self._cache_off_cells(bench)
+        cfg = RunConfig(latency=5, cache_dir=str(tmp_path))
+        first = Pipeline(cfg)
+        first.run(first.prepare(bench.source, bench.name), "unified")
+        calls = self._counting(monkeypatch)
+        second = Pipeline(cfg)
+        report = RunReport()
+        prepared = second.prepare(bench.source, bench.name, report)
+        outcome = second.run(prepared, "naive", report)
+        assert calls == []
+        statuses = [(e["cache"], e["status"]) for e in report.cache_events()]
+        assert ("prepared", "hit") in statuses and ("rhop", "hit") in statuses
+        assert self._cells({"naive": outcome})["naive"] == expected["naive"]
+
+    @pytest.mark.parametrize("overrides,rhop_config", [
+        ({"fault_spec": "seed=7;raise:rhop@2"}, None),
+        ({"max_seconds": 600.0}, None),
+        ({}, RHOPConfig()),
+    ])
+    def test_uncacheable_runs_recompute_every_pass(
+        self, overrides, rhop_config, tmp_path, monkeypatch
+    ):
+        from repro.bench import get
+
+        bench = get("rawcaudio")
+        calls = self._counting(monkeypatch)
+        cfg = RunConfig(latency=5, cache_dir=str(tmp_path), **overrides)
+        pipe = Pipeline(cfg, rhop_config=rhop_config)
+        pipe.run_all(pipe.prepare(bench.source, bench.name))
+        assert len(calls) == 5
+        assert "rhop" not in pipe.cache.stats()["disk"]
+
+    def test_corrupt_rhop_entry_is_quarantined_and_recomputed(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.bench import get
+
+        bench = get("rawcaudio")
+        expected = self._cache_off_cells(bench)
+        cfg = RunConfig(latency=5, cache_dir=str(tmp_path))
+        first = Pipeline(cfg)
+        first.run(first.prepare(bench.source, bench.name), "unified")
+        [path] = [
+            os.path.join(dirpath, name)
+            for dirpath, _dirs, files in os.walk(
+                os.path.join(str(tmp_path), "objects", "rhop"))
+            for name in files
+        ]
+        blob = bytearray(open(path, "rb").read())
+        blob[len(blob) // 2] ^= 0xFF
+        with open(path, "wb") as fh:
+            fh.write(bytes(blob))
+        calls = self._counting(monkeypatch)
+        second = Pipeline(cfg)
+        prepared = second.prepare(bench.source, bench.name)
+        outcomes = second.run_all(prepared, ["naive", "profilemax"])
+        # naive recomputes and re-stores; profilemax loads it, then runs
+        # its own locked pass.
+        assert len(calls) == 2
+        stats = second.cache.stats()
+        assert stats["quarantine"]["entries"] == 1
+        assert stats["disk"]["rhop"]["entries"] == 1
+        cells = self._cells(outcomes)
+        assert cells == {k: expected[k] for k in ("naive", "profilemax")}
 
 
 # -- Parallel sweeps ----------------------------------------------------------
