@@ -68,11 +68,13 @@ class ProgramGraph:
                         op.uid, op, func.name, block.name, freq
                     )
 
+        # One solve per function, shared by its own edges and by every
+        # call site that stitches flows into it.
+        defuses = {func.name: DefUse(func) for func in module}
         for func in module:
-            defuse = DefUse(func)
             # Sorted for determinism: set iteration order varies with the
             # process-global uid values.
-            for (src_uid, dst_uid) in sorted(defuse.edges):
+            for (src_uid, dst_uid) in sorted(defuses[func.name].edges):
                 self._add_edge(src_uid, dst_uid)
             # Stitch the interprocedural flows: call -> parameter uses and
             # return-defining flows back to the call.
@@ -81,7 +83,7 @@ class ProgramGraph:
                     callee = op.attrs.get("callee")
                     if callee in module.functions:
                         callee_fn = module.functions[callee]
-                        callee_du = DefUse(callee_fn)
+                        callee_du = defuses[callee]
                         for param in callee_fn.params:
                             for use_uid in callee_du.param_uses.get(param.vid, ()):
                                 self._add_edge(op.uid, use_uid)

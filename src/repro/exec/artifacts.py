@@ -201,10 +201,6 @@ def prepared_to_payload(prepared) -> Dict[str, Any]:
         "module_text": module_text,
         "profile": profile_to_payload(prepared.profile, op_keys),
         "pointsto_stats": prepared.pointsto.stats().to_dict(),
-        "merge_groups": sorted(
-            sorted(group.object_ids)
-            for group in prepared.merge.object_groups()
-        ),
     }
 
 

@@ -7,9 +7,11 @@ lowering.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, TypeVar, Union
 
 from .errors import SourceLocation
+
+N = TypeVar("N", bound="Node")
 
 
 class Node:
@@ -17,6 +19,26 @@ class Node:
 
     def __init__(self, loc: SourceLocation):
         self.loc = loc
+
+
+def clone(node: N) -> N:
+    """Structural copy of an unchecked subtree: fresh nodes, lists and
+    tuples, shared source locations and scalars (nothing mutates them).
+    Unlike ``copy.deepcopy`` it does not preserve aliasing inside the
+    subtree; parsed and transformed ASTs have none."""
+    copy = object.__new__(type(node))
+    copy.__dict__ = {key: _clone_value(value) for key, value in node.__dict__.items()}
+    return copy
+
+
+def _clone_value(value):
+    if isinstance(value, Node):
+        return clone(value)
+    if isinstance(value, list):
+        return [_clone_value(item) for item in value]
+    if isinstance(value, tuple):
+        return tuple(_clone_value(item) for item in value)
+    return value
 
 
 # ---------------------------------------------------------------------------

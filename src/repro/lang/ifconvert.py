@@ -28,7 +28,6 @@ paper's infrastructure.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -122,7 +121,7 @@ def _try_convert(stmt: ast.If, config: IfConvertConfig) -> Optional[ast.Stmt]:
     cond_var = f"__ifc{next(_counter)}"
     out: List[ast.Stmt] = [
         ast.VarDecl(
-            loc, ast.TypeSpec(loc, "int", 0), cond_var, copy.deepcopy(stmt.cond)
+            loc, ast.TypeSpec(loc, "int", 0), cond_var, ast.clone(stmt.cond)
         )
     ]
     out.extend(then_branch.stmts)
@@ -232,7 +231,7 @@ def _reads_any(expr: ast.Expr, names: Set[str]) -> bool:
 
 def _renamed(expr: ast.Expr, mapping: Dict[str, str]) -> ast.Expr:
     """Deep copy with identifier substitution (alpha-renaming)."""
-    clone = copy.deepcopy(expr)
+    clone = ast.clone(expr)
     _rename_in_place(clone, mapping)
     return clone
 

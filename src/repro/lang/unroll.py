@@ -29,7 +29,6 @@ local declarations keep their scoping.
 
 from __future__ import annotations
 
-import copy
 from typing import List, Optional, Tuple
 
 from . import ast
@@ -132,7 +131,7 @@ def _try_unroll(loop: ast.For, config: UnrollConfig) -> Optional[ast.Stmt]:
         )
 
     def body_copy() -> ast.Stmt:
-        clone = copy.deepcopy(body)
+        clone = ast.clone(body)
         return clone if isinstance(clone, ast.Block) else ast.Block(loc, [clone])
 
     # for (; i + (factor-1)*c < e1; ) { BODY i+=c  (x factor) }
@@ -140,7 +139,7 @@ def _try_unroll(loop: ast.For, config: UnrollConfig) -> Optional[ast.Stmt]:
         loc,
         cmp_op,
         ast.Binary(loc, "+", ident(), ast.IntLit(loc, (factor - 1) * step_c)),
-        copy.deepcopy(limit),
+        ast.clone(limit),
     )
     main_stmts: List[ast.Stmt] = []
     for _ in range(factor):
@@ -148,7 +147,7 @@ def _try_unroll(loop: ast.For, config: UnrollConfig) -> Optional[ast.Stmt]:
         main_stmts.append(advance())
     main_loop = ast.For(loc, None, guard, None, ast.Block(loc, main_stmts))
 
-    remainder_cond = ast.Binary(loc, cmp_op, ident(), copy.deepcopy(limit))
+    remainder_cond = ast.Binary(loc, cmp_op, ident(), ast.clone(limit))
     remainder = ast.While(
         loc, remainder_cond, ast.Block(loc, [body_copy(), advance()])
     )

@@ -24,6 +24,8 @@ def propagate_copies(func: Function) -> int:
     changed = 0
     for block in func:
         copy_of: Dict[int, VirtualRegister] = {}
+        # Source vid -> vids recorded as its copies (possibly stale).
+        copies_from: Dict[int, List[int]] = {}
         for op in block.ops:
             for i, src in enumerate(list(op.srcs)):
                 if isinstance(src, VirtualRegister) and src.vid in copy_of:
@@ -32,19 +34,19 @@ def propagate_copies(func: Function) -> int:
             if op.dest is None:
                 continue
             # Any redefinition invalidates copies of/through the register.
-            dead = [
-                vid
-                for vid, source in copy_of.items()
-                if vid == op.dest.vid or source.vid == op.dest.vid
-            ]
-            for vid in dead:
-                del copy_of[vid]
+            vid = op.dest.vid
+            copy_of.pop(vid, None)
+            for copy_vid in copies_from.pop(vid, ()):
+                source = copy_of.get(copy_vid)
+                if source is not None and source.vid == vid:
+                    del copy_of[copy_vid]
             if (
                 op.opcode is Opcode.MOV
                 and isinstance(op.srcs[0], VirtualRegister)
-                and op.srcs[0].vid != op.dest.vid
+                and op.srcs[0].vid != vid
             ):
-                copy_of[op.dest.vid] = op.srcs[0]
+                copy_of[vid] = op.srcs[0]
+                copies_from.setdefault(op.srcs[0].vid, []).append(vid)
     return changed
 
 
@@ -77,6 +79,8 @@ def eliminate_common_subexpressions(func: Function) -> int:
     for block in func:
         versions: Dict[int, int] = {}
         available: Dict[Tuple, VirtualRegister] = {}
+        # Result vid -> the keys ``available`` maps to that register.
+        keys_of: Dict[int, List[Tuple]] = {}
         for op in block.ops:
             key: Optional[Tuple] = None
             if op.opcode in _CSE_OPCODES and op.dest is not None:
@@ -94,11 +98,11 @@ def eliminate_common_subexpressions(func: Function) -> int:
                 vid = op.dest.vid
                 versions[vid] = versions.get(vid, 0) + 1
                 # Invalidate expressions whose result register was clobbered.
-                available = {
-                    k: reg for k, reg in available.items() if reg.vid != vid
-                }
+                for stale in keys_of.pop(vid, ()):
+                    del available[stale]
                 if key is not None:
                     available[key] = op.dest
+                    keys_of.setdefault(vid, []).append(key)
     return changed
 
 

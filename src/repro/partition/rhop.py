@@ -242,10 +242,11 @@ class RHOP:
         anchors.extend(self._reverse_anchors(block, homes, pending_uses))
         estimator = ScheduleEstimator(graph, self.machine, anchors)
 
-        base_groups = self._mandatory_groups(block, locks)
+        # Coarsening is deterministic, so every restart shares its levels.
+        levels = self._coarsen(graph, self._mandatory_groups(block, locks), locks)
 
         # Multi-start V-cycles: the estimate surface is full of plateaus,
-        # so keep the best of a few randomised coarsen/place/refine runs.
+        # so keep the best of a few randomised place/refine runs.
         best_cluster_of: Dict[int, int] = {}
         best_key = None
         for attempt in range(self.config.restarts):
@@ -253,7 +254,7 @@ class RHOP:
                 break  # anytime: keep the best completed cycle
             attempt_rng = random.Random(rng.randrange(1 << 30) + attempt)
             cluster_of = self._one_block_cycle(
-                graph, base_groups, locks, estimator, attempt_rng
+                levels, locks, estimator, attempt_rng
             )
             key = estimator.estimate_and_moves(cluster_of, exposed=True)
             if best_key is None or key < best_key:
@@ -265,11 +266,7 @@ class RHOP:
         self._record_homes(func, block, homes, result)
         self._record_pending_uses(block, best_cluster_of, pending_uses)
 
-    def _one_block_cycle(
-        self, graph, base_groups, locks, estimator, rng
-    ) -> Dict[int, int]:
-        levels = self._coarsen(graph, base_groups, locks, rng)
-
+    def _one_block_cycle(self, levels, locks, estimator, rng) -> Dict[int, int]:
         # Initial assignment on the coarsest level.
         coarsest = levels[-1]
         cluster_of: Dict[int, int] = {}
@@ -412,7 +409,6 @@ class RHOP:
         graph: DependenceGraph,
         base_groups: Dict[int, Set[int]],
         locks: Dict[int, int],
-        rng: random.Random,
     ) -> List[Dict[int, Set[int]]]:
         """Multilevel coarsening; returns [finest, ..., coarsest] levels."""
         k = self.machine.num_clusters

@@ -1,8 +1,10 @@
 """Program preparation shared by every partitioning scheme.
 
 One :class:`PreparedProgram` per benchmark: the annotated module, its
-execution profile, the data-object table, the program-level DFG, and the
-access-pattern merge — everything the schemes consume, computed once.
+execution profile and the data-object table, plus the program-level DFG
+and the access-pattern merge — everything the schemes consume, each
+computed once.  The DFG and the merge are built on first read: only GDP
+and Profile Max (and partcheck's group check) consume them.
 """
 
 from __future__ import annotations
@@ -82,12 +84,26 @@ class PreparedProgram:
         self._fingerprint: Optional[str] = None
         # Starts empty: ``pointsto`` may be a cached stand-in that cannot
         # answer queries, and ``objects`` carries profiled heap sizes.
+        # ``program_graph`` and ``merge`` are entries of this memo.
         self.analyses = Analyses(module)
         self.objects = ObjectTable(module, dict(profile.heap_sizes))
         self.block_freq: Callable[[str, str], float] = profile.frequency_fn()
-        self.program_graph = ProgramGraph(module, self.block_freq)
-        self.merge: MergeResult = access_pattern_merge(
-            self.program_graph, self.objects
+
+    # -- analyses built on first read --------------------------------------------
+
+    @property
+    def program_graph(self) -> ProgramGraph:
+        """Program-level DFG (GDP's Phase 1 input)."""
+        return self.analyses.memo(
+            "program_graph", lambda: ProgramGraph(self.module, self.block_freq)
+        )
+
+    @property
+    def merge(self) -> MergeResult:
+        """Access-pattern merge of the objects over :attr:`program_graph`
+        (GDP's coarsening; Profile Max groups objects the same way)."""
+        return self.analyses.memo(
+            "merge", lambda: access_pattern_merge(self.program_graph, self.objects)
         )
 
     #: Default unroll factor — restores the region-level ILP the paper's

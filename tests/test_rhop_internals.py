@@ -163,7 +163,7 @@ class TestCoarsening:
         block = max(func, key=len)
         graph = DependenceGraph(block, machine.latency_of)
         base = rhop._mandatory_groups(block, {})
-        levels = rhop._coarsen(graph, base, {}, random.Random(1))
+        levels = rhop._coarsen(graph, base, {})
         sizes = [len(level) for level in levels]
         assert sizes == sorted(sizes, reverse=True)
         assert sizes[0] == len(base)
