@@ -13,6 +13,7 @@
 #               lint report must hash to tests/goldens/lint_identity.json,
 #               and every bench's plain and prepared interpreter profile
 #               (counts, regions, heap sizes, steps, output, return value)
+#               and its static profile (plus bounds and static regions)
 #               must match tests/goldens/profile_identity.json.
 #   faults      fault-injection smoke (one spec per fault class) through
 #               the resilient pipeline's degradation ladder; then every
@@ -125,7 +126,7 @@ PY
     note "lint identity (all benches x plain/oracle/prepared vs golden)"
     python scripts/lint_identity.py || failures=$((failures + 1))
 
-    note "profile identity (all benches x plain/prepared vs golden)"
+    note "profile identity (all benches x plain/prepared/static vs golden)"
     python scripts/profile_identity.py || failures=$((failures + 1))
 }
 

@@ -1,5 +1,5 @@
 """Profile identity check: every bench must reproduce the recorded
-execution profile, byte for byte, in each of two modes.
+execution profile, byte for byte, in each of three modes.
 
 The golden (``tests/goldens/profile_identity.json``) pins, per bench and
 mode, the SHA-256 of the canonical ProfileData the interpreter fills in:
@@ -14,12 +14,20 @@ Op uids come from a process-global counter, so ops are keyed by
 in insertion order, so the golden also pins the order in which entries
 are first created (first execution order).
 
-The two modes are the two modules the suite is interpreted on:
+The first two modes are the two modules the suite is interpreted on:
 
 * ``plain`` -- a ``compile_source`` module, as ``repro lint
   --dynamic-oracle`` profiles it;
 * ``prepared`` -- the unrolled, optimized, renumbered module a dynamic
   ``PreparedProgram.from_source`` profiles.
+
+The third, ``static``, is the profile a static ``PreparedProgram``
+derives without running anything: the same counters plus the sound side
+tables (``block_bounds``, ``op_weight_bounds``, ``static_regions`` and
+``object_static_regions``).  Its ``result`` is ``null`` and its
+``steps`` the estimated instruction count.  Region dicts are written in
+sorted key order, the only ones not pinned in insertion order: the
+static analysis fills them from sets of object ids.
 
 Run from the repository root with ``PYTHONPATH=src``:
 
@@ -33,23 +41,29 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "goldens" / "profile_identity.json"
-MODES = ("plain", "prepared")
+MODES = ("plain", "prepared", "static")
 
 
-def canonical_profile(module, profile) -> Dict[str, Any]:
-    """``profile`` as JSON-ready lists, ops keyed by their position."""
-    where = {
+def _positions(module) -> Dict[int, List[Any]]:
+    """Op uid -> ``[function, block, index]``."""
+    return {
         op.uid: [func.name, block.name, index]
         for func in module
         for block in func
         for index, op in enumerate(block.ops)
     }
+
+
+def canonical_profile(module, profile) -> Dict[str, Any]:
+    """``profile`` as JSON-ready lists, ops keyed by their position."""
+    where = _positions(module)
     return {
         "block_counts": [[f, b, n] for (f, b), n
                          in profile.block_counts.items()],
@@ -68,6 +82,28 @@ def canonical_profile(module, profile) -> Dict[str, Any]:
     }
 
 
+def _bound(value: float):
+    return "inf" if value == math.inf else value
+
+
+def canonical_static_profile(module, profile) -> Dict[str, Any]:
+    """:func:`canonical_profile` plus a static profile's sound tables."""
+    out = canonical_profile(module, profile)
+    where = _positions(module)
+    out["block_bounds"] = [[f, b, _bound(n)] for (f, b), n
+                           in profile.block_bounds.items()]
+    out["op_weight_bounds"] = [[where[uid], _bound(n)] for uid, n
+                               in profile.op_weight_bounds.items()]
+    out["static_regions"] = [
+        [where[uid], [[obj, region] for obj, region in sorted(regions.items())]]
+        for uid, regions in profile.static_regions.items()
+    ]
+    out["object_static_regions"] = sorted(
+        [obj, spans] for obj, spans in profile.object_static_regions.items()
+    )
+    return out
+
+
 def _modules(bench):
     from repro.ir import renumber_ops
     from repro.lang import compile_source
@@ -84,11 +120,22 @@ def _modules(bench):
     yield "prepared", prepared
 
 
+def _cell(canonical: Dict[str, Any], result, steps: int) -> Dict[str, Any]:
+    text = json.dumps(canonical, separators=(",", ":"))
+    return {
+        "sha256": hashlib.sha256(text.encode()).hexdigest(),
+        "result": result,
+        "steps": steps,
+    }
+
+
 def compute_cells(
     benches: Optional[Iterable[str]] = None,
 ) -> Dict[str, Dict[str, Dict[str, Any]]]:
     """bench -> mode -> {sha256, result, steps}."""
     from repro.bench import all_benchmarks, get
+    from repro.exec.runconfig import RunConfig
+    from repro.pipeline import PreparedProgram
     from repro.profiler import Interpreter
 
     chosen = (
@@ -101,13 +148,14 @@ def compute_cells(
         for mode, module in _modules(bench):
             interp = Interpreter(module)
             result = interp.run()
-            text = json.dumps(canonical_profile(module, interp.profile),
-                              separators=(",", ":"))
-            cells[bench.name][mode] = {
-                "sha256": hashlib.sha256(text.encode()).hexdigest(),
-                "result": result,
-                "steps": interp.profile.instructions_executed,
-            }
+            cells[bench.name][mode] = _cell(
+                canonical_profile(module, interp.profile), result,
+                interp.profile.instructions_executed)
+        static = PreparedProgram.from_source(
+            bench.source, bench.name, config=RunConfig(profile="static"))
+        cells[bench.name]["static"] = _cell(
+            canonical_static_profile(static.module, static.profile), None,
+            static.profile.instructions_executed)
     return cells
 
 

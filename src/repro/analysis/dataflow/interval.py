@@ -18,7 +18,8 @@ functions and functions unreachable from ``main`` get TOP parameters.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from .framework import (
     DataflowProblem,
@@ -55,8 +56,8 @@ class Interval:
     def __init__(self, lo: int, hi: int):
         if lo > hi:
             raise ValueError(f"empty interval [{lo}, {hi}]")
-        self.lo = max(lo, INT32_MIN)
-        self.hi = min(hi, INT32_MAX)
+        self.lo = lo if lo > INT32_MIN else INT32_MIN
+        self.hi = hi if hi < INT32_MAX else INT32_MAX
 
     # -- constructors --------------------------------------------------------
 
@@ -244,59 +245,6 @@ def never_stored_global_values(module: Module, pointsto=None) -> Dict[str, int]:
     return values
 
 
-def transfer_op(
-    op: Operation,
-    env: Dict[int, Interval],
-    const_globals: Optional[Dict[str, int]] = None,
-) -> None:
-    """Apply one operation's effect to ``env`` in place (TOP entries are
-    dropped; STORE/branches leave the environment untouched)."""
-    dest = op.dest
-    if dest is None:
-        return
-    iv = _eval_op(op, env, const_globals)
-    if iv is None or iv.is_top():
-        env.pop(dest.vid, None)
-    else:
-        env[dest.vid] = iv
-
-
-def _eval_op(
-    op: Operation,
-    env: Dict[int, Interval],
-    const_globals: Optional[Dict[str, int]] = None,
-) -> Optional[Interval]:
-    code = op.opcode
-    if code in (Opcode.MOV, Opcode.ICMOVE):
-        return eval_value(op.srcs[0], env)
-    if code is Opcode.LOAD:
-        addr = op.srcs[0]
-        if (
-            const_globals
-            and isinstance(addr, GlobalAddress)
-            and addr.symbol in const_globals
-        ):
-            return Interval.const(const_globals[addr.symbol])
-        return _TOP
-    if code in (Opcode.MALLOC, Opcode.CALL, Opcode.PTRADD):
-        return _TOP
-    if code is Opcode.SELECT:
-        cond = eval_value(op.srcs[0], env)
-        if cond.is_const():
-            return eval_value(op.srcs[1] if cond.lo != 0 else op.srcs[2], env)
-        return eval_value(op.srcs[1], env).join(eval_value(op.srcs[2], env))
-    if code in _COMPARES:
-        a, b = (eval_value(s, env) for s in op.srcs[:2])
-        return _compare(code, a, b)
-    if code in _UNARY:
-        return _UNARY[code](eval_value(op.srcs[0], env))
-    if code in _BINARY:
-        a, b = (eval_value(s, env) for s in op.srcs[:2])
-        return _BINARY[code](a, b)
-    # Floats and anything unmodelled: TOP.
-    return _TOP
-
-
 def _compare(code: Opcode, a: Interval, b: Interval) -> Interval:
     # Provably-true / provably-false outcomes collapse to a constant;
     # everything else is the boolean range [0, 1].
@@ -397,6 +345,7 @@ def _shr(a: Interval, b: Interval) -> Interval:
     return _combos(lambda x, s: x >> s, a, b)
 
 
+#: Comparison opcodes (also the ones eligible for branch refinement).
 _COMPARES = {
     Opcode.CMPEQ,
     Opcode.CMPNE,
@@ -425,15 +374,136 @@ _BINARY = {
 }
 
 
-#: Comparison opcodes eligible for branch refinement.
-_COMPARES = {
-    Opcode.CMPEQ,
-    Opcode.CMPNE,
-    Opcode.CMPLT,
-    Opcode.CMPLE,
-    Opcode.CMPGT,
-    Opcode.CMPGE,
-}
+# -- decoded transfer -----------------------------------------------------------
+
+#: Interval of an operation's result as a function of the environment.
+Evaluator = Callable[[Dict[int, Interval]], Interval]
+
+#: One decoded operation: destination register id and its evaluator.
+Step = Tuple[int, Evaluator]
+
+#: One decoded block: the steps of its register-defining ops, in order,
+#: and each call with the number of steps that run before it.
+DecodedBlock = Tuple[Tuple[Step, ...], Tuple[Tuple[int, Operation], ...]]
+
+
+def _constant(iv: Interval) -> Evaluator:
+    return lambda env: iv
+
+
+_top = _constant(_TOP)
+
+
+def _reader(value: Value) -> Evaluator:
+    """:func:`eval_value` of one operand, its kind resolved up front."""
+    if isinstance(value, VirtualRegister):
+        vid = value.vid
+        return lambda env: env.get(vid, _TOP)
+    return _constant(eval_value(value, {}))
+
+
+def _binary(f: Callable[[Interval, Interval], Interval],
+            a: Value, b: Value) -> Evaluator:
+    if isinstance(a, VirtualRegister):
+        x = a.vid
+        if isinstance(b, VirtualRegister):
+            y = b.vid
+            return lambda env: f(env.get(x, _TOP), env.get(y, _TOP))
+        b_iv = eval_value(b, {})
+        return lambda env: f(env.get(x, _TOP), b_iv)
+    a_iv = eval_value(a, {})
+    read_b = _reader(b)
+    return lambda env: f(a_iv, read_b(env))
+
+
+def _evaluator(
+    op: Operation, const_globals: Optional[Dict[str, int]]
+) -> Evaluator:
+    code = op.opcode
+    srcs = op.srcs
+    if code in (Opcode.MOV, Opcode.ICMOVE):
+        return _reader(srcs[0])
+    if code is Opcode.LOAD:
+        addr = srcs[0]
+        if (
+            const_globals
+            and isinstance(addr, GlobalAddress)
+            and addr.symbol in const_globals
+        ):
+            return _constant(Interval.const(const_globals[addr.symbol]))
+        return _top
+    if code in (Opcode.MALLOC, Opcode.CALL, Opcode.PTRADD):
+        return _top
+    if code is Opcode.SELECT:
+        cond, if_true, if_false = (_reader(s) for s in srcs[:3])
+
+        def select(env: Dict[int, Interval]) -> Interval:
+            c = cond(env)
+            if c.is_const():
+                return (if_true if c.lo != 0 else if_false)(env)
+            return if_true(env).join(if_false(env))
+
+        return select
+    if code in _UNARY:
+        f, read = _UNARY[code], _reader(srcs[0])
+        return lambda env: f(read(env))
+    if code in _COMPARES:
+        return _binary(partial(_compare, code), srcs[0], srcs[1])
+    if code in _BINARY:
+        return _binary(_BINARY[code], srcs[0], srcs[1])
+    return _top  # floats and anything unmodelled
+
+
+def decode_op(
+    op: Operation, const_globals: Optional[Dict[str, int]] = None
+) -> Optional[Step]:
+    """``(dest vid, evaluator)`` for an op that defines a register, with
+    opcode dispatch and operand kinds resolved once; ``None`` for one
+    that leaves the environment untouched (STORE, branches, void calls).
+    An op without register operands is evaluated here, once."""
+    if op.dest is None:
+        return None
+    evaluate = _evaluator(op, const_globals)
+    if not any(isinstance(s, VirtualRegister) for s in op.srcs):
+        evaluate = _constant(evaluate({}))
+    return op.dest.vid, evaluate
+
+
+def _decode_block(
+    block: BasicBlock, const_globals: Optional[Dict[str, int]] = None
+) -> DecodedBlock:
+    steps = []
+    calls = []
+    for op in block.ops:
+        if op.is_call():
+            calls.append((len(steps), op))
+        step = decode_op(op, const_globals)
+        if step is not None:
+            steps.append(step)
+    return tuple(steps), tuple(calls)
+
+
+def _run_steps(steps: Iterable[Step], env: Dict[int, Interval]) -> None:
+    """Apply decoded steps to ``env`` in place (TOP entries are dropped)."""
+    for vid, evaluate in steps:
+        iv = evaluate(env)
+        if iv.is_top():
+            env.pop(vid, None)
+        else:
+            env[vid] = iv
+
+
+def transfer_op(
+    op: Operation,
+    env: Dict[int, Interval],
+    const_globals: Optional[Dict[str, int]] = None,
+) -> None:
+    """Apply one operation's effect to ``env`` in place (TOP entries are
+    dropped; STORE/branches leave the environment untouched)."""
+    step = decode_op(op, const_globals)
+    if step is not None:
+        _run_steps((step,), env)
+
 
 #: The comparison that holds on the *false* edge of each comparison.
 _NEGATE = {
@@ -559,11 +629,11 @@ class _IntervalProblem(DataflowProblem):
     def __init__(
         self,
         entry_env: Dict[int, Interval],
-        const_globals: Optional[Dict[str, int]] = None,
+        decoded: Dict[str, DecodedBlock],
     ):
         super().__init__(EnvLattice())
         self._entry_env = entry_env
-        self._const_globals = const_globals
+        self._decoded = decoded
 
     def boundary(self) -> Env:
         return dict(self._entry_env)
@@ -572,8 +642,7 @@ class _IntervalProblem(DataflowProblem):
         if state is None:
             return None
         env = dict(state)
-        for op in block.ops:
-            transfer_op(op, env, self._const_globals)
+        _run_steps(self._decoded[block.name][0], env)
         return env
 
     def edge_transfer(self, src: BasicBlock, dst_name: str, state: Env) -> Env:
@@ -617,6 +686,8 @@ class IntervalAnalysis:
         self.cfgs: Dict[str, CFG] = {}
         self.solutions: Dict[str, DataflowSolution] = {}
         self.entry_envs: Dict[str, Dict[int, Interval]] = {}
+        #: function -> block name -> the block decoded under ``const_globals``
+        self._decoded: Dict[str, Dict[str, DecodedBlock]] = {}
         self._solve_module()
 
     # -- solving -------------------------------------------------------------
@@ -640,10 +711,15 @@ class IntervalAnalysis:
             self.entry_envs[name] = entry
             cfg = CFG(func)
             self.cfgs[name] = cfg
+            decoded = {
+                block.name: _decode_block(block, self.const_globals)
+                for block in func
+            }
+            self._decoded[name] = decoded
             self.solutions[name] = solve(
                 func,
                 cfg,
-                _IntervalProblem(entry, self.const_globals),
+                _IntervalProblem(entry, decoded),
                 widen_after=self._widen_after,
                 narrow_passes=self._narrow_passes,
             )
@@ -657,30 +733,33 @@ class IntervalAnalysis:
     ) -> None:
         lattice = EnvLattice()
         solution = self.solutions[func.name]
+        decoded = self._decoded[func.name]
         for block_name in cfg.reverse_postorder():
-            block = func.blocks[block_name]
+            steps, calls = decoded[block_name]
+            if not calls:
+                continue
             state = solution.in_of(block_name)
             if state is None:
                 continue
             env = dict(state)
-            for op in block.ops:
-                if op.is_call():
-                    callee = op.attrs.get("callee")
-                    target = (
-                        self.module.functions.get(callee) if callee else None
-                    )
-                    if target is not None:
-                        call_env = {
-                            param.vid: iv
-                            for param, src in zip(target.params, op.srcs[1:])
-                            if not (iv := eval_value(src, env)).is_top()
-                        }
-                        if callee in arg_envs:
-                            joined = lattice.join(arg_envs[callee], call_env)
-                            arg_envs[callee] = joined if joined is not None else {}
-                        else:
-                            arg_envs[callee] = call_env
-                transfer_op(op, env, self.const_globals)
+            done = 0
+            for before, op in calls:
+                callee = op.attrs.get("callee")
+                target = self.module.functions.get(callee) if callee else None
+                if target is None:
+                    continue
+                _run_steps(steps[done:before], env)
+                done = before
+                call_env = {
+                    param.vid: iv
+                    for param, src in zip(target.params, op.srcs[1:])
+                    if not (iv := eval_value(src, env)).is_top()
+                }
+                if callee in arg_envs:
+                    joined = lattice.join(arg_envs[callee], call_env)
+                    arg_envs[callee] = joined if joined is not None else {}
+                else:
+                    arg_envs[callee] = call_env
 
     # -- queries -------------------------------------------------------------
 
@@ -715,11 +794,14 @@ class IntervalAnalysis:
         state = self.env_at_entry(func_name, block.name)
         if state is None:
             return None
-        env = dict(state)
+        count = 0
         for op in block.ops:
             if op is target:
                 break
-            transfer_op(op, env, self.const_globals)
+            if op.dest is not None:
+                count += 1
+        env = dict(state)
+        _run_steps(self._decoded[func_name][block.name][0][:count], env)
         return env
 
     def branch_condition(
@@ -764,6 +846,7 @@ __all__ = [
     "EnvLattice",
     "Interval",
     "IntervalAnalysis",
+    "decode_op",
     "eval_value",
     "never_stored_global_values",
     "transfer_op",

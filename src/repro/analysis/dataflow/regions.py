@@ -513,7 +513,7 @@ class AccessRegionAnalysis:
                         func.name, block.name
                     )
                     regions: Dict[str, Region] = {}
-                    for obj in self._objects_for(func.name, op):
+                    for obj in sorted(self._objects_for(func.name, op)):
                         regions[obj] = self._region_of(
                             op, obj, affine, entry_env
                         )

@@ -17,6 +17,7 @@ from .dataflow import (
     IntervalAnalysis,
     must_defined_registers,
 )
+from .dataflow.interval import never_stored_global_values
 from .defuse import DefUse
 from .dominators import DominatorTree
 from .liveness import Liveness
@@ -42,10 +43,12 @@ class Analyses:
     Per-function analyses are keyed by function name, per-tier ones by
     points-to tier.  ``execution_bounds`` is solved once under andersen:
     its interval fixpoint contains every sharper tier's, so it serves
-    all tiers' region analyses and the static profile.  ``intervals`` is
-    a separate solve on purpose: it takes its never-stored globals from
-    the module's annotations, not from a points-to solution, and
-    ``const-condition`` depends on that.
+    all tiers' region analyses and the static profile.  An interval
+    solve depends on the module only through its never-stored-globals
+    map, so it is keyed by that map: ``intervals`` takes the map from
+    the module's annotations (``const-condition`` depends on that),
+    ``execution_bounds`` from andersen's solution, and when the two maps
+    are equal (any annotated module) both share one solve.
     """
 
     def __init__(self, module: Module):
@@ -75,15 +78,23 @@ class Analyses:
         return self.memo(("must_defined", func.name),
                          lambda: must_defined_registers(func, self.cfg(func)))
 
+    def _intervals_under(self, pointsto) -> IntervalAnalysis:
+        """The interval solve whose never-stored globals come from
+        ``pointsto`` (``None``: the ops' annotations)."""
+        const_globals = never_stored_global_values(self.module, pointsto)
+        return self.memo(
+            ("intervals", frozenset(const_globals.items())),
+            lambda: IntervalAnalysis(self.module, pointsto=pointsto))
+
     def intervals(self) -> IntervalAnalysis:
-        return self.memo("intervals", lambda: IntervalAnalysis(self.module))
+        return self._intervals_under(None)
 
     def pointsto(self, tier: str = "andersen") -> PointsToResult:
         return self.memo(("pointsto", tier), lambda: solve_pointsto(self.module, tier))
 
     def execution_bounds(self) -> ExecutionBounds:
         return self.memo("execution_bounds", lambda: ExecutionBounds(
-            self.module, pointsto=self.pointsto()))
+            self.module, intervals=self._intervals_under(self.pointsto())))
 
     def static_profile(self):
         """Abstract-interpretation access profile (sound static bounds)."""

@@ -117,16 +117,25 @@ _SIDE_EFFECTS = {
 # keep them all.
 
 
-def eliminate_dead_code(func: Function) -> int:
+def eliminate_dead_code(func: Function, cfg: Optional[CFG] = None) -> int:
     """Remove pure operations whose results are never used (liveness-based,
-    iterated to a fixed point)."""
+    iterated to a fixed point).
+
+    ``cfg`` may be passed in by a caller that knows the terminators did
+    not change since it was built.  Liveness is re-solved only when a
+    removed op read a register in its block's upward-exposed use set:
+    removing any other dead op cannot change a block's live-in set, and a
+    second sweep under unchanged liveness would remove nothing.
+    """
+    cfg = cfg or CFG(func)
     removed_total = 0
     while True:
-        cfg = CFG(func)
         live = Liveness(func, cfg)
         removed = 0
+        resolve = False
         for block in func:
             live_now: Set[int] = set(live.live_out_of(block.name))
+            exposed = live.use[block.name]
             keep: List[Operation] = []
             for op in reversed(block.ops):
                 is_dead = (
@@ -136,6 +145,10 @@ def eliminate_dead_code(func: Function) -> int:
                 )
                 if is_dead:
                     removed += 1
+                    if not resolve:
+                        resolve = any(
+                            src.vid in exposed for src in op.register_srcs()
+                        )
                     continue
                 keep.append(op)
                 if op.dest is not None:
@@ -145,20 +158,22 @@ def eliminate_dead_code(func: Function) -> int:
             keep.reverse()
             block.ops = keep
         removed_total += removed
-        if removed == 0:
+        if not resolve:
             return removed_total
 
 
 def optimize_function(func: Function, max_iterations: int = 4) -> int:
-    """Run fold -> copy-prop -> CSE -> DCE to a fixed point."""
+    """Run fold -> copy-prop -> CSE -> DCE to a fixed point.  No pass
+    changes a terminator, so one CFG serves every DCE round."""
     from .constfold import fold_constants
 
+    cfg = CFG(func)
     total = 0
     for _ in range(max_iterations):
         changed = fold_constants(func)
         changed += propagate_copies(func)
         changed += eliminate_common_subexpressions(func)
-        changed += eliminate_dead_code(func)
+        changed += eliminate_dead_code(func, cfg)
         total += changed
         if changed == 0:
             break

@@ -649,3 +649,94 @@ class TestTripCountEdgeCases:
         )
         assert (0, 4) in tab_regions
         assert (4, 8) in tab_regions
+
+
+# -- one interval solve per never-stored-globals map -------------------------------------
+
+
+class TestIntervalSharing:
+    """``LintContext`` keys its interval solves by the never-stored-globals
+    map: a prepared (annotated) module gives annotations and andersen the
+    same map and shares one solve; a plain module's maps differ."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        from repro.analysis import memo
+
+        solves = []
+
+        class Counted(memo.IntervalAnalysis):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                solves.append(self)
+
+        monkeypatch.setattr(memo, "IntervalAnalysis", Counted)
+        return solves
+
+    @staticmethod
+    def source():
+        from repro.bench import get
+
+        return get("rawcaudio").source
+
+    @pytest.mark.parametrize("first", ["intervals", "execution_bounds"])
+    def test_prepared_module_solves_once(self, built, first):
+        from repro.lint import LintContext
+        from repro.pipeline import PreparedProgram
+
+        ctx = LintContext(PreparedProgram.from_source(self.source(), "p").module)
+        getattr(ctx, first)()
+        assert ctx.intervals() is ctx.execution_bounds().intervals
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("first", ["intervals", "execution_bounds"])
+    def test_plain_module_solves_twice(self, built, first):
+        from repro.analysis import solve_pointsto
+        from repro.lint import LintContext
+
+        module = compile_source(self.source(), "p")
+        ctx = LintContext(module)
+        getattr(ctx, first)()
+        plain, bounded = ctx.intervals(), ctx.execution_bounds().intervals
+        assert len(built) == 2
+        assert plain.const_globals != bounded.const_globals
+        fresh_plain = IntervalAnalysis(module)
+        fresh_bounded = IntervalAnalysis(
+            module, pointsto=solve_pointsto(module, "andersen"))
+        for shared, fresh in ((plain, fresh_plain), (bounded, fresh_bounded)):
+            assert shared.const_globals == fresh.const_globals
+            assert set(shared.solutions) == set(fresh.solutions)
+            for name, solution in fresh.solutions.items():
+                assert shared.solutions[name].in_states == solution.in_states
+                assert shared.solutions[name].out_states == solution.out_states
+
+
+def test_static_profile_order_ignores_hash_seed():
+    """The region dicts of a static profile are filled in one order, not
+    in the iteration order of a set of object ids (which follows
+    ``PYTHONHASHSEED``)."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import json\n"
+        "from repro.bench import get\n"
+        "from repro.exec import RunConfig\n"
+        "from repro.pipeline import PreparedProgram\n"
+        "p = PreparedProgram.from_source(get('pegwit').source, 'pegwit',"
+        " config=RunConfig(profile='static')).profile\n"
+        "print(json.dumps([[list(r) for r in p.static_regions.values()],"
+        " list(p.object_static_regions)]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    orders = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        orders.append(json.loads(out.stdout))
+    assert any(len(keys) > 1 for keys in orders[0][0])
+    assert orders[0] == orders[1]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.cfg import CFG
 from repro.ir import Constant, Function, IRBuilder, Opcode, verify_function
 from repro.ir.types import INT
 from repro.lang import compile_source
@@ -173,6 +174,25 @@ class TestDCE:
         b.ret(b.const(0))
         removed = eliminate_dead_code(func)
         assert removed == 2
+
+    def test_removes_dead_chain_across_blocks(self):
+        # z is dead; removing it kills y in the block before, then x in
+        # the entry: each step needs liveness re-solved across a boundary.
+        for pass_cfg in (False, True):
+            func, b, entry = fresh_block()
+            mid, tail = b.new_block("mid"), b.new_block("tail")
+            x = b.add(b.const(1), b.const(2))
+            b.br(mid)
+            b.set_block(mid)
+            y = b.mul(x, b.const(3))
+            b.br(tail)
+            b.set_block(tail)
+            b.add(y, b.const(1))
+            b.ret(b.const(0))
+            cfg = CFG(func) if pass_cfg else None
+            assert eliminate_dead_code(func, cfg) == 3
+            assert [opcodes(blk) for blk in (entry, mid, tail)] == [
+                [Opcode.BR], [Opcode.BR], [Opcode.RET]]
 
     def test_keeps_stores_and_calls(self):
         func, b, entry = fresh_block()

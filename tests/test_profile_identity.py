@@ -1,9 +1,9 @@
-"""The interpreter reproduces its recorded execution profiles.
+"""The interpreter and the static prepare reproduce their recorded profiles.
 
 A subset of ``scripts/profile_identity.py`` (run over the whole suite by
-the ``check.sh benches`` stage): the plain and prepared profiles of two
-benches must hash to the golden's SHA-256 values, with the same return
-value and step count.
+the ``check.sh benches`` stage): the plain, prepared and static profiles
+of two benches must hash to the golden's SHA-256 values, with the same
+return value and step count.
 """
 
 import importlib.util

@@ -1,15 +1,18 @@
 """Differential test of the frontend and optimizer rewrites: every bench,
 compiled and optimized with reference implementations (``copy.deepcopy``
 for AST copies, CSE and copy propagation that rescan their whole table
-on each redefinition) and with the shipped ones, serializes to the same
-bytes."""
+on each redefinition, a DCE that rebuilds the CFG and re-solves liveness
+on every turn of its fixpoint) and with the shipped ones, serializes to
+the same bytes and reports the same number of rewrites."""
 
 import copy
 import itertools
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import pytest
 
+from repro.analysis.cfg import CFG
+from repro.analysis.liveness import Liveness
 from repro.bench import all_benchmarks
 from repro.ir import Opcode, VirtualRegister
 from repro.ir.serialize import dumps
@@ -76,10 +79,38 @@ def reference_eliminate_common_subexpressions(func) -> int:
     return changed
 
 
-def compiled_text(name: str) -> str:
+def reference_eliminate_dead_code(func, cfg=None) -> int:
+    removed_total = 0
+    while True:
+        live = Liveness(func, CFG(func))
+        removed = 0
+        for block in func:
+            live_now: Set[int] = set(live.live_out_of(block.name))
+            keep: List = []
+            for op in reversed(block.ops):
+                if (
+                    op.dest is not None
+                    and op.dest.vid not in live_now
+                    and op.opcode not in cleanup._SIDE_EFFECTS
+                ):
+                    removed += 1
+                    continue
+                keep.append(op)
+                if op.dest is not None:
+                    live_now.discard(op.dest.vid)
+                for src in op.register_srcs():
+                    live_now.add(src.vid)
+            keep.reverse()
+            block.ops = keep
+        removed_total += removed
+        if removed == 0:
+            return removed_total
+
+
+def compiled_text(name: str) -> Tuple[int, str]:
     module = compile_source(SOURCES[name], name, unroll_factor=4, if_convert=True)
-    optimize_module(module)
-    return dumps(module)
+    rewrites = optimize_module(module)
+    return rewrites, dumps(module)
 
 
 @pytest.mark.parametrize("name", BENCHES)
@@ -96,6 +127,8 @@ def test_rewrite_matches_reference(name, monkeypatch):
         cleanup, "eliminate_common_subexpressions",
         reference_eliminate_common_subexpressions,
     )
+    monkeypatch.setattr(
+        cleanup, "eliminate_dead_code", reference_eliminate_dead_code)
     assert compiled_text(name) == shipped
 
 

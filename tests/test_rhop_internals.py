@@ -154,7 +154,6 @@ class TestGlobalPasses:
 class TestCoarsening:
     def test_levels_shrink(self):
         from repro.schedule import DependenceGraph
-        import random
 
         module = compiled(LOOPY)
         func = module.function("main")
