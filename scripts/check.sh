@@ -5,7 +5,7 @@
 #               lenient elsewhere — see pyproject.toml); each is skipped
 #               with a notice when the tool is not installed.
 #   examples    `repro lint` over every example program: zero errors;
-#               then every CLI invocation of scripts/cli_identity.py must
+#               then every CLI invocation of the `cli` identity suite must
 #               reproduce the exit code, scrubbed output and run report
 #               recorded in tests/goldens/cli_identity.json (33 cells).
 #   benches     `repro lint` over every bundled benchmark: zero errors;
@@ -14,11 +14,13 @@
 #               and every bench's plain and prepared interpreter profile
 #               (counts, regions, heap sizes, steps, output, return value)
 #               and its static profile (plus bounds and static regions)
-#               must match tests/goldens/profile_identity.json.
+#               must match tests/goldens/profile_identity.json
+#               (identity suites `lint` and `profile`).
 #   faults      fault-injection smoke (one spec per fault class) through
 #               the resilient pipeline's degradation ladder; then every
 #               scheme x fault-spec cell of rawcaudio/fir/huffman must
-#               reproduce tests/goldens/scheme_identity.json (144 cells).
+#               reproduce tests/goldens/scheme_identity.json (144 cells;
+#               identity suite `scheme`).
 #   ptdiff      points-to refinement differ over the whole suite.
 #   staticdiff  static-vs-dynamic drift differ over the whole suite:
 #               every static access bound must contain the observed
@@ -33,8 +35,9 @@
 #               latency {1, 5, 10} cell reproduces the status, cycles,
 #               dynamic moves and op->cluster assignment hash recorded in
 #               tests/goldens/rhop_identity.json (228 cells), once with the
-#               cache off and once through one shared cache store (where
-#               Unified, Naive and Profile Max share the unlocked RHOP pass).
+#               cache off (identity suite `rhop`) and once through one fresh
+#               shared cache store (`rhop-shared`, where Unified, Naive and
+#               Profile Max share the unlocked RHOP pass).
 #   cache       artifact cache smoke (cold vs warm Table-1 sweep; the cold
 #               sweep stores one unlocked RHOP pass per bench/latency/tier).
 #   service     job-server smoke: `repro serve` on an ephemeral port,
@@ -50,6 +53,9 @@
 #               layer boundary the benchmark wraps and re-checks 20 cells'
 #               cycles, moves and print traces against perfbench's
 #               reference; the run's last JSON line must say "failed": 0.
+#
+# Every identity suite runs through scripts/identity.py SUITE..., which
+# also records a golden (--record) and checks a subset (--only UNIT).
 #
 # Usage: scripts/check.sh [stage ...]   (from the repository root)
 #        no arguments runs every stage in order.
@@ -98,7 +104,7 @@ stage_examples() {
     done
 
     note "cli identity (argv matrix: exit codes, output, run reports vs golden)"
-    python scripts/cli_identity.py || failures=$((failures + 1))
+    python scripts/identity.py cli || failures=$((failures + 1))
 }
 
 # -- benches: lint every bundled benchmark (zero errors, identical reports) ---
@@ -123,11 +129,9 @@ for bench in all_benchmarks():
 sys.exit(1 if bad else 0)
 PY
 
-    note "lint identity (all benches x plain/oracle/prepared vs golden)"
-    python scripts/lint_identity.py || failures=$((failures + 1))
-
-    note "profile identity (all benches x plain/prepared/static vs golden)"
-    python scripts/profile_identity.py || failures=$((failures + 1))
+    note "lint identity (all benches x plain/oracle/prepared vs golden)," \
+        "profile identity (all benches x plain/prepared/static vs golden)"
+    python scripts/identity.py lint profile || failures=$((failures + 1))
 }
 
 # -- faults: fault-injection smoke (one spec per fault class) -----------------
@@ -192,7 +196,7 @@ sys.exit(1 if bad else 0)
 PY
 
     note "scheme identity (rawcaudio/fir/huffman x schemes x fault specs vs golden)"
-    python scripts/scheme_identity.py || failures=$((failures + 1))
+    python scripts/identity.py scheme || failures=$((failures + 1))
 }
 
 # -- ptdiff: points-to refinement differ over the whole suite -----------------
@@ -324,14 +328,9 @@ PY
 # -- rhop: computation-partitioner identity against the recorded golden -------
 
 stage_rhop() {
-    note "RHOP identity (all benches x schemes x latencies 1/5/10 vs golden)"
-    python scripts/rhop_identity.py || failures=$((failures + 1))
-
-    note "RHOP identity through one shared cache store (same golden)"
-    RHOP_CACHE_TMP="$(mktemp -d)"
-    python scripts/rhop_identity.py --cache-dir "$RHOP_CACHE_TMP" \
-        || failures=$((failures + 1))
-    rm -rf "$RHOP_CACHE_TMP"
+    note "RHOP identity (all benches x schemes x latencies 1/5/10 vs golden)," \
+        "cache off and through one shared cache store"
+    python scripts/identity.py rhop rhop-shared || failures=$((failures + 1))
 }
 
 # -- cache: artifact cache smoke (cold vs warm Table-1 sweep) -----------------

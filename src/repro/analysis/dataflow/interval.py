@@ -382,9 +382,18 @@ Evaluator = Callable[[Dict[int, Interval]], Interval]
 #: One decoded operation: destination register id and its evaluator.
 Step = Tuple[int, Evaluator]
 
+#: What the refinement of a block's CBR edges reads: the taken and the
+#: fallthrough target, the condition's register id (``None`` for a
+#: constant condition) and the compare that defines it (``None`` when
+#: the refinement cannot use one).
+Branch = Tuple[str, str, Optional[int], Optional[Operation]]
+
 #: One decoded block: the steps of its register-defining ops, in order,
-#: and each call with the number of steps that run before it.
-DecodedBlock = Tuple[Tuple[Step, ...], Tuple[Tuple[int, Operation], ...]]
+#: each call with the number of steps that run before it, and its branch
+#: (``None`` when its out edges are not refined).
+DecodedBlock = Tuple[
+    Tuple[Step, ...], Tuple[Tuple[int, Operation], ...], Optional[Branch]
+]
 
 
 def _constant(iv: Interval) -> Evaluator:
@@ -480,7 +489,7 @@ def _decode_block(
         step = decode_op(op, const_globals)
         if step is not None:
             steps.append(step)
-    return tuple(steps), tuple(calls)
+    return tuple(steps), tuple(calls), _decode_branch(block)
 
 
 def _run_steps(steps: Iterable[Step], env: Dict[int, Interval]) -> None:
@@ -560,49 +569,64 @@ def _refine_compare(
     return na, nb
 
 
-def refine_branch_env(
-    block: BasicBlock, taken: bool, env: Dict[int, Interval]
-) -> Env:
-    """The environment on one CBR edge of ``block``: the terminator's
-    condition is non-zero on the taken edge and zero on the fallthrough.
-    Returns ``None`` (lattice bottom) when the edge is infeasible."""
+def _decode_branch(block: BasicBlock) -> Optional[Branch]:
+    """The :data:`Branch` of a block ending in a two-way CBR, found once
+    per block instead of on every edge evaluation."""
+    if not block.ops or block.ops[-1].opcode is not Opcode.CBR:
+        return None
     term = block.ops[-1]
+    t_true, t_false = term.targets[0], term.targets[1]
+    if t_true == t_false:
+        return None
     cond = term.srcs[0]
-    out = dict(env)
     if not isinstance(cond, VirtualRegister):
+        return t_true, t_false, None, None
+    at = None
+    for index, op in enumerate(block.ops):
+        if op.dest is not None and op.dest.vid == cond.vid:
+            at = index
+    if at is None or block.ops[at].opcode not in _COMPARES:
+        return t_true, t_false, cond.vid, None
+    cmp_op = block.ops[at]
+    # The refinement equates each operand's end-of-block value with its
+    # value at the compare, so it does not apply if anything redefines
+    # one in between.
+    killed = {op.dest.vid for op in block.ops[at + 1:] if op.dest is not None}
+    for src in cmp_op.srcs[:2]:
+        if isinstance(src, VirtualRegister) and src.vid in killed:
+            return t_true, t_false, cond.vid, None
+    return t_true, t_false, cond.vid, cmp_op
+
+
+def refine_branch_env(
+    cond: Optional[int],
+    cmp_op: Optional[Operation],
+    taken: bool,
+    env: Dict[int, Interval],
+) -> Env:
+    """The environment on one CBR edge whose condition is register
+    ``cond`` (``None`` for a constant), defined by ``cmp_op`` as in
+    :data:`Branch`: the condition is non-zero on the taken edge and zero
+    on the fallthrough.  Returns ``None`` (lattice bottom) when the edge
+    is infeasible."""
+    out = dict(env)
+    if cond is None:
         return out
-    civ = out.get(cond.vid, _TOP)
+    civ = out.get(cond, _TOP)
     if taken:
         refined = _drop_const(civ, 0)
         if refined is None:
             return None
         if not refined.is_top():
-            out[cond.vid] = refined
+            out[cond] = refined
     else:
         if not civ.contains(0):
             return None
-        out[cond.vid] = Interval.const(0)
+        out[cond] = Interval.const(0)
 
-    cmp_op = None
-    for op in block.ops:
-        if op.dest is not None and op.dest.vid == cond.vid:
-            cmp_op = op
-    if cmp_op is None or cmp_op.opcode not in _COMPARES:
+    if cmp_op is None:
         return out
-    # The refinement equates each operand's end-of-block value with its
-    # value at the compare, so bail if anything redefines one in between.
-    seen = False
-    killed: set = set()
-    for op in block.ops:
-        if op is cmp_op:
-            seen = True
-            continue
-        if seen and op.dest is not None:
-            killed.add(op.dest.vid)
     a_src, b_src = cmp_op.srcs[0], cmp_op.srcs[1]
-    for src in (a_src, b_src):
-        if isinstance(src, VirtualRegister) and src.vid in killed:
-            return out
     code = cmp_op.opcode if taken else _NEGATE[cmp_op.opcode]
     refined_pair = _refine_compare(
         code, eval_value(a_src, out), eval_value(b_src, out)
@@ -646,18 +670,14 @@ class _IntervalProblem(DataflowProblem):
         return env
 
     def edge_transfer(self, src: BasicBlock, dst_name: str, state: Env) -> Env:
-        if state is None or not src.ops:
+        branch = self._decoded[src.name][2]
+        if state is None or branch is None:
             return state
-        term = src.ops[-1]
-        if term.opcode is not Opcode.CBR:
-            return state
-        t_true, t_false = term.targets[0], term.targets[1]
-        if t_true == t_false:
-            return state
+        t_true, t_false, cond, cmp_op = branch
         if dst_name == t_true:
-            return refine_branch_env(src, True, state)
+            return refine_branch_env(cond, cmp_op, True, state)
         if dst_name == t_false:
-            return refine_branch_env(src, False, state)
+            return refine_branch_env(cond, cmp_op, False, state)
         return state
 
 
@@ -735,7 +755,7 @@ class IntervalAnalysis:
         solution = self.solutions[func.name]
         decoded = self._decoded[func.name]
         for block_name in cfg.reverse_postorder():
-            steps, calls = decoded[block_name]
+            steps, calls, _branch = decoded[block_name]
             if not calls:
                 continue
             state = solution.in_of(block_name)

@@ -3,12 +3,14 @@
 The shipped analysis decodes every op once into ``(dest vid, env ->
 interval)`` and runs the decoded steps.  This file keeps the op-at-a-time
 evaluator the decoder replaced (``reference_eval_op`` and
-``reference_transfer_op`` below, with the comparison semantics inlined)
-and checks that both give the same environments: on every bench, for
-both the plain ``compile_source`` module and the prepared module, every
-block's in and out environment, the environment before every op, and
-every constant branch condition.  A Hypothesis property checks each
-opcode family on random interval and constant operands.
+``reference_transfer_op`` below, with the comparison semantics inlined),
+and the CBR edge refinement that scanned its block on every call
+(``reference_refine_branch_env``).  It checks that both give the same
+environments: on every bench, for both the plain ``compile_source``
+module and the prepared module, every block's in and out environment,
+the environment before every op, and every constant branch condition.
+A Hypothesis property checks each opcode family on random interval and
+constant operands.
 """
 
 import itertools
@@ -33,7 +35,10 @@ from repro.analysis.dataflow.interval import (
     eval_value,
 )
 from repro.bench import all_benchmarks
-from repro.ir import Constant, GlobalAddress, Opcode, Operation, VirtualRegister, renumber_ops
+from repro.ir import (
+    Constant, Function, GlobalAddress, IRBuilder, Module, Opcode, Operation,
+    VirtualRegister, renumber_ops,
+)
 from repro.ir.types import FLOAT, INT
 from repro.lang import compile_source, ifconvert
 from repro.opt import optimize_module
@@ -130,6 +135,66 @@ def reference_transfer_op(op, env, const_globals=None) -> None:
 # -- a reference whole-module solve over the reference evaluator --------------------
 
 
+def reference_refine_branch_env(block, taken, env):
+    """The CBR edge refinement that scans ``block`` on every call, as it
+    was before the decoder found each block's compare once."""
+    term = block.ops[-1]
+    cond = term.srcs[0]
+    out = dict(env)
+    if not isinstance(cond, VirtualRegister):
+        return out
+    civ = out.get(cond.vid, _TOP)
+    if taken:
+        refined = interval._drop_const(civ, 0)
+        if refined is None:
+            return None
+        if not refined.is_top():
+            out[cond.vid] = refined
+    else:
+        if not civ.contains(0):
+            return None
+        out[cond.vid] = Interval.const(0)
+
+    cmp_op = None
+    for op in block.ops:
+        if op.dest is not None and op.dest.vid == cond.vid:
+            cmp_op = op
+    if cmp_op is None or cmp_op.opcode not in interval._COMPARES:
+        return out
+    # The refinement equates each operand's end-of-block value with its
+    # value at the compare, so bail if anything redefines one in between.
+    seen = False
+    killed: set = set()
+    for op in block.ops:
+        if op is cmp_op:
+            seen = True
+            continue
+        if seen and op.dest is not None:
+            killed.add(op.dest.vid)
+    a_src, b_src = cmp_op.srcs[0], cmp_op.srcs[1]
+    for src in (a_src, b_src):
+        if isinstance(src, VirtualRegister) and src.vid in killed:
+            return out
+    code = cmp_op.opcode if taken else interval._NEGATE[cmp_op.opcode]
+    refined_pair = interval._refine_compare(
+        code, eval_value(a_src, out), eval_value(b_src, out)
+    )
+    if refined_pair is None:
+        return None
+    for src, iv in zip((a_src, b_src), refined_pair):
+        if not isinstance(src, VirtualRegister):
+            continue
+        if isinstance(a_src, VirtualRegister) and isinstance(
+            b_src, VirtualRegister
+        ) and a_src.vid == b_src.vid:
+            continue  # cmp x, x: the pairwise refinement does not apply
+        if iv.is_top():
+            out.pop(src.vid, None)
+        else:
+            out[src.vid] = iv
+    return out
+
+
 class ReferenceProblem(DataflowProblem):
     direction = "forward"
 
@@ -149,8 +214,14 @@ class ReferenceProblem(DataflowProblem):
             reference_transfer_op(op, env, self._const_globals)
         return env
 
-    # Branch refinement is not part of the decoded transfer.
-    edge_transfer = interval._IntervalProblem.edge_transfer
+    def edge_transfer(self, src, dst_name, state):
+        term = src.ops[-1] if src.ops else None
+        if state is None or term is None or term.opcode is not Opcode.CBR:
+            return state
+        t_true, t_false = term.targets[0], term.targets[1]
+        if t_true == t_false or dst_name not in (t_true, t_false):
+            return state
+        return reference_refine_branch_env(src, dst_name == t_true, state)
 
 
 class ReferenceIntervals:
@@ -239,6 +310,52 @@ def modules(name):
     optimize_module(prepared)
     renumber_ops(prepared)
     yield "prepared", prepared
+
+
+def branch_cases():
+    """``main(x)`` with one CBR per edge-refinement corner: a compare
+    operand redefined before the branch and a condition redefined after
+    its compare (no bench has either), ``cmp x, x``, an arithmetic and a
+    constant condition, and a CBR whose two targets are one block."""
+    x = VirtualRegister(0, INT, "x")
+    func = Function("main", [x], INT)
+    b = IRBuilder(func)
+    b.set_block(b.new_block("entry"))
+
+    def branch(cond, name):
+        taken, after = b.new_block(f"{name}_taken"), b.new_block(f"{name}_after")
+        b.cbr(cond, taken, after)
+        b.set_block(taken)
+        b.br(after)
+        b.set_block(after)
+
+    t = b.mov(x)
+    cond = b.cmp("lt", t, b.const(10))
+    b.mov_to(t, b.const(50))
+    branch(cond, "killed")
+    cond = b.cmp("lt", x, b.const(10))
+    b.mov_to(cond, b.const(1))
+    branch(cond, "redefined")
+    branch(b.cmp("le", x, x), "self")
+    branch(b.add(x, b.const(1)), "arith")
+    branch(b.const(0), "constant")
+    same = b.new_block("same")
+    b.cbr(b.cmp("gt", x, b.const(3)), same, same)
+    b.set_block(same)
+    b.ret(x)
+    module = Module("branches")
+    module.add_function(func)
+    return module
+
+
+def test_branch_refinement_cases_match_reference():
+    module = branch_cases()
+    shipped = IntervalAnalysis(module).solutions["main"]
+    reference = ReferenceIntervals(module).solutions["main"]
+    assert shipped.in_states == reference.in_states
+    assert shipped.out_states == reference.out_states
+    # 50 < 10 would make the edge dead, had the redefinition been missed.
+    assert shipped.in_of("killed_taken") is not None
 
 
 @pytest.mark.parametrize("name", sorted(BENCHES))
