@@ -8,19 +8,19 @@
 #               then every CLI invocation of the `cli` identity suite must
 #               reproduce the exit code, scrubbed output and run report
 #               recorded in tests/goldens/cli_identity.json (33 cells).
-#   benches     `repro lint` over every bundled benchmark: zero errors;
-#               then every bench's plain, --dynamic-oracle and prepared
-#               lint report must hash to tests/goldens/lint_identity.json,
-#               and every bench's plain and prepared interpreter profile
-#               (counts, regions, heap sizes, steps, output, return value)
-#               and its static profile (plus bounds and static regions)
-#               must match tests/goldens/profile_identity.json
-#               (identity suites `lint` and `profile`).
-#   faults      fault-injection smoke (one spec per fault class) through
-#               the resilient pipeline's degradation ladder; then every
-#               scheme x fault-spec cell of rawcaudio/fir/huffman must
-#               reproduce tests/goldens/scheme_identity.json (144 cells;
-#               identity suite `scheme`).
+#   benches     every bench's plain, --dynamic-oracle and prepared lint
+#               report must hash to tests/goldens/lint_identity.json, with
+#               zero ERRORs in the plain report (a bench with one fails,
+#               its report printed); every bench's plain and prepared
+#               interpreter profile (counts, regions, heap sizes, steps,
+#               output, return value) and its static profile (plus bounds
+#               and static regions) must match
+#               tests/goldens/profile_identity.json (identity suites
+#               `lint` and `profile`).
+#   faults      every scheme x fault-spec cell of rawcaudio/fir/huffman
+#               must reproduce tests/goldens/scheme_identity.json (144
+#               cells; identity suite `scheme`).  The CLI runs of one spec
+#               per fault class are `cli` cells (stage `examples`).
 #   ptdiff      points-to refinement differ over the whole suite.
 #   staticdiff  static-vs-dynamic drift differ over the whole suite:
 #               every static access bound must contain the observed
@@ -40,9 +40,14 @@
 #               Profile Max share the unlocked RHOP pass).
 #   cache       artifact cache smoke (cold vs warm Table-1 sweep; the cold
 #               sweep stores one unlocked RHOP pass per bench/latency/tier).
-#   service     job-server smoke: `repro serve` on an ephemeral port,
-#               healthz, a small concurrent loadtest burst (zero lost
-#               jobs, duplicates deduped), then graceful shutdown.
+#   service     scripted broker scenarios (coalescing, crash + requeue,
+#               cancel, 429s, drain, journal recovery -- also of a journal
+#               an older broker wrote) must reproduce the journal bytes,
+#               stats and job events in tests/goldens/service_identity.json
+#               (identity suite `service`); then a job-server smoke:
+#               `repro serve` on an ephemeral port, healthz, a small
+#               concurrent loadtest burst (zero lost jobs, duplicates
+#               deduped), then graceful shutdown.
 #   chaos       durability smoke: SIGKILL a journaled server mid-burst,
 #               restart + recover (zero lost jobs, byte-identical
 #               results), flip bytes in cache artifacts (quarantine +
@@ -107,94 +112,21 @@ stage_examples() {
     python scripts/identity.py cli || failures=$((failures + 1))
 }
 
-# -- benches: lint every bundled benchmark (zero errors, identical reports) ---
+# -- benches: lint and profile every bundled benchmark against the goldens ---
 
 stage_benches() {
-    note "repro lint over the bundled benchmark suite"
-    python - <<'PY' || failures=$((failures + 1))
-import sys
-
-from repro.bench import all_benchmarks
-from repro.lang import compile_source
-from repro.lint import lint_module
-
-bad = 0
-for bench in all_benchmarks():
-    report = lint_module(compile_source(bench.source, bench.name))
-    status = "FAIL" if report.has_errors else "ok"
-    print(f"{status}: bench {bench.name}: {report.summary()}")
-    if report.has_errors:
-        print(report.render_text())
-        bad += 1
-sys.exit(1 if bad else 0)
-PY
-
-    note "lint identity (all benches x plain/oracle/prepared vs golden)," \
-        "profile identity (all benches x plain/prepared/static vs golden)"
+    note "lint identity (all benches x plain/oracle/prepared vs golden, zero" \
+        "plain errors), profile identity (all benches x plain/prepared/static" \
+        "vs golden)"
     python scripts/identity.py lint profile || failures=$((failures + 1))
 }
 
-# -- faults: fault-injection smoke (one spec per fault class) -----------------
-# Persistent faults must be survived via the degradation ladder with the
-# fallback recorded in the run report.  Exit codes are the uniform CLI
-# contract: 0 = clean, 1 = degraded-but-survived (fell back), 2 = hard
-# failure (never acceptable here).
+# -- faults: every scheme x fault-spec cell against the recorded golden ------
+# The CLI's one-spec-per-fault-class runs are cells of the `cli` suite
+# (`examples` stage); tests/test_identity.py checks their degrade-and-survive
+# properties in that golden.
 
 stage_faults() {
-    note "fault-injection smoke (resilient pipeline, one spec per fault class)"
-    python - <<'PY' || failures=$((failures + 1))
-import json
-import sys
-import tempfile
-
-from repro.cli import main
-
-# (spec, expect_fallback, expect_invalid): persistent raise / corrupt-homes
-# faults must be survived by falling down the ladder; unlock and slow-moves
-# must at least fire and finish (unlock is repaired or caught depending on
-# the victim).  Corrupted homes leave the scheme running to completion, so
-# the fallback must come from the validity check (an attempt with status
-# "invalid"), not from a crash.
-SPECS = [
-    ("seed=7;raise:gdp", True, False),
-    ("seed=7;corrupt-homes:gdp:2", True, True),
-    ("seed=7;unlock:gdp:4", None, False),
-    ("seed=7;slow-moves:4", None, False),
-    # A dead profiler degrades to the static profile rung, not to naive:
-    # the run must end on a profile-guided scheme with the fallback logged.
-    ("seed=7;raise:profiler", True, False),
-]
-
-bad = 0
-for spec, expect_fallback, expect_invalid in SPECS:
-    with tempfile.NamedTemporaryFile("r", suffix=".json") as tmp:
-        code = main([
-            "partition", "examples/quickstart.py",
-            "--fallback", "--retries", "1",
-            "--fault-spec", spec, "--run-report", tmp.name,
-        ])
-        report = json.load(open(tmp.name))
-    faults = report["summary"]["faults"]
-    fallbacks = report["summary"]["fallbacks"]
-    expected_code = 1 if fallbacks >= 1 else 0
-    invalid = sum(
-        1 for e in report["events"]
-        if e["kind"] == "attempt" and e["status"] == "invalid"
-    )
-    ok = (
-        code == expected_code
-        and faults >= 1
-        and report["final"]["status"] == "ok"
-        and (expect_fallback is None or (fallbacks >= 1) == expect_fallback)
-        and (not expect_invalid or invalid >= 1)
-    )
-    print(f"{'ok' if ok else 'FAIL'}: --fault-spec '{spec}' "
-          f"(exit {code}, {faults} fault(s), {fallbacks} fallback(s), "
-          f"{invalid} invalid attempt(s), final {report['final']['scheme']})")
-    bad += 0 if ok else 1
-sys.exit(1 if bad else 0)
-PY
-
     note "scheme identity (rawcaudio/fir/huffman x schemes x fault specs vs golden)"
     python scripts/identity.py scheme || failures=$((failures + 1))
 }
@@ -409,6 +341,9 @@ PY
 # POST /v1/shutdown and require a clean exit 0 from the server process.
 
 stage_service() {
+    note "service identity (scripted broker scenarios vs golden)"
+    python scripts/identity.py service || failures=$((failures + 1))
+
     note "service smoke (repro serve + concurrent loadtest + graceful shutdown)"
     python - <<'PY' || failures=$((failures + 1))
 import json

@@ -19,7 +19,6 @@ from .modref import (
 from .objects import DataObject, ObjectTable
 from .pointsto import (
     TIERS,
-    PointsTo,
     PointsToResult,
     PointsToStats,
     TieredPointsTo,
@@ -71,7 +70,6 @@ __all__ = [
     "effect_contains",
     "format_effect",
     "TIERS",
-    "PointsTo",
     "PointsToResult",
     "PointsToStats",
     "TieredPointsTo",

@@ -67,9 +67,5 @@ class CFG:
     def reachable(self) -> Set[str]:
         return set(self.postorder())
 
-    def is_back_edge(self, src: str, dst: str, rpo_index: Dict[str, int]) -> bool:
-        """Heuristic back-edge test by RPO numbering (exact for reducible CFGs)."""
-        return rpo_index.get(dst, -1) <= rpo_index.get(src, -1)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<cfg {self.func.name}: {len(self.succs)} blocks>"

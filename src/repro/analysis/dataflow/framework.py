@@ -279,16 +279,4 @@ def recursive_functions(callgraph: CallGraph) -> Set[str]:
     return recursive
 
 
-def call_sites_with_blocks(module) -> List[tuple]:
-    """``(caller_func, block, op)`` for every direct call to a function
-    defined in the module (the block context CallGraph.call_sites lacks)."""
-    sites = []
-    for func in module:
-        for block in func:
-            for op in block.ops:
-                if op.is_call() and op.attrs.get("callee") in module.functions:
-                    sites.append((func, block, op))
-    return sites
-
-
 InputJoin = Callable[[str], Optional[Any]]

@@ -800,12 +800,6 @@ class IntervalAnalysis:
             return None
         return solution.out_of(block_name)
 
-    def value_at_entry(
-        self, func_name: str, block_name: str, value: Value
-    ) -> Interval:
-        env = self.env_at_entry(func_name, block_name)
-        return _TOP if env is None else eval_value(value, env)
-
     def env_before_op(
         self, func_name: str, block: BasicBlock, target: Operation
     ) -> Optional[Dict[int, Interval]]:

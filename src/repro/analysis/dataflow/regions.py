@@ -576,9 +576,9 @@ class AccessRegionAnalysis:
 
     # -- aggregate queries ---------------------------------------------------
 
-    def object_regions(self) -> Dict[str, Optional[List[Tuple[int, int]]]]:
-        """Per object: coalesced touched byte intervals, or ``None`` when
-        any access claims the whole object."""
+    def object_intervals(self) -> Dict[str, Optional[List[Tuple[int, int]]]]:
+        """Per object: every per-op touched interval, *not* coalesced, or
+        ``None`` when any access claims the whole object."""
         raw: Dict[str, Optional[List[Tuple[int, int]]]] = {}
         for regions in self.op_regions.values():
             for obj, region in regions.items():
@@ -588,9 +588,13 @@ class AccessRegionAnalysis:
                     raw[obj] = None
                 else:
                     raw.setdefault(obj, []).append(region)  # type: ignore[union-attr]
+        return raw
+
+    def object_regions(self) -> Dict[str, Optional[List[Tuple[int, int]]]]:
+        """:meth:`object_intervals`, each object's intervals coalesced."""
         return {
             obj: (None if spans is None else coalesce_intervals(spans))
-            for obj, spans in raw.items()
+            for obj, spans in self.object_intervals().items()
         }
 
 

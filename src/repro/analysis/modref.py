@@ -304,21 +304,6 @@ class ModRefAnalysis:
             merge_effects(total.ref, summary.ref)
         return total
 
-    def object_intervals(self) -> Dict[str, Effect]:
-        """Per object: every per-op touched interval across the program,
-        deliberately *not* coalesced (``None`` = some access claims the
-        whole object).  The raw material for splittability."""
-        raw: Dict[str, Optional[List[Tuple[int, int]]]] = {}
-        for per_obj in self.regions.op_regions.values():
-            for obj, region in per_obj.items():
-                if obj in raw and raw[obj] is None:
-                    continue
-                if region is None:
-                    raw[obj] = None
-                else:
-                    raw.setdefault(obj, []).append(region)
-        return raw
-
     def splittable_objects(self) -> Dict[str, List[Tuple[int, int]]]:
         """Objects whose touched regions decompose into ≥2 disjoint,
         never-co-accessed byte intervals — the candidates a sub-object
@@ -330,7 +315,7 @@ class ModRefAnalysis:
         never co-accessed by any single operation).
         """
         out: Dict[str, List[Tuple[int, int]]] = {}
-        for obj, intervals in sorted(self.object_intervals().items()):
+        for obj, intervals in sorted(self.regions.object_intervals().items()):
             if intervals is None:
                 continue
             components = coalesce_intervals(intervals)

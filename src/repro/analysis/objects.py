@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from ..ir import Module, Opcode, Operation
-from .pointsto import PointsTo, global_object_id, heap_object_id
+from .pointsto import global_object_id, heap_object_id
 
 
 class DataObject:
@@ -22,9 +22,6 @@ class DataObject:
         self.kind = kind  # "global" | "heap"
         self.name = name
         self.size = size  # bytes
-
-    def is_heap(self) -> bool:
-        return self.kind == "heap"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<object {self.id} ({self.size} bytes)>"

@@ -589,13 +589,6 @@ class TieredPointsTo(PointsToResult):
         )
 
 
-class PointsTo(TieredPointsTo):
-    """Back-compat alias: the Andersen baseline tier."""
-
-    def __init__(self, module: Module):
-        super().__init__(module, tier="andersen")
-
-
 def solve_pointsto(module: Module, tier: str = "andersen") -> PointsToResult:
     """Solve one precision tier over ``module``."""
     return TieredPointsTo(module, tier=tier)

@@ -26,7 +26,7 @@ from .block import BasicBlock
 from .function import Function
 from .ops import Opcode, Operation
 from .types import FLOAT, INT, IRType, PointerType
-from .values import Constant, FunctionRef, GlobalAddress, Value, VirtualRegister
+from .values import Constant, FunctionRef, Value, VirtualRegister
 
 
 class IRBuilder:
@@ -238,9 +238,3 @@ class IRBuilder:
             )
         )
         return dest
-
-    # -- misc -------------------------------------------------------------------------------
-
-    def global_addr(self, var) -> GlobalAddress:
-        """Address of a :class:`~repro.ir.module.GlobalVariable`."""
-        return var.address()

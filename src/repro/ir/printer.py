@@ -11,7 +11,6 @@ from typing import Dict, Optional
 
 from .function import Function
 from .module import Module
-from .ops import Operation
 
 
 def print_module(module: Module) -> str:
@@ -42,8 +41,3 @@ def print_function(func: Function, assignment: Optional[Dict[int, int]] = None) 
 def print_partitioned(func: Function, assignment: Dict[int, int]) -> str:
     """Render a function with per-operation cluster labels."""
     return print_function(func, assignment)
-
-
-def format_op(op: Operation) -> str:
-    """One-line rendering of a single operation."""
-    return str(op)

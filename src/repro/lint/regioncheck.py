@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..analysis.affine import intervals_overlap
 from ..analysis.memo import op_locations
 from ..analysis.modref import (
     Effect,
@@ -247,7 +248,7 @@ def _regions_alias(
 ) -> bool:
     if a is None or b is None:
         return True  # a whole-object claim overlaps everything
-    return a[0] < b[1] and b[0] < a[1]
+    return intervals_overlap(a, b)
 
 
 def check_region_moves(

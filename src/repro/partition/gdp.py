@@ -82,9 +82,6 @@ class DataPartition:
         self.group_cluster = group_cluster
         self.num_clusters = num_clusters
 
-    def home_of(self, obj_id: str) -> int:
-        return self.object_home[obj_id]
-
     def cluster_bytes(self, objects: ObjectTable):
         """Total data bytes homed on each cluster."""
         totals = [0] * self.num_clusters

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from typing import Any, Dict, List, Optional, Tuple
 
 # The cell runner and the warm probe both drive repro.pipeline, which the
@@ -61,7 +62,7 @@ from .jobs import (
     FAILED,
     QUEUED,
     RUNNING,
-    TERMINAL_STATES,
+    SUBMIT_FIELDS,
     Job,
     job_key,
 )
@@ -112,6 +113,15 @@ class ServiceError(Exception):
 #: (the same strictness RunConfig applies one level down).
 _REQUEST_FIELDS = frozenset(
     ("bench", "source", "name", "config", "tenant", "priority")
+)
+
+#: The broker's counters, each named by the ``/v1/stats`` path it feeds.
+COUNTERS = (
+    "jobs.submitted", "jobs.coalesced", "jobs.completed", "jobs.requeued",
+    "jobs.worker_crashes", "warm.submissions", "warm.outcome_hits",
+    "admission.rejected_depth", "admission.rejected_tenant",
+    "recovery.recovered", "recovery.requeued", "recovery.parked",
+    "recovery.journal_errors",
 )
 
 
@@ -181,7 +191,8 @@ class Broker:
         self.queue = FairQueue(quota=quota)
         self.cache = ArtifactCache(self.config.cache_dir, self.config.cache)
         self._clock = clock
-        self._lock = threading.Lock()
+        # Reentrant: _bump takes it, also from code that already holds it.
+        self._lock = threading.RLock()
         self._jobs: Dict[str, Job] = {}
         self._inflight: Dict[str, Job] = {}  # key -> queued/running job
         self._tenant_pending: Dict[str, int] = {}  # tenant -> non-terminal
@@ -189,20 +200,7 @@ class Broker:
         self._stopping = False   # admission off
         self._halting = False    # workers wind down
         self.started = clock()
-        # counters (under _lock)
-        self.submitted = 0
-        self.coalesced = 0
-        self.completed = 0
-        self.requeued = 0
-        self.worker_crashes = 0
-        self.warm_submissions = 0
-        self.warm_outcomes = 0
-        self.rejected_depth = 0
-        self.rejected_tenant = 0
-        self.journal_errors = 0
-        self.recovered_jobs = 0
-        self.recovery_requeued = 0
-        self.parked = 0
+        self._counts = dict.fromkeys(COUNTERS, 0)
         self._worker_count = workers
         self._workers: List[threading.Thread] = []
         self.journal = (
@@ -270,13 +268,17 @@ class Broker:
             leftovers = [
                 job for job in self._jobs.values() if not job.terminal
             ]
-            self.parked += len(leftovers)
+            self._bump("recovery.parked", len(leftovers))
         for job in leftovers:
             job.record("parked", state=QUEUED)
             self._journal_append("park", job=job.id)
         if self.journal is not None:
             self._compact_journal()
             self.journal.close()
+
+    def _bump(self, counter: str, amount: int = 1) -> None:
+        with self._lock:
+            self._counts[counter] += amount
 
     # -- durability ------------------------------------------------------------
 
@@ -288,43 +290,20 @@ class Broker:
         try:
             self.journal.append(kind, **fields)
         except Exception:  # noqa: BLE001 - durability vs availability
-            with self._lock:
-                self.journal_errors += 1
+            self._bump("recovery.journal_errors")
             return
         if self.journal.compaction_due:
             self._compact_journal()
-
-    def _job_journal_entry(self, job: Job) -> Dict[str, Any]:
-        """Snapshot-entry projection of one job (journal replay shape)."""
-        return {
-            "job": job.id,
-            "key": job.key,
-            "bench": job.bench,
-            "source": job.source,
-            "config": job.config.to_dict(),
-            "tenant": job.tenant,
-            "priority": job.priority,
-            "state": job.state,
-            "attempt": job.attempt,
-            "requeues": job.requeues,
-            "coalesced": job.coalesced,
-            "error": job.error,
-            "summary": job.result_summary(),
-        }
 
     def _compact_journal(self) -> None:
         if self.journal is None:
             return
         with self._lock:
-            jobs = [
-                self._job_journal_entry(self._jobs[jid])
-                for jid in sorted(self._jobs)
-            ]
+            jobs = [self._jobs[jid].to_record() for jid in sorted(self._jobs)]
         try:
             self.journal.compact(jobs)
         except Exception:  # noqa: BLE001 - durability vs availability
-            with self._lock:
-                self.journal_errors += 1
+            self._bump("recovery.journal_errors")
 
     def _recover(self, state: JournalState) -> None:
         """Rebuild the job table from a loaded journal.
@@ -339,36 +318,22 @@ class Broker:
         for rec in state.jobs.values():
             try:
                 config = self._server_owned(RunConfig.from_dict(rec["config"]))
-                job = Job(
-                    rec["job"], rec["key"], rec["bench"], rec["source"],
-                    config, tenant=rec.get("tenant", "default"),
-                    priority=rec.get("priority", 0), clock=self._clock,
-                )
+                job = Job.from_record(dict(rec, config=config), self._clock)
             except Exception:  # noqa: BLE001 - a foreign/corrupt record
-                self.journal_errors += 1
+                self._bump("recovery.journal_errors")
                 continue
-            job.recovered = True
-            job.attempt = rec.get("attempt", 1)
-            job.requeues = rec.get("requeues", 0)
-            job.coalesced = rec.get("coalesced", 0)
             self._jobs[job.id] = job
-            self.recovered_jobs += 1
+            self._bump("recovery.recovered")
             try:
                 self._next_id = max(self._next_id, int(job.id.lstrip("j")))
             except ValueError:
                 pass
-            if rec["state"] in TERMINAL_STATES:
-                job.error = rec.get("error")
-                job.summary_override = rec.get("summary")
-                job.record("recovered", state=rec["state"],
-                           requeues=job.requeues)
+            if job.terminal:
+                job.record("recovered", requeues=job.requeues)
                 continue
-            job.warm = self._probe_warm(job.source, job.bench, config)
-            job.record("recovered", state=QUEUED, attempt=job.attempt,
-                       warm=job.warm)
             self._admit(job)
-            self.queue.push(job)
-            self.recovery_requeued += 1
+            self._enqueue(job, "recovered", attempt=job.attempt)
+            self._bump("recovery.requeued")
 
     # -- admission -------------------------------------------------------------
 
@@ -395,10 +360,23 @@ class Broker:
             cache_dir=self.config.cache_dir,
         )
 
-    def _probe_warm(self, source: str, name: str, config: RunConfig) -> bool:
-        """Whether the store already holds this job's outcome (read-only;
-        telemetry only — the worker's cell runner re-resolves it)."""
-        return lookup_cached_outcome(source, name, config) is not None
+    def _enqueue(self, job: Job, kind: str, **fields: Any) -> None:
+        """Queue an admitted ``job`` behind a ``kind`` event that says
+        whether the store already holds its outcome (read-only; telemetry
+        only -- the worker's cell runner re-resolves it)."""
+        # Outside the broker lock: the probe touches the disk store.
+        job.warm = lookup_cached_outcome(job.source, job.bench, job.config) is not None
+        if job.warm and not job.recovered:
+            self._bump("warm.submissions")
+        job.record(kind, state=QUEUED, **fields, warm=job.warm)
+        try:
+            self.queue.push(job)
+        except RuntimeError:
+            # Shutdown raced the admission check; the job is journaled
+            # and will be recovered, but this caller should back off.
+            raise ServiceError(
+                503, "shutting_down", "server is shutting down"
+            ) from None
 
     def _resolve_program(self, request: Dict[str, Any]) -> Tuple[str, str]:
         source = request.get("source")
@@ -466,23 +444,14 @@ class Broker:
         name, source = self._resolve_program(request)
         key = job_key(name, source, config)
         with self._lock:
-            existing = self._inflight.get(key)
-            if existing is not None and not existing.terminal:
-                # Coalescing bypasses the backpressure checks below: a
-                # duplicate adds zero work, so refusing it would only
-                # make an overloaded server *more* loaded via retries.
-                self.submitted += 1
-                existing.coalesced += 1
-                self.coalesced += 1
-                existing.record("coalesced", tenant=tenant)
-                journal_coalesce = existing.id
-            else:
-                journal_coalesce = None
+            job = self._inflight.get(key)
+            created = job is None or job.terminal
+            if created:
                 if (
                     self.max_depth is not None
                     and self.queue.depth() >= self.max_depth
                 ):
-                    self.rejected_depth += 1
+                    self._bump("admission.rejected_depth")
                     raise ServiceError(
                         429, "overloaded",
                         f"queue depth is at its bound ({self.max_depth}); "
@@ -494,7 +463,7 @@ class Broker:
                     and self._tenant_pending.get(tenant, 0)
                     >= self.tenant_pending
                 ):
-                    self.rejected_tenant += 1
+                    self._bump("admission.rejected_tenant")
                     raise ServiceError(
                         429, "tenant_overloaded",
                         f"tenant {tenant!r} has {self.tenant_pending} "
@@ -502,7 +471,6 @@ class Broker:
                         fields=("tenant",),
                         retry_after=self.retry_after,
                     )
-                self.submitted += 1
                 self._next_id += 1
                 job = Job(
                     f"j{self._next_id:06d}", key, name, source, config,
@@ -510,30 +478,21 @@ class Broker:
                 )
                 self._jobs[job.id] = job
                 self._admit(job)
-        if journal_coalesce is not None:
-            self._journal_append("coalesce", job=journal_coalesce)
-            return existing, False
+            else:
+                # Coalescing bypasses the backpressure checks above: a
+                # duplicate adds zero work, so refusing it would only
+                # make an overloaded server *more* loaded via retries.
+                job.coalesced += 1
+                self._bump("jobs.coalesced")
+                job.record("coalesced", tenant=tenant)
+            self._bump("jobs.submitted")
+        if not created:
+            self._journal_append("coalesce", job=job.id)
+            return job, False
         # Write-ahead *before* the ack: under fsync=always a submission
         # the client saw accepted survives any crash from here on.
-        self._journal_append(
-            "submit", job=job.id, key=key, bench=name, source=source,
-            config=config.to_dict(), tenant=tenant, priority=priority,
-        )
-        # Warm probe outside the broker lock (it touches the disk store).
-        job.warm = self._probe_warm(source, name, config)
-        if job.warm:
-            with self._lock:
-                self.warm_submissions += 1
-        job.record("queued", state=QUEUED, tenant=tenant,
-                   priority=priority, warm=job.warm)
-        try:
-            self.queue.push(job)
-        except RuntimeError:
-            # Shutdown raced the admission check; the job is journaled
-            # and will be recovered, but this caller should back off.
-            raise ServiceError(
-                503, "shutting_down", "server is shutting down"
-            ) from None
+        self._journal_append("submit", **job.to_record(SUBMIT_FIELDS))
+        self._enqueue(job, "queued", tenant=tenant, priority=priority)
         return job, True
 
     # -- lookup ----------------------------------------------------------------
@@ -632,15 +591,13 @@ class Broker:
     def _supervise_crash(self, job: Job, worker_id: str, exc: Exception) -> None:
         """A worker died under ``job``: requeue or fail, never propagate."""
         detail = f"{type(exc).__name__}: {exc}"
-        with self._lock:
-            self.worker_crashes += 1
+        self._bump("jobs.worker_crashes")
         job.record("worker-crash", worker=worker_id, attempt=job.attempt,
                    error=detail)
         if job.requeues < self.max_requeues:
             job.requeues += 1
             job.attempt += 1
-            with self._lock:
-                self.requeued += 1
+            self._bump("jobs.requeued")
             job.record("requeued", state=QUEUED, attempt=job.attempt)
             self._journal_append("requeue", job=job.id, attempt=job.attempt,
                                  requeues=job.requeues)
@@ -659,9 +616,8 @@ class Broker:
         """Map a finished engine cell onto the job's terminal state (the
         cell's status is the run report's one outcome rule)."""
         job.result = cell
-        with self._lock:
-            if cell["cache"].get("outcome") == "hit":
-                self.warm_outcomes += 1
+        if cell["cache"].get("outcome") == "hit":
+            self._bump("warm.outcome_hits")
         if cell["status"] == "failed":
             job.error = cell["error"]
             self._terminal(job, FAILED, error=cell["error"],
@@ -681,9 +637,8 @@ class Broker:
         )
 
     def _terminal(self, job: Job, state: str, **fields: Any) -> None:
-        job.finished_at = self._clock()
         with self._lock:
-            self.completed += 1
+            self._bump("jobs.completed")
             self._retire(job)
         job.record("finished", state=state, **fields)
         self._journal_append(
@@ -713,74 +668,53 @@ class Broker:
     # -- observability ---------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        """The ``/v1/stats`` payload: machine-readable counters only."""
+        """The ``/v1/stats`` payload: machine-readable counters only --
+        the counter table, nested by path, plus the live state."""
         with self._lock:
-            by_state: Dict[str, int] = {}
-            for job in self._jobs.values():
-                by_state[job.state] = by_state.get(job.state, 0) + 1
-            submitted = self.submitted
-            coalesced = self.coalesced
-            jobs = {
-                "submitted": submitted,
-                "created": len(self._jobs),
-                "coalesced": coalesced,
-                "completed": self.completed,
-                "requeued": self.requeued,
-                "worker_crashes": self.worker_crashes,
-                "by_state": dict(sorted(by_state.items())),
-            }
-            warm = {
-                "submissions": self.warm_submissions,
-                "outcome_hits": self.warm_outcomes,
-            }
-            admission = {
-                "max_depth": self.max_depth,
-                "tenant_pending": self.tenant_pending,
-                "retry_after": self.retry_after,
-                "rejected_depth": self.rejected_depth,
-                "rejected_tenant": self.rejected_tenant,
-                "pending_by_tenant": dict(
-                    sorted(self._tenant_pending.items())
-                ),
-            }
-            recovery = {
-                "recovered": self.recovered_jobs,
-                "requeued": self.recovery_requeued,
-                "parked": self.parked,
-                "journal_errors": self.journal_errors,
-            }
+            by_state = Counter(job.state for job in self._jobs.values())
             ratios = [
                 job.result["roofline_ratio"]
                 for job in self._jobs.values()
                 if job.result is not None
                 and job.result.get("roofline_ratio")
             ]
-            roofline = {
+            flat = {
+                **self._counts,
+                "jobs.created": len(self._jobs),
+                "jobs.by_state": dict(sorted(by_state.items())),
+                "admission.max_depth": self.max_depth,
+                "admission.tenant_pending": self.tenant_pending,
+                "admission.retry_after": self.retry_after,
+                "admission.pending_by_tenant": dict(
+                    sorted(self._tenant_pending.items())
+                ),
+            }
+            alive = sum(1 for t in self._workers if t.is_alive())
+        payload: Dict[str, Any] = {}
+        for path, value in flat.items():
+            section, name = path.split(".")
+            payload.setdefault(section, {})[name] = value
+        submitted = flat["jobs.submitted"]
+        payload.update(
+            uptime_seconds=self._clock() - self.started,
+            coalesce_ratio=flat["jobs.coalesced"] / submitted if submitted else 0.0,
+            journal=(
+                self.journal.stats() if self.journal is not None
+                else {"enabled": False}
+            ),
+            queue=self.queue.stats(),
+            workers={"pool": self._worker_count, "alive": alive},
+            cache=self.cache.stats(),
+            roofline={
                 "jobs": len(ratios),
                 "min_ratio": round(min(ratios), 4) if ratios else None,
                 "max_ratio": round(max(ratios), 4) if ratios else None,
                 "mean_ratio": (
                     round(sum(ratios) / len(ratios), 4) if ratios else None
                 ),
-            }
-            alive = sum(1 for t in self._workers if t.is_alive())
-        journal = (
-            self.journal.stats() if self.journal is not None
-            else {"enabled": False}
+            },
         )
-        return {
-            "uptime_seconds": self._clock() - self.started,
-            "jobs": jobs,
-            "coalesce_ratio": (coalesced / submitted) if submitted else 0.0,
-            "warm": warm,
-            "admission": admission,
-            "recovery": recovery,
-            "journal": journal,
-            "queue": self.queue.stats(),
-            "workers": {"pool": self._worker_count, "alive": alive},
-            "cache": self.cache.stats(),
-            "roofline": roofline,
-        }
+        return payload
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

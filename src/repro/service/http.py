@@ -296,11 +296,5 @@ class ServiceServer:
         if self._thread is not None and self._thread.is_alive():
             self._thread.join(timeout=5.0)
 
-    def __enter__(self) -> "ServiceServer":
-        return self.start()
-
-    def __exit__(self, *_exc: Any) -> None:
-        self.stop()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<service server {self.url} {self.broker!r}>"

@@ -46,6 +46,35 @@ JOB_STATES = (QUEUED, RUNNING, DONE, DEGRADED, FAILED, CANCELLED)
 #: States a job never leaves.
 TERMINAL_STATES = frozenset((DONE, DEGRADED, FAILED, CANCELLED))
 
+_REQUIRED = object()
+
+#: A job's durable record, field -> default (a required field has none):
+#: one journal snapshot entry, and what replaying the journal folds each
+#: job into.  A ``submit`` record is its first ``SUBMIT_FIELDS`` fields,
+#: which are also :class:`Job`'s constructor arguments in order.
+RECORD_FIELDS: Dict[str, Any] = {
+    "job": _REQUIRED, "key": _REQUIRED, "bench": _REQUIRED,
+    "source": _REQUIRED, "config": _REQUIRED, "tenant": "default",
+    "priority": 0, "state": QUEUED, "attempt": 1, "requeues": 0,
+    "coalesced": 0, "error": None, "summary": None,
+}
+SUBMIT_FIELDS = 7
+
+
+def job_record(
+    fields: Dict[str, Any], count: int = len(RECORD_FIELDS)
+) -> Dict[str, Any]:
+    """A full record from the first ``count`` record fields of ``fields``:
+    a missing optional one (or any later one) takes its default, a
+    missing required one raises ``KeyError``."""
+    return {
+        name: fields[name]
+        if index < count and (name in fields or default is _REQUIRED)
+        else default
+        for index, (name, default) in enumerate(RECORD_FIELDS.items())
+    }
+
+
 #: RunConfig fields that change only *how* a result is obtained, never
 #: the result itself; excluded from the coalescing key so e.g. two
 #: clients disagreeing about ``jobs`` still share one execution.
@@ -157,7 +186,7 @@ class Job:
         #: Terminal summary restored from the journal (a recovered job
         #: has no in-memory engine cell; :meth:`result_summary` falls
         #: back to this).
-        self.summary_override: Optional[Dict[str, Any]] = None
+        self.summary: Optional[Dict[str, Any]] = None
         self.error: Optional[str] = None
         self.events: List[Dict[str, Any]] = []
         self._seq = 0
@@ -165,7 +194,6 @@ class Job:
         self._clock = clock or time.perf_counter
         self.created = self._clock()
         self.started_at: Optional[float] = None
-        self.finished_at: Optional[float] = None
 
     # -- state & events --------------------------------------------------------
 
@@ -229,8 +257,28 @@ class Job:
         as (None until terminal): the fields the byte-identity acceptance
         compares against serial execution."""
         if self.result is None:
-            return self.summary_override
+            return self.summary
         return cell_summary(self.result)
+
+    def to_record(self, fields: int = len(RECORD_FIELDS)) -> Dict[str, Any]:
+        """The job's durable record cut to its first ``fields`` fields
+        (``SUBMIT_FIELDS`` for a ``submit`` record)."""
+        with self._cond:
+            values = dict(vars(self), job=self.id,
+                          config=self.config.to_dict(),
+                          summary=self.result_summary())
+        return {name: values[name] for name in list(RECORD_FIELDS)[:fields]}
+
+    @classmethod
+    def from_record(cls, record: Dict[str, Any], clock=None) -> "Job":
+        """The job a durable record describes (its ``config`` parsed into
+        a RunConfig), marked recovered."""
+        values = job_record(record)
+        job = cls(*list(values.values())[:SUBMIT_FIELDS], clock=clock)
+        for name in list(values)[SUBMIT_FIELDS:]:
+            setattr(job, name, values[name])
+        job.recovered = True
+        return job
 
     def to_dict(self, include_events: bool = False) -> Dict[str, Any]:
         """JSON descriptor for ``GET /v1/jobs/{id}`` and submit replies."""

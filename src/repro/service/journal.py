@@ -50,7 +50,7 @@ import time
 from typing import Any, Dict, List, Optional, Union
 
 from ..resilience.faults import FaultPlan
-from .jobs import CANCELLED, QUEUED, RUNNING, TERMINAL_STATES
+from .jobs import CANCELLED, QUEUED, RUNNING, SUBMIT_FIELDS, job_record
 
 #: Bumped when the record/snapshot layout changes; a snapshot written
 #: under another schema is ignored (the log still replays).
@@ -60,13 +60,6 @@ JOURNAL_FILE = "journal.ndjson"
 SNAPSHOT_FILE = "snapshot.json"
 
 FSYNC_POLICIES = ("always", "interval", "never")
-
-#: Record kinds :meth:`Journal.append` accepts (documentation more than
-#: enforcement — replay ignores kinds it does not know, so a newer
-#: writer's log still recovers on an older reader).
-RECORD_KINDS = (
-    "submit", "coalesce", "start", "requeue", "finish", "cancel", "park",
-)
 
 
 def record_checksum(record: Dict[str, Any]) -> str:
@@ -80,11 +73,11 @@ def record_checksum(record: Dict[str, Any]) -> str:
 class JournalState:
     """What :meth:`Journal.load` recovered: the folded per-job states.
 
-    ``jobs`` maps job id -> a flat dict (same shape snapshot entries
-    use): job/key/bench/source/config/tenant/priority/state/attempt/
-    requeues/coalesced/error/summary.  Iteration order is submission
-    order (snapshot order first, then replayed submits), which is the
-    order recovery requeues in.
+    ``jobs`` maps job id -> its durable record
+    (:data:`~repro.service.jobs.RECORD_FIELDS`, the shape snapshot
+    entries use).  Iteration order is submission order (snapshot order
+    first, then replayed submits), which is the order recovery requeues
+    in.
     """
 
     def __init__(self) -> None:
@@ -95,33 +88,12 @@ class JournalState:
         self.orphaned = 0      # records naming an unknown job (dropped)
         self.from_snapshot = False
 
-    @property
-    def live(self) -> List[Dict[str, Any]]:
-        """Jobs that were queued or running at crash time (must requeue)."""
-        return [
-            rec for rec in self.jobs.values()
-            if rec["state"] not in TERMINAL_STATES
-        ]
-
     def apply(self, record: Dict[str, Any]) -> None:
         """Fold one (verified) record into the per-job states."""
         kind = record.get("kind")
         if kind == "submit":
-            self.jobs[record["job"]] = {
-                "job": record["job"],
-                "key": record["key"],
-                "bench": record["bench"],
-                "source": record["source"],
-                "config": record["config"],
-                "tenant": record.get("tenant", "default"),
-                "priority": record.get("priority", 0),
-                "state": QUEUED,
-                "attempt": 1,
-                "requeues": 0,
-                "coalesced": 0,
-                "error": None,
-                "summary": None,
-            }
+            job = job_record(record, SUBMIT_FIELDS)
+            self.jobs[job["job"]] = job
             return
         job = self.jobs.get(record.get("job"))
         if job is None:

@@ -6,8 +6,11 @@ lint, profile and rhop on rawcaudio and fir, scheme on rawcaudio, and cli
 on its fast cells -- ``config show``, a clean and a profiler-faulted
 ``partition``, a degraded and an exhausted ``compare``, the bench
 listing, lint with ``--only bogus`` and ``--run-report``, ``submit``
-without a program and a missing file.  A fake suite over a temporary
-golden checks the harness itself without compiling anything.
+without a program and a missing file, and service on the coalescing,
+backpressure and old-journal recovery scenarios.  The CLI's fault-class
+cells must show a survived degradation in the golden itself.  A fake
+suite over a temporary golden checks the harness itself without
+compiling anything.
 """
 
 import importlib.util
@@ -38,14 +41,41 @@ _SPEC.loader.exec_module(identity)
                  id="scheme-rawcaudio"),
     pytest.param("cli", identity.FAST_CELLS, len(identity.FAST_CELLS),
                  id="cli-fast"),
+    pytest.param("service", ["coalesce", "backpressure", "recover-parent"], 3,
+                 id="service-subset"),
 ])
 def test_subset_matches_golden(name, only, count):
     suite = identity.SUITES[name]
-    cells = identity.compute(suite, only)
+    failures = []
+    cells = identity.compute(suite, only, failures)
     # The diff compares every field either side has (each lint/profile
     # mode), so the count is all the shape a cell needs beyond it.
     assert len(cells) == count
     assert identity.mismatches(identity.load_golden(suite), cells, False) == []
+    assert failures == []
+
+
+def test_cli_fault_cells_degrade_and_survive():
+    """Each fault class, injected into ``partition --fallback``, fires and
+    is survived: the run ends ok and exits 1 exactly when it fell back.
+    Persistent raises (GDP's and the profiler's) and corrupted homes fall
+    back; corrupted homes through an ``invalid`` attempt, as the validity
+    check catches them, not a crash."""
+    cells = identity.load_golden(identity.SUITES["cli"])
+    for label in identity.CLI_FAULT_SPECS:
+        report = cells[f"partition-fault-{label}"]["report"]
+        summary = report["summary"]
+        assert summary["faults"] >= 1, label
+        assert report["final"]["status"] == "ok", label
+        exit_code = cells[f"partition-fault-{label}"]["exit"]
+        assert exit_code == (1 if summary["fallbacks"] >= 1 else 0), label
+        if label in ("raise-gdp", "corrupt-homes", "raise-profiler"):
+            assert summary["fallbacks"] >= 1, label
+    invalid = [
+        event for event in cells["partition-fault-corrupt-homes"]["report"]["events"]
+        if event["kind"] == "attempt" and event["status"] == "invalid"
+    ]
+    assert invalid
 
 
 def test_every_golden_has_one_suite_and_every_suite_a_stage():
@@ -85,7 +115,7 @@ def fake(tmp_path, monkeypatch):
     golden.write_text(_golden_text({**values, "d": {"x": 4, "y": "gone"}}))
     monkeypatch.setitem(identity.SUITES, "fake", identity.Suite(
         "fake", golden, lambda: sorted(values),
-        lambda units: {unit: values[unit] for unit in units},
+        lambda units, failures: {unit: values[unit] for unit in units},
         {"units": ["a", "b", "c"]},
     ))
     return values, golden
@@ -118,6 +148,21 @@ def test_fake_subset_record_keeps_every_other_cell(fake):
     # Only a full record drops a cell nothing computes.
     assert identity.main(["fake", "--record"]) == 0
     assert golden.read_text() == _golden_text(values)
+
+
+def test_fake_gate_failure_fails_whatever_the_golden(fake, capsys, monkeypatch):
+    values, _golden = fake
+
+    def gated(units, failures):
+        failures.append("unit b: 1 error(s)")
+        return {unit: values[unit] for unit in units}
+
+    monkeypatch.setitem(identity.SUITES, "fake",
+                        identity.SUITES["fake"]._replace(cells=gated))
+    assert identity.main(["fake", "--only", "b"]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["FAIL unit b: 1 error(s)",
+                                "fake identity: 1/1 cell(s) match"]
 
 
 def test_shared_rhop_refuses_to_record():

@@ -5,7 +5,6 @@ import pytest
 from repro.analysis import (
     TIERS,
     ObjectTable,
-    PointsTo,
     annotate_memory_ops,
     global_object_id,
     heap_object_id,
@@ -392,7 +391,3 @@ class TestStatsAndInterface:
         sol = solve_pointsto(module, "cs")
         returned = annotate_memory_ops(module, pointsto=sol)
         assert returned is sol
-
-    def test_back_compat_class_is_andersen(self):
-        module = compile_source(POINTER_TABLE, "t")
-        assert PointsTo(module).stats().tier == "andersen"

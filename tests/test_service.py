@@ -328,7 +328,8 @@ class TestBrokerExecution:
         assert created and not dup
         assert second is first and third is first
         assert first.coalesced == 2
-        assert broker.submitted == 3 and broker.coalesced == 2
+        counts = broker.stats()["jobs"]
+        assert counts["submitted"] == 3 and counts["coalesced"] == 2
         # Distinct work is NOT coalesced.
         other, fresh = broker.submit(
             {"source": SOURCE, "config": {"scheme": "naive"}}
@@ -339,7 +340,7 @@ class TestBrokerExecution:
             assert first.wait(timeout=120) and other.wait(timeout=120)
             assert first.state == DONE
             # One execution served all three submissions.
-            assert broker.completed == 2
+            assert broker.stats()["jobs"]["completed"] == 2
         finally:
             broker.shutdown()
 
@@ -375,7 +376,8 @@ class TestBrokerExecution:
             kinds = [e["kind"] for e in job.snapshot_events()]
             assert kinds == ["queued", "started", "worker-crash",
                             "requeued", "started", "finished"]
-            assert broker.worker_crashes == 1 and broker.requeued == 1
+            counts = broker.stats()["jobs"]
+            assert counts["worker_crashes"] == 1 and counts["requeued"] == 1
             # The server survived: it still executes new work.
             after, _ = broker.submit(
                 {"source": SOURCE, "config": {"scheme": "naive"}}
