@@ -37,7 +37,11 @@
 #               tests/goldens/rhop_identity.json (228 cells), once with the
 #               cache off (identity suite `rhop`) and once through one fresh
 #               shared cache store (`rhop-shared`, where Unified, Naive and
-#               Profile Max share the unlocked RHOP pass).
+#               Profile Max share the unlocked RHOP pass); then GDP's own
+#               object homes, cluster bytes and group cut for every bench x
+#               k {2, 4} x the five size-imbalance ratios of the Section 4.3
+#               ablation must match tests/goldens/gdp_identity.json (190
+#               cells; identity suite `gdp`), so a moved home fails here.
 #   cache       artifact cache smoke (cold vs warm Table-1 sweep; the cold
 #               sweep stores one unlocked RHOP pass per bench/latency/tier).
 #   service     scripted broker scenarios (coalescing, crash + requeue,
@@ -257,12 +261,13 @@ sys.exit(1 if bad else 0)
 PY
 }
 
-# -- rhop: computation-partitioner identity against the recorded golden -------
+# -- rhop: partitioner identity (RHOP and GDP) against the recorded goldens ----
 
 stage_rhop() {
     note "RHOP identity (all benches x schemes x latencies 1/5/10 vs golden)," \
-        "cache off and through one shared cache store"
-    python scripts/identity.py rhop rhop-shared || failures=$((failures + 1))
+        "cache off and through one shared cache store; GDP identity (all" \
+        "benches x k 2/4 x imbalance ratios vs golden)"
+    python scripts/identity.py rhop rhop-shared gdp || failures=$((failures + 1))
 }
 
 # -- cache: artifact cache smoke (cold vs warm Table-1 sweep) -----------------

@@ -45,6 +45,7 @@ from repro.ir import renumber_ops
 from repro.lang import compile_source
 from repro.lint import DETERMINISTIC_COLUMNS, lint_with_stats
 from repro.opt import optimize_module
+from repro.partition.gdp import GDPConfig, gdp_partition
 from repro.pipeline import Pipeline, PreparedProgram
 from repro.profiler import Interpreter
 from repro.resilience import LadderExhausted, RunReport
@@ -298,6 +299,57 @@ def rhop_shared_cells(benches: Sequence[str], failures: List[str]) -> Cells:
     partitioning."""
     with tempfile.TemporaryDirectory(prefix="repro-rhop-identity-") as store:
         return rhop_cells(benches, failures, cache_dir=store)
+
+
+# -- gdp ----------------------------------------------------------------------
+
+GDP_CLUSTERS = (2, 4)
+#: The size-balance tolerances the §4.3 ablation
+#: (``benchmarks/bench_ablation_imbalance.py``) sweeps.
+GDP_RATIOS = (1.05, 1.2, 1.5, 2.0, 4.0)
+
+
+def group_cut(prepared, dp) -> float:
+    """Weight of the program-graph edges between merge groups that ``dp``
+    homes on different clusters."""
+    group_of_op = prepared.merge.group_of_op
+    cut = 0.0
+    for (src, dst), weight in prepared.program_graph.undirected_edges().items():
+        if dp.group_cluster[group_of_op[src]] != dp.group_cluster[group_of_op[dst]]:
+            cut += weight
+    return cut
+
+
+def gdp_cells(benches: Sequence[str], failures: List[str]) -> Cells:
+    """``"bench/k/ratio"`` -> ``{object_home, cluster_bytes, cut}``.
+
+    Pins what the data partitioner decides on its own, so a change to the
+    graph partitioner under it can prove no home moved.  Each cell runs
+    ``gdp_partition`` on the bench's dynamically prepared program for
+    ``k`` clusters with ``GDPConfig(size_imbalance=ratio)`` and stores the
+    sorted ``object_home``, the data bytes homed on each cluster and
+    :func:`group_cut`.
+    """
+    cells: Cells = {}
+    for bench in map(get, benches):
+        prepared = Pipeline(RunConfig(cache="off")).prepare(
+            bench.source, bench.name
+        )
+        for k in GDP_CLUSTERS:
+            for ratio in GDP_RATIOS:
+                dp = gdp_partition(
+                    prepared.module, prepared.objects, k,
+                    block_freq=prepared.block_freq,
+                    config=GDPConfig(size_imbalance=ratio),
+                    merge=prepared.merge,
+                    program_graph=prepared.program_graph,
+                )
+                cells[f"{bench.name}/{k}/{ratio}"] = {
+                    "object_home": sorted(dp.object_home.items()),
+                    "cluster_bytes": dp.cluster_bytes(prepared.objects),
+                    "cut": group_cut(prepared, dp),
+                }
+    return cells
 
 
 # -- scheme -------------------------------------------------------------------
@@ -854,6 +906,8 @@ SUITES: Dict[str, Suite] = {
               rhop_cells, {"latencies": list(RHOP_LATENCIES)}),
         Suite("rhop-shared", GOLDENS / "rhop_identity.json", names,
               rhop_shared_cells, {}, recordable=False),
+        Suite("gdp", GOLDENS / "gdp_identity.json", names, gdp_cells,
+              {"clusters": list(GDP_CLUSTERS), "ratios": list(GDP_RATIOS)}),
         Suite("scheme", GOLDENS / "scheme_identity.json",
               lambda: SCHEME_BENCHES, scheme_cells,
               {"fault_specs": list(FAULT_SPECS)}),

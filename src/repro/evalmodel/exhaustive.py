@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..machine import Machine
-from ..partition.rhop import RHOPConfig
 
 
 class MappingPoint:
@@ -77,7 +76,6 @@ def exhaustive_search(
     prepared,
     machine: Machine,
     max_groups: int = 12,
-    rhop_config: Optional[RHOPConfig] = None,
     scheme_homes: Optional[Dict[str, Dict[str, int]]] = None,
 ) -> ExhaustiveResult:
     """Evaluate every object-group mapping (2-cluster machines only).
@@ -112,8 +110,7 @@ def exhaustive_search(
                 mapping[obj] = cluster
             cluster_bytes[cluster] += objects.size_of(group.object_ids)
         outcome = run_scheme(
-            prepared, machine, "gdp", rhop_config=rhop_config,
-            object_home=mapping,
+            prepared, machine, "gdp", object_home=mapping
         )
         points.append(MappingPoint(mapping, outcome.cycles, cluster_bytes))
 

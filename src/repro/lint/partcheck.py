@@ -459,38 +459,33 @@ def _schedule_lower_bound(
 
 # -- whole-outcome entry point -------------------------------------------------------
 
-#: Per-scheme validity contracts: (balance cap source, merge-group check).
+#: Per-scheme validity contracts: (data phase, merge-group check, the
+#: size-balance cap its homes must honour or None).
 _SCHEME_CONTRACTS = {
-    "gdp": ("gdp", True),
-    "profilemax": ("profile-max homing", True),
-    "naive": ("naive post-pass homing", False),
-    "unified": (None, False),
+    "gdp": ("gdp", True, GDPConfig().size_imbalance),
+    "profilemax": ("profile-max homing", True, PROFILE_MAX_IMBALANCE),
+    "naive": ("naive post-pass homing", False, None),
+    "unified": (None, False, None),
 }
 
 
 def check_scheme_outcome(
     prepared: "object",
     outcome: "object",
-    size_imbalance: Optional[float] = None,
-    schedule: bool = True,
 ) -> DiagnosticReport:
     """Check a full :class:`SchemeOutcome` against every invariant that
     applies to its scheme.
 
     ``prepared`` supplies the object table / merge / access counts;
     ``outcome`` supplies machine, module, assignment, and object homes.
-    ``size_imbalance`` overrides the scheme's default balance cap.
     """
     report = DiagnosticReport()
     scheme = getattr(outcome, "scheme", "?")
-    data_phase, check_groups = _SCHEME_CONTRACTS.get(scheme, (scheme, False))
+    data_phase, check_groups, cap = _SCHEME_CONTRACTS.get(
+        scheme, (scheme, False, None)
+    )
 
     if outcome.object_home is not None and data_phase is not None:
-        cap = size_imbalance
-        if cap is None and scheme == "gdp":
-            cap = GDPConfig().size_imbalance
-        elif cap is None and scheme == "profilemax":
-            cap = PROFILE_MAX_IMBALANCE
         report.extend(
             check_data_partition(
                 prepared.objects,
@@ -511,8 +506,7 @@ def check_scheme_outcome(
             )
         )
     report.extend(check_moves(outcome.module, outcome.assignment, outcome.machine))
-    if schedule:
-        report.extend(
-            check_schedule(outcome.module, outcome.assignment, outcome.machine)
-        )
+    report.extend(
+        check_schedule(outcome.module, outcome.assignment, outcome.machine)
+    )
     return report

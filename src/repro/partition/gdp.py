@@ -29,27 +29,22 @@ PROFILE_MAX_IMBALANCE = 1.15
 class GDPConfig:
     """Tunables for the data-partitioning pass.
 
-    ``size_imbalance`` is the METIS-style balance knob on data bytes
-    (Section 4.3: better-performing but less balanced mappings "can be
-    achieved by allowing for more imbalance of the resulting partition").
-    ``use_op_weight`` adds the operation count as a second balance
-    constraint (METIS multi-weight mode) with tolerance ``op_imbalance``.
-    ``budget`` is a cooperative :class:`repro.resilience.Budget` polled by
-    the multilevel partitioner's restart/refinement loops; on expiry the
-    best partition found so far is returned (anytime behaviour).
+    ``size_imbalance`` is the METIS-style balance knob on data bytes, the
+    one balance constraint (Section 4.3: better-performing but less
+    balanced mappings "can be achieved by allowing for more imbalance of
+    the resulting partition").  ``budget`` is a cooperative
+    :class:`repro.resilience.Budget` polled by the multilevel
+    partitioner's restart/refinement loops; on expiry the best partition
+    found so far is returned (anytime behaviour).
     """
 
     def __init__(
         self,
         size_imbalance: float = 1.20,
-        use_op_weight: bool = False,
-        op_imbalance: float = 2.0,
         seed: int = 12345,
         budget=None,
     ):
         self.size_imbalance = size_imbalance
-        self.use_op_weight = use_op_weight
-        self.op_imbalance = op_imbalance
         self.seed = seed
         self.budget = budget
 
@@ -60,8 +55,6 @@ class GDPConfig:
         ``budget``, when given, replaces the copy's budget."""
         return GDPConfig(
             size_imbalance=self.size_imbalance,
-            use_op_weight=self.use_op_weight,
-            op_imbalance=self.op_imbalance,
             seed=self.seed + offset,
             budget=budget if budget is not None else self.budget,
         )
@@ -98,19 +91,12 @@ def build_group_graph(
     graph: ProgramGraph,
     objects: ObjectTable,
     merge: MergeResult,
-    use_op_weight: bool,
 ) -> PartitionGraph:
-    """The coarsened program graph handed to the graph partitioner."""
-    dims = 2 if use_op_weight else 1
-    pgraph = PartitionGraph(weight_dims=dims)
+    """The coarsened program graph handed to the graph partitioner: one
+    node per merge group, weighted by the data bytes it holds."""
+    pgraph = PartitionGraph()
     for gid, group in merge.groups.items():
-        bytes_weight = float(objects.size_of(group.object_ids))
-        weight = (
-            (bytes_weight, float(len(group.op_uids)))
-            if use_op_weight
-            else (bytes_weight,)
-        )
-        pgraph.add_node(gid, weight)
+        pgraph.add_node(gid, objects.size_of(group.object_ids))
     for (src, dst), weight in graph.undirected_edges().items():
         gs = merge.group_of_op[src]
         gd = merge.group_of_op[dst]
@@ -137,18 +123,11 @@ def gdp_partition(
     config = config or GDPConfig()
     graph = program_graph or ProgramGraph(module, block_freq)
     merge = merge or access_pattern_merge(graph, objects)
-    pgraph = build_group_graph(graph, objects, merge, config.use_op_weight)
-
-    imbalance = (
-        (config.size_imbalance, config.op_imbalance)
-        if config.use_op_weight
-        else (config.size_imbalance,)
-    )
     partitioner = MultilevelPartitioner(
-        k=num_clusters, imbalance=imbalance, seed=config.seed,
+        k=num_clusters, imbalance=config.size_imbalance, seed=config.seed,
         budget=config.budget,
     )
-    group_cluster = partitioner.partition(pgraph)
+    group_cluster = partitioner.partition(build_group_graph(graph, objects, merge))
 
     object_home = {
         obj_id: group_cluster[gid]

@@ -11,39 +11,43 @@ implements the same multilevel scheme from scratch:
 3. **Uncoarsening** — the assignment is projected back level by level and
    improved with Fiduccia–Mattheyses-style boundary refinement.
 
-Node weights are *vectors* (multi-constraint, as METIS supports and the
-paper uses for data sizes); balance is enforced per dimension with a
-parameterisable imbalance ratio — the knob Section 4.3 of the paper refers
-to ("allowing for more imbalance of the resulting partition in METIS").
-Nodes may be *fixed* to a cluster; fixed nodes never move (used to honor
-pre-placed objects and for ablation studies).
+Each node carries one scalar weight (GDP uses data bytes, the paper's one
+balance constraint); balance is enforced with a parameterisable imbalance
+ratio — the knob Section 4.3 of the paper refers to ("allowing for more
+imbalance of the resulting partition in METIS").  Nodes may be *fixed* to
+a cluster; fixed nodes never move (used to honor pre-placed objects and
+for ablation studies).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..resilience.budget import Budget, budget_expired
 
 Node = Hashable
 
+#: Coarsening stops once the graph has at most
+#: ``max(COARSEN_TO, COARSEN_NODES_PER_CLUSTER * k)`` nodes.
+COARSEN_TO = 24
+COARSEN_NODES_PER_CLUSTER = 6
+#: Boundary-refinement passes per level (fewer when a pass moves nothing).
+REFINE_PASSES = 4
+#: Independent V-cycles per partition; the best one is kept.
+RESTARTS = 4
+
 
 class PartitionGraph:
-    """An undirected weighted graph with vector node weights."""
+    """An undirected weighted graph with scalar node weights."""
 
-    def __init__(self, weight_dims: int = 1):
-        self.weight_dims = weight_dims
-        self.weights: Dict[Node, Tuple[float, ...]] = {}
+    def __init__(self):
+        self.weights: Dict[Node, float] = {}
         self.adj: Dict[Node, Dict[Node, float]] = {}
         self.fixed: Dict[Node, int] = {}
 
-    def add_node(self, node: Node, weight: Sequence[float]) -> None:
-        if len(weight) != self.weight_dims:
-            raise ValueError(
-                f"weight has {len(weight)} dims, graph expects {self.weight_dims}"
-            )
-        self.weights[node] = tuple(float(w) for w in weight)
+    def add_node(self, node: Node, weight: float) -> None:
+        self.weights[node] = float(weight)
         self.adj.setdefault(node, {})
 
     def add_edge(self, u: Node, v: Node, weight: float = 1.0) -> None:
@@ -60,12 +64,11 @@ class PartitionGraph:
     def node_count(self) -> int:
         return len(self.weights)
 
-    def total_weight(self) -> Tuple[float, ...]:
-        totals = [0.0] * self.weight_dims
+    def total_weight(self) -> float:
+        total = 0.0
         for w in self.weights.values():
-            for d in range(self.weight_dims):
-                totals[d] += w[d]
-        return tuple(totals)
+            total += w
+        return total
 
     def node_order(self) -> Dict[Node, int]:
         """Stable insertion-order index used for deterministic tie-breaks."""
@@ -90,28 +93,20 @@ class _Level:
 
 
 class MultilevelPartitioner:
-    """K-way multilevel partitioner with multi-constraint balance."""
+    """K-way multilevel partitioner with a node-weight balance constraint."""
 
     def __init__(
         self,
         k: int = 2,
-        imbalance: Sequence[float] = (1.15,),
+        imbalance: float = 1.15,
         seed: int = 12345,
-        coarsen_to: Optional[int] = None,
-        refine_passes: int = 4,
-        restarts: int = 4,
         budget: Optional[Budget] = None,
     ):
         if k < 1:
             raise ValueError("k must be >= 1")
-        if restarts < 1:
-            raise ValueError("restarts must be >= 1")
         self.k = k
-        self.imbalance = tuple(imbalance)
+        self.imbalance = imbalance
         self.seed = seed
-        self.coarsen_to = coarsen_to or max(24, 6 * k)
-        self.refine_passes = refine_passes
-        self.restarts = restarts
         #: Cooperative deadline (anytime behaviour): the first V-cycle
         #: always completes so an assignment always exists; on expiry the
         #: remaining restarts and refinement passes are skipped and the
@@ -123,15 +118,10 @@ class MultilevelPartitioner:
     def partition(self, graph: PartitionGraph) -> Dict[Node, int]:
         """Partition the graph; returns node -> cluster in [0, k).
 
-        Runs ``restarts`` independent multilevel passes (different
+        Runs ``RESTARTS`` independent multilevel passes (different
         coarsening/initial-partition randomisation) and keeps the best
         result by (balance violation, cut weight) — multi-start V-cycles,
         as METIS does with multiple initial partitions."""
-        if len(self.imbalance) != graph.weight_dims:
-            raise ValueError(
-                f"imbalance has {len(self.imbalance)} dims, graph has "
-                f"{graph.weight_dims}"
-            )
         if graph.node_count() == 0:
             return {}
         if self.k == 1:
@@ -139,7 +129,7 @@ class MultilevelPartitioner:
 
         best: Optional[Dict[Node, int]] = None
         best_key = None
-        for attempt in range(self.restarts):
+        for attempt in range(RESTARTS):
             if attempt > 0 and budget_expired(self.budget):
                 break  # anytime: keep the best completed V-cycle
             assignment = self._one_cycle(graph, random.Random(self.seed + attempt))
@@ -171,18 +161,16 @@ class MultilevelPartitioner:
         return assignment
 
     def _violation(self, graph: PartitionGraph, assignment: Dict[Node, int]) -> float:
-        """Total relative overshoot of the balance constraints."""
-        totals = graph.total_weight()
-        loads = partition_balance(graph, assignment, self.k)
+        """Total relative overshoot of the balance constraint."""
+        total = graph.total_weight()
         overshoot = 0.0
-        for d in range(graph.weight_dims):
-            if totals[d] <= 0:
-                continue
-            cap = self.imbalance[d] * totals[d] / self.k
-            for c in range(self.k):
-                over = loads[c][d] - cap
-                if over > 1e-9:
-                    overshoot += over / totals[d]
+        if total <= 0:
+            return overshoot
+        cap = self.imbalance * total / self.k
+        for load in partition_balance(graph, assignment, self.k):
+            over = load - cap
+            if over > 1e-9:
+                overshoot += over / total
         return overshoot
 
     def _fine_graph(
@@ -196,12 +184,11 @@ class MultilevelPartitioner:
     def _coarsen(self, graph: PartitionGraph, rng: random.Random) -> List[_Level]:
         levels: List[_Level] = []
         current = graph
-        totals = graph.total_weight()
+        total = graph.total_weight()
         # Cap merged node weight so single coarse nodes stay movable.
-        caps = [
-            max(t * 1.5 / self.k, 1.0) if t > 0 else float("inf") for t in totals
-        ]
-        while current.node_count() > self.coarsen_to:
+        cap = max(total * 1.5 / self.k, 1.0) if total > 0 else float("inf")
+        coarsen_to = max(COARSEN_TO, COARSEN_NODES_PER_CLUSTER * self.k)
+        while current.node_count() > coarsen_to:
             matched: Dict[Node, Node] = {}
             order = list(current.weights)
             rng.shuffle(order)
@@ -213,7 +200,7 @@ class MultilevelPartitioner:
                 for nbr, w in current.adj[node].items():
                     if nbr in matched or nbr == node:
                         continue
-                    if not self._merge_allowed(current, node, nbr, caps):
+                    if not self._merge_allowed(current, node, nbr, cap):
                         continue
                     if w > best_w:
                         best, best_w = nbr, w
@@ -229,20 +216,17 @@ class MultilevelPartitioner:
         return levels
 
     def _merge_allowed(
-        self, graph: PartitionGraph, u: Node, v: Node, caps: List[float]
+        self, graph: PartitionGraph, u: Node, v: Node, cap: float
     ) -> bool:
         fu, fv = graph.fixed.get(u), graph.fixed.get(v)
         if fu is not None and fv is not None and fu != fv:
             return False
-        wu, wv = graph.weights[u], graph.weights[v]
-        return all(
-            wu[d] + wv[d] <= caps[d] for d in range(graph.weight_dims)
-        )
+        return graph.weights[u] + graph.weights[v] <= cap
 
     def _contract(
         self, graph: PartitionGraph, matched: Dict[Node, Node]
     ) -> Tuple[PartitionGraph, Dict[Node, Node]]:
-        coarse = PartitionGraph(graph.weight_dims)
+        coarse = PartitionGraph()
         projection: Dict[Node, Node] = {}
         counter = 0
         for node in graph.weights:
@@ -255,12 +239,11 @@ class MultilevelPartitioner:
             )
             coarse_id = ("m", counter)
             counter += 1
-            weight = [0.0] * graph.weight_dims
+            weight = 0.0
             fixed_cluster: Optional[int] = None
             for member in group:
                 projection[member] = coarse_id
-                for d in range(graph.weight_dims):
-                    weight[d] += graph.weights[member][d]
+                weight += graph.weights[member]
                 if member in graph.fixed:
                     fixed_cluster = graph.fixed[member]
             coarse.add_node(coarse_id, weight)
@@ -279,49 +262,42 @@ class MultilevelPartitioner:
     def _initial_partition(
         self, graph: PartitionGraph, rng: random.Random
     ) -> Dict[Node, int]:
-        totals = graph.total_weight()
-        targets = [t / self.k for t in totals]
-        loads = [[0.0] * graph.weight_dims for _ in range(self.k)]
+        target = graph.total_weight() / self.k
+        loads = [0.0] * self.k
         assignment: Dict[Node, int] = {}
 
         for node, cluster in graph.fixed.items():
             assignment[node] = cluster
-            for d in range(graph.weight_dims):
-                loads[cluster][d] += graph.weights[node][d]
+            loads[cluster] += graph.weights[node]
 
         # Heaviest-first greedy: place each node where it minimises
         # (balance violation, then cut increase).
         order = sorted(
             (n for n in graph.weights if n not in assignment),
-            key=lambda n: tuple(-w for w in graph.weights[n]),
+            key=lambda n: -graph.weights[n],
         )
         for node in order:
             best_cluster = 0
             best_key = None
             for c in range(self.k):
                 violation = 0.0
-                for d in range(graph.weight_dims):
-                    if targets[d] > 0:
-                        new = loads[c][d] + graph.weights[node][d]
-                        over = new - self.imbalance[d] * targets[d]
-                        if over > 0:
-                            violation += over / targets[d]
+                load_frac = 0.0
+                if target > 0:
+                    over = loads[c] + graph.weights[node] - self.imbalance * target
+                    if over > 0:
+                        violation = over / target
+                    load_frac = loads[c] / target
                 external = sum(
                     w
                     for nbr, w in graph.adj[node].items()
                     if assignment.get(nbr, c) != c
-                )
-                load_frac = sum(
-                    loads[c][d] / targets[d] if targets[d] > 0 else 0.0
-                    for d in range(graph.weight_dims)
                 )
                 key = (violation, external, load_frac, rng.random())
                 if best_key is None or key < best_key:
                     best_key = key
                     best_cluster = c
             assignment[node] = best_cluster
-            for d in range(graph.weight_dims):
-                loads[best_cluster][d] += graph.weights[node][d]
+            loads[best_cluster] += graph.weights[node]
         return assignment
 
     # -- refinement -------------------------------------------------------------------------
@@ -332,25 +308,18 @@ class MultilevelPartitioner:
         assignment: Dict[Node, int],
         rng: random.Random,
     ) -> Dict[Node, int]:
-        totals = graph.total_weight()
-        targets = [t / self.k for t in totals]
-        max_node_w = [
-            max((w[d] for w in graph.weights.values()), default=0.0)
-            for d in range(graph.weight_dims)
-        ]
-        caps = [
-            max(self.imbalance[d] * targets[d], max_node_w[d])
-            if targets[d] > 0
+        target = graph.total_weight() / self.k
+        max_node_w = max(graph.weights.values(), default=0.0)
+        # The most a cluster may hold, rounding slack included.
+        cap = (
+            max(self.imbalance * target, max_node_w) + 1e-9
+            if target > 0
             else float("inf")
-            for d in range(graph.weight_dims)
-        ]
-        loads = [[0.0] * graph.weight_dims for _ in range(self.k)]
-        for node, cluster in assignment.items():
-            for d in range(graph.weight_dims):
-                loads[cluster][d] += graph.weights[node][d]
+        )
+        loads = partition_balance(graph, assignment, self.k)
 
         assignment = dict(assignment)
-        for _ in range(self.refine_passes):
+        for _ in range(REFINE_PASSES):
             if budget_expired(self.budget):
                 break
             moved = False
@@ -358,68 +327,41 @@ class MultilevelPartitioner:
             rng.shuffle(order)
             for node in order:
                 src = assignment[node]
+                w = graph.weights[node]
                 # Gain of moving to each other cluster.
                 conn = [0.0] * self.k
-                for nbr, w in graph.adj[node].items():
-                    conn[assignment[nbr]] += w
+                for nbr, nw in graph.adj[node].items():
+                    conn[assignment[nbr]] += nw
+                fits = [
+                    dst for dst in range(self.k)
+                    if dst != src and loads[dst] + w <= cap
+                ]
                 best_dst = None
                 best_gain = 0.0
-                for dst in range(self.k):
-                    if dst == src:
-                        continue
-                    if not self._move_fits(graph, node, dst, loads, caps):
-                        continue
+                for dst in fits:
                     gain = conn[dst] - conn[src]
                     if gain > best_gain + 1e-12:
                         best_gain = gain
                         best_dst = dst
-                if best_dst is None and self._overloaded(src, loads, caps):
+                if best_dst is None and fits and loads[src] > cap:
                     # Balance repair: allow a zero/negative-gain move out of
                     # an overloaded cluster into the lightest feasible one.
-                    candidates = [
-                        dst
-                        for dst in range(self.k)
-                        if dst != src
-                        and self._move_fits(graph, node, dst, loads, caps)
-                    ]
-                    if candidates:
-                        best_dst = min(
-                            candidates, key=lambda c: sum(loads[c])
-                        )
+                    best_dst = min(fits, key=lambda c: loads[c])
                 if best_dst is not None:
-                    self._apply_move(graph, node, src, best_dst, loads)
+                    loads[src] -= w
+                    loads[best_dst] += w
                     assignment[node] = best_dst
                     moved = True
             if not moved:
                 break
         return assignment
 
-    def _move_fits(self, graph, node, dst, loads, caps) -> bool:
-        w = graph.weights[node]
-        for d in range(graph.weight_dims):
-            if caps[d] != float("inf") and loads[dst][d] + w[d] > caps[d] + 1e-9:
-                return False
-        return True
-
-    def _overloaded(self, cluster, loads, caps) -> bool:
-        return any(
-            caps[d] != float("inf") and loads[cluster][d] > caps[d] + 1e-9
-            for d in range(len(caps))
-        )
-
-    def _apply_move(self, graph, node, src, dst, loads) -> None:
-        w = graph.weights[node]
-        for d in range(graph.weight_dims):
-            loads[src][d] -= w[d]
-            loads[dst][d] += w[d]
-
 
 def partition_balance(
     graph: PartitionGraph, assignment: Dict[Node, int], k: int
-) -> List[Tuple[float, ...]]:
-    """Per-cluster total weight vectors under an assignment."""
-    loads = [[0.0] * graph.weight_dims for _ in range(k)]
+) -> List[float]:
+    """Per-cluster total node weight under an assignment."""
+    loads = [0.0] * k
     for node, cluster in assignment.items():
-        for d in range(graph.weight_dims):
-            loads[cluster][d] += graph.weights[node][d]
-    return [tuple(l) for l in loads]
+        loads[cluster] += graph.weights[node]
+    return loads

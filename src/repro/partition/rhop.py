@@ -46,8 +46,20 @@ from .estimator import Anchor, IncrementalEstimate, ScheduleEstimator
 from .merges import UnionFind
 
 
+#: Refinement passes per uncoarsening level (fewer when a pass helps nothing).
+REFINE_PASSES = 3
+#: A block is coarsened to at most ``max(COARSEST_GROUPS_PER_CLUSTER * k,
+#: 4)`` groups.
+COARSEST_GROUPS_PER_CLUSTER = 2
+#: Randomised place/refine cycles per block; the best one is kept.
+RESTARTS = 2
+#: Passes over a function's regions: the first places every op, the rest
+#: revisit each region knowing where every use landed.
+FUNCTION_PASSES = 2
+
+
 class RHOPConfig:
-    """Tunables for the computation partitioner.
+    """Seed and budget of the computation partitioner.
 
     ``budget`` is a cooperative :class:`repro.resilience.Budget`: the
     restart, global-pass, and refinement loops poll it and, on expiry,
@@ -56,20 +68,8 @@ class RHOPConfig:
     assignment — expiry only trims optional improvement work.
     """
 
-    def __init__(
-        self,
-        refine_passes: int = 3,
-        coarsen_to_per_cluster: int = 2,
-        seed: int = 777,
-        restarts: int = 2,
-        global_passes: int = 2,
-        budget=None,
-    ):
-        self.refine_passes = refine_passes
-        self.coarsen_to_per_cluster = coarsen_to_per_cluster
+    def __init__(self, seed: int = 777, budget=None):
         self.seed = seed
-        self.restarts = max(1, restarts)
-        self.global_passes = max(1, global_passes)
         self.budget = budget
 
     def reseeded(self, offset: int, budget=None) -> "RHOPConfig":
@@ -77,11 +77,7 @@ class RHOPConfig:
         pipeline's retry knob); ``budget``, when given, replaces the
         copy's budget."""
         return RHOPConfig(
-            refine_passes=self.refine_passes,
-            coarsen_to_per_cluster=self.coarsen_to_per_cluster,
             seed=self.seed + offset,
-            restarts=self.restarts,
-            global_passes=self.global_passes,
             budget=budget if budget is not None else self.budget,
         )
 
@@ -181,7 +177,7 @@ class RHOP:
         # revisit every region with complete placement knowledge, breaking
         # the first pass's greedy phase-ordering cascades.
         pending_uses: Dict[int, Dict[int, float]] = {}
-        for gpass in range(self.config.global_passes):
+        for gpass in range(FUNCTION_PASSES):
             if gpass > 0:
                 if budget_expired(self.config.budget):
                     break  # pass 0 placed every op; skip global repair
@@ -249,7 +245,7 @@ class RHOP:
         # so keep the best of a few randomised place/refine runs.
         best_cluster_of: Dict[int, int] = {}
         best_key = None
-        for attempt in range(self.config.restarts):
+        for attempt in range(RESTARTS):
             if attempt > 0 and budget_expired(self.config.budget):
                 break  # anytime: keep the best completed cycle
             attempt_rng = random.Random(rng.randrange(1 << 30) + attempt)
@@ -412,7 +408,7 @@ class RHOP:
     ) -> List[Dict[int, Set[int]]]:
         """Multilevel coarsening; returns [finest, ..., coarsest] levels."""
         k = self.machine.num_clusters
-        target = max(self.config.coarsen_to_per_cluster * k, 4)
+        target = max(COARSEST_GROUPS_PER_CLUSTER * k, 4)
 
         max_slack = 0
         for edge in graph.flow_edges():
@@ -522,7 +518,7 @@ class RHOP:
         positions = {
             gid: state.estimator.positions(level_groups[gid]) for gid in movable
         }
-        for _ in range(self.config.refine_passes):
+        for _ in range(REFINE_PASSES):
             if budget_expired(self.config.budget):
                 break
             improved = False

@@ -43,8 +43,7 @@ from ..exec.runconfig import SCHEMES
 from ..ir import Module
 from ..lint import check_scheme_outcome
 from ..machine import Machine
-from ..partition.gdp import GDPConfig
-from ..partition.rhop import RHOP, RHOPConfig, RHOPResult
+from ..partition.rhop import RHOP, RHOPResult
 from ..profiler import InterpreterError
 from ..resilience.errors import InjectedFault, LadderExhausted, as_phase_error
 from ..resilience.report import RunReport
@@ -52,7 +51,7 @@ from .prepared import PreparedProgram
 from .schemes import SchemeOutcome, UnlockedPass, run_scheme
 
 #: Seed stride between retry attempts.  The multilevel partitioners run
-#: ``restarts`` internal cycles seeded ``seed + 0 .. seed + restarts-1``;
+#: ``RESTARTS`` internal cycles seeded ``seed + 0 .. seed + RESTARTS-1``;
 #: a stride much larger than any restart count guarantees a retry explores
 #: a disjoint seed range instead of replaying the same cycles shifted.
 RESEED_STRIDE = 9973
@@ -63,11 +62,9 @@ class Pipeline:
     says: cache policy, profile source, ladder, retries, budget, faults,
     validation and seed.
 
-    ``machine`` overrides the config's machine preset; ``gdp_config`` /
-    ``rhop_config`` override the partitioner defaults (results are then
-    no longer a function of the cache key, so outcomes bypass the cache);
-    ``cache`` shares an :class:`~repro.exec.ArtifactCache` handle so its
-    hit/miss counters accumulate in one place.
+    ``machine`` overrides the config's machine preset; ``cache`` shares
+    an :class:`~repro.exec.ArtifactCache` handle so its hit/miss counters
+    accumulate in one place.
 
     Example
     -------
@@ -83,14 +80,10 @@ class Pipeline:
         self,
         config,
         machine: Optional[Machine] = None,
-        gdp_config: Optional[GDPConfig] = None,
-        rhop_config: Optional[RHOPConfig] = None,
         cache: Optional[ArtifactCache] = None,
     ):
         self.config = config
         self.machine = machine if machine is not None else config.build_machine()
-        self.gdp_config = gdp_config
-        self.rhop_config = rhop_config
         self.cache = (
             cache if cache is not None
             else ArtifactCache(config.cache_dir, config.cache)
@@ -102,17 +95,6 @@ class Pipeline:
         #: is read from disk at most once per pipeline, so the warm probe
         #: followed by prepare/run on its miss costs no second load.
         self._loaded: Dict[str, Optional[Dict[str, Any]]] = {}
-
-    @property
-    def outcomes_cacheable(self) -> bool:
-        """Whether outcomes — and the shared unlocked RHOP pass — are a
-        pure function of the cache key: the config allows it and no
-        custom partitioner config is in play."""
-        return (
-            self.config.cacheable_results
-            and self.gdp_config is None
-            and self.rhop_config is None
-        )
 
     # -- the artifact cache ------------------------------------------------------
 
@@ -182,7 +164,7 @@ class Pipeline:
         prepared artifact, so nothing is compiled, rehydrated or stored.
         A hit is recorded in ``report`` as a one-rung run.
         """
-        if not self.outcomes_cacheable:
+        if not self.config.cacheable_results:
             return None
         scheme = self.config.scheme
         prepared = self._load(
@@ -296,7 +278,7 @@ class Pipeline:
             raise ValueError(f"unknown scheme {scheme!r} (see SCHEME_TABLE)")
         report = RunReport() if report is None else report
         material = None
-        if self.outcomes_cacheable:
+        if self.config.cacheable_results:
             material = self._outcome_material(
                 prepared.fingerprint(), scheme, prepared.profile_mode
             )
@@ -321,7 +303,7 @@ class Pipeline:
         report.record_run(scheme, ladder)
         unlocked_pass = (
             self._unlocked_pass(prepared, report)
-            if self.outcomes_cacheable else None
+            if self.config.cacheable_results else None
         )
         budget = self.budget
         total_attempts = 0
@@ -350,14 +332,10 @@ class Pipeline:
                         prepared,
                         self.machine,
                         rung,
-                        gdp_config=(self.gdp_config or GDPConfig()).reseeded(
-                            seed_offset, budget=budget
-                        ),
-                        rhop_config=(self.rhop_config or RHOPConfig()).reseeded(
-                            seed_offset, budget=budget
-                        ),
                         faults=self.faults,
                         unlocked_pass=unlocked_pass,
+                        seed_offset=seed_offset,
+                        budget=budget,
                     )
                 except Exception as exc:  # noqa: BLE001 - the whole point
                     self._drain_faults(report)

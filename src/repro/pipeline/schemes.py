@@ -25,6 +25,7 @@ from ..partition.assign import insert_intercluster_moves
 from ..partition.gdp import GDPConfig, PROFILE_MAX_IMBALANCE, gdp_partition
 from ..partition.locks import memory_locks
 from ..partition.rhop import RHOP, RHOPConfig, RHOPResult
+from ..resilience.budget import Budget
 from ..resilience.faults import FaultPlan
 from ..resilience.report import PhaseTimer
 from .prepared import PreparedProgram
@@ -138,11 +139,11 @@ def run_scheme(
     prepared: PreparedProgram,
     machine: Machine,
     scheme: str,
-    gdp_config: Optional[GDPConfig] = None,
-    rhop_config: Optional[RHOPConfig] = None,
     object_home: Optional[Dict[str, int]] = None,
     faults: Optional[FaultPlan] = None,
     unlocked_pass: Optional[UnlockedPass] = None,
+    seed_offset: int = 0,
+    budget: Optional[Budget] = None,
 ) -> SchemeOutcome:
     """Run one named scheme end to end, in the three steps every Table-1
     row shares: place the data objects (GDP's graph partition; Profile
@@ -163,12 +164,16 @@ def run_scheme(
     given, answers every RHOP pass that has no locks (see
     :data:`UnlockedPass`); the :class:`~repro.pipeline.Pipeline` passes
     one backed by the artifact cache when outcomes are cacheable.
+    ``seed_offset`` is added to both partitioners' base seeds (the
+    ladder's retry knob) and ``budget`` is the cooperative deadline they
+    poll.
     """
     if scheme not in SCHEME_TABLE:
         raise ValueError(f"unknown scheme {scheme!r} (see SCHEME_TABLE)")
     faults = faults or FaultPlan()
     machine = faults.machine_for(machine)
     timer = PhaseTimer()
+    rhop_config = RHOPConfig().reseeded(seed_offset, budget=budget)
 
     if scheme == "gdp":
         if object_home is None:
@@ -179,7 +184,7 @@ def run_scheme(
                     prepared.objects,
                     machine.num_clusters,
                     block_freq=prepared.block_freq,
-                    config=gdp_config,
+                    config=GDPConfig().reseeded(seed_offset, budget=budget),
                     merge=prepared.merge,
                     program_graph=prepared.program_graph,
                 ).object_home
@@ -231,7 +236,7 @@ def run_scheme(
 def _rhop(
     prepared: PreparedProgram,
     machine: Machine,
-    rhop_config: Optional[RHOPConfig],
+    rhop_config: RHOPConfig,
     faults: FaultPlan,
     timer: PhaseTimer,
     scheme: str,

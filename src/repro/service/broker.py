@@ -220,9 +220,7 @@ class Broker:
     def start(self) -> None:
         """Start the worker pool (idempotent)."""
         with self._lock:
-            missing = self._worker_count - len(
-                [t for t in self._workers if t.is_alive()]
-            )
+            missing = self._worker_count - self.workers_alive()
             for _ in range(max(0, missing)):
                 index = len(self._workers)
                 thread = threading.Thread(
@@ -667,6 +665,12 @@ class Broker:
 
     # -- observability ---------------------------------------------------------
 
+    def workers_alive(self) -> int:
+        """How many worker threads are running: ``/v1/healthz`` reads
+        this alone, without the cache walk ``stats()`` makes."""
+        with self._lock:
+            return sum(1 for t in self._workers if t.is_alive())
+
     def stats(self) -> Dict[str, Any]:
         """The ``/v1/stats`` payload: machine-readable counters only --
         the counter table, nested by path, plus the live state."""
@@ -689,7 +693,7 @@ class Broker:
                     sorted(self._tenant_pending.items())
                 ),
             }
-            alive = sum(1 for t in self._workers if t.is_alive())
+            alive = self.workers_alive()
         payload: Dict[str, Any] = {}
         for path, value in flat.items():
             section, name = path.split(".")

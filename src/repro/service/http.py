@@ -138,7 +138,7 @@ class _Handler(BaseHTTPRequestHandler):
             if path == "/v1/healthz":
                 self._send_json(200, {
                     "status": "ok",
-                    "workers_alive": self.broker.stats()["workers"]["alive"],
+                    "workers_alive": self.broker.workers_alive(),
                 })
             elif path == "/v1/stats":
                 self._send_json(200, self.broker.stats())

@@ -2,7 +2,7 @@
 harness in ``scripts/identity.py`` checks, diffs and records as it says.
 
 ``scripts/check.sh`` runs each suite whole; the tier-1 subsets here are
-lint, profile and rhop on rawcaudio and fir, scheme on rawcaudio, and cli
+lint, profile, rhop and gdp on rawcaudio and fir, scheme on rawcaudio, and cli
 on its fast cells -- ``config show``, a clean and a profiler-faulted
 ``partition``, a degraded and an exhausted ``compare``, the bench
 listing, lint with ``--only bogus`` and ``--run-report``, ``submit``
@@ -27,6 +27,8 @@ _SPEC = importlib.util.spec_from_file_location(
 identity = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(identity)
 
+_GDP_CELLS = len(identity.GDP_CLUSTERS) * len(identity.GDP_RATIOS)
+
 
 @pytest.mark.parametrize("name, only, count", [
     pytest.param("lint", ["rawcaudio"], 1, id="lint-rawcaudio"),
@@ -37,6 +39,8 @@ _SPEC.loader.exec_module(identity)
                  id="rhop-rawcaudio"),
     pytest.param("rhop", ["fir"], 4 * len(identity.RHOP_LATENCIES),
                  id="rhop-fir"),
+    pytest.param("gdp", ["rawcaudio"], _GDP_CELLS, id="gdp-rawcaudio"),
+    pytest.param("gdp", ["fir"], _GDP_CELLS, id="gdp-fir"),
     pytest.param("scheme", ["rawcaudio"], 4 * len(identity.FAULT_SPECS),
                  id="scheme-rawcaudio"),
     pytest.param("cli", identity.FAST_CELLS, len(identity.FAST_CELLS),

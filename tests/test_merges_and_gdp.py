@@ -182,16 +182,8 @@ class TestGDP:
     def test_group_graph_weights(self):
         module, objects, graph = prepare(self.SRC)
         merge = access_pattern_merge(graph, objects)
-        pg = build_group_graph(graph, objects, merge, use_op_weight=False)
-        total = pg.total_weight()[0]
-        assert total == objects.total_size()
-
-    def test_op_weight_dimension(self):
-        module, objects, graph = prepare(self.SRC)
-        merge = access_pattern_merge(graph, objects)
-        pg = build_group_graph(graph, objects, merge, use_op_weight=True)
-        assert pg.weight_dims == 2
-        assert pg.total_weight()[1] == graph.node_count()
+        pg = build_group_graph(graph, objects, merge)
+        assert pg.total_weight() == objects.total_size()
 
     def test_four_clusters(self):
         module, objects, graph = prepare(self.SRC)

@@ -198,30 +198,30 @@ class TestPartitionerProperties:
     @settings(max_examples=30, deadline=None)
     def test_random_graph_partition_valid(self, seed, n):
         rng = random.Random(seed)
-        g = PartitionGraph(1)
+        g = PartitionGraph()
         for i in range(n):
-            g.add_node(i, (float(rng.randint(1, 20)),))
+            g.add_node(i, rng.randint(1, 20))
         for _ in range(n * 2):
             a, b2 = rng.randint(0, n - 1), rng.randint(0, n - 1)
             if a != b2:
                 g.add_edge(a, b2, rng.randint(1, 10))
-        assignment = MultilevelPartitioner(k=2, imbalance=(1.3,)).partition(g)
+        assignment = MultilevelPartitioner(k=2, imbalance=1.3).partition(g)
         assert set(assignment) == set(range(n))
         assert set(assignment.values()) <= {0, 1}
         # Balance: within tolerance OR limited by single-node granularity.
         loads = partition_balance(g, assignment, 2)
-        total = sum(w[0] for w in g.weights.values())
-        heaviest = max(w[0] for w in g.weights.values())
-        assert max(loads[0][0], loads[1][0]) <= max(1.3 * total / 2, heaviest)
+        total = g.total_weight()
+        heaviest = max(g.weights.values())
+        assert max(loads) <= max(1.3 * total / 2, heaviest)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_fixed_nodes_always_respected(self, seed):
         rng = random.Random(seed)
-        g = PartitionGraph(1)
+        g = PartitionGraph()
         n = 20
         for i in range(n):
-            g.add_node(i, (1.0,))
+            g.add_node(i, 1.0)
         for _ in range(30):
             a, b2 = rng.randint(0, n - 1), rng.randint(0, n - 1)
             if a != b2:

@@ -291,7 +291,7 @@ class TestRunReport:
 def _ring_graph(n=24):
     graph = PartitionGraph()
     for node in range(n):
-        graph.add_node(node, (1.0,))
+        graph.add_node(node, 1.0)
     for node in range(n):
         graph.add_edge(node, (node + 1) % n, 1.0)
     return graph
@@ -301,16 +301,16 @@ class TestAnytimeBudget:
     def test_expired_budget_still_yields_complete_partition(self):
         budget = Budget(max_seconds=0.0)
         partitioner = MultilevelPartitioner(
-            k=2, imbalance=(1.2,), seed=3, budget=budget
+            k=2, imbalance=1.2, seed=3, budget=budget
         )
         assignment = partitioner.partition(_ring_graph())
         assert set(assignment) == set(range(24))
         assert set(assignment.values()) == {0, 1}
 
     def test_generous_budget_matches_no_budget(self):
-        free = MultilevelPartitioner(k=2, imbalance=(1.2,), seed=3)
+        free = MultilevelPartitioner(k=2, imbalance=1.2, seed=3)
         capped = MultilevelPartitioner(
-            k=2, imbalance=(1.2,), seed=3, budget=Budget(max_seconds=3600)
+            k=2, imbalance=1.2, seed=3, budget=Budget(max_seconds=3600)
         )
         assert free.partition(_ring_graph()) == capped.partition(_ring_graph())
 

@@ -5,7 +5,7 @@ from repro.analysis import annotate_memory_ops
 from repro.analysis.cfg import CFG
 from repro.lang import compile_source
 from repro.machine import two_cluster_machine
-from repro.partition import RHOP, RHOPConfig
+from repro.partition import RHOP
 from repro.partition.rhop import RHOPResult
 
 
@@ -127,19 +127,6 @@ class TestReverseAnchors:
 
 
 class TestGlobalPasses:
-    def test_two_passes_not_worse_than_one(self):
-        from repro.pipeline import PreparedProgram, run_scheme
-
-        prep = PreparedProgram.from_source(LOOPY, "t")
-        machine = two_cluster_machine(move_latency=5)
-        one = run_scheme(
-            prep, machine, "unified", rhop_config=RHOPConfig(global_passes=1)
-        )
-        two = run_scheme(
-            prep, machine, "unified", rhop_config=RHOPConfig(global_passes=2)
-        )
-        assert two.cycles <= one.cycles * 1.10
-
     def test_full_use_map_counts(self):
         module = compiled(LOOPY)
         func = module.function("main")

@@ -627,6 +627,24 @@ class TestHttpService:
         assert "session" in stats["cache"]
         assert "hit_ratio" in stats["cache"]
 
+    def test_healthz_walks_no_cache_directory(self, server, monkeypatch):
+        from repro.exec.cache import ArtifactCache
+
+        walks = []
+        original = ArtifactCache._entries
+
+        def counted(self, *args, **kwargs):
+            walks.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ArtifactCache, "_entries", counted)
+        client = ServiceClient(server.url)
+        for _ in range(5):
+            assert client.healthz() == {"status": "ok", "workers_alive": 2}
+        assert walks == []
+        client.stats()  # the counter does see the walk /v1/stats makes
+        assert walks
+
     def test_cancel_over_http(self, tmp_path):
         server = ServiceServer(
             broker=make_broker(tmp_path, workers=1, start=False), port=0
