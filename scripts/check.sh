@@ -30,7 +30,9 @@
 #               bench (zero errors), every scheme outcome passes the
 #               region-located partition invariants with a sound
 #               roofline ratio (>= 1.0), and >= 3 benches carry
-#               region-splittable advisories.
+#               region-splittable advisories; then every bench x tier's
+#               GDP region report and field/cs static profile must match
+#               tests/goldens/tier_identity.json (identity suite `tiers`).
 #   rhop        computation-partitioner identity: every bench x scheme x
 #               latency {1, 5, 10} cell reproduces the status, cycles,
 #               dynamic moves and op->cluster assignment hash recorded in
@@ -259,6 +261,10 @@ else:
     print(f"ok: splittable advisories on {splittable_benches}")
 sys.exit(1 if bad else 0)
 PY
+
+    note "tier identity (all benches x tiers: GDP region report, static" \
+        "profile at field/cs vs golden)"
+    python scripts/identity.py tiers || failures=$((failures + 1))
 }
 
 # -- rhop: partitioner identity (RHOP and GDP) against the recorded goldens ----

@@ -43,7 +43,9 @@ from repro.exec.artifacts import stable_op_keys
 from repro.exec.runconfig import SCHEMES, RunConfig
 from repro.ir import renumber_ops
 from repro.lang import compile_source
-from repro.lint import DETERMINISTIC_COLUMNS, lint_with_stats
+from repro.lint import (
+    DETERMINISTIC_COLUMNS, check_region_outcome, lint_with_stats,
+)
 from repro.opt import optimize_module
 from repro.partition.gdp import GDPConfig, gdp_partition
 from repro.pipeline import Pipeline, PreparedProgram
@@ -234,6 +236,47 @@ def profile_cells(benches: Sequence[str], failures: List[str]) -> Cells:
         cells[bench.name]["static"] = _profile_cell(
             canonical_static_profile(static.module, static.profile), None,
             static.profile.instructions_executed)
+    return cells
+
+
+# -- tiers --------------------------------------------------------------------
+
+
+def tier_cells(benches: Sequence[str], failures: List[str]) -> Cells:
+    """``"bench/tier"`` -> cell, for every points-to tier.
+
+    Pins the two analysis chains that run on a module annotated by the
+    prepared tier rather than on andersen's own solve, so a change to how
+    they obtain their analyses can prove neither moved.  Each cell stores
+
+    * ``regioncheck`` -- SHA-256 of ``check_region_outcome(prepared,
+      outcome).to_json()`` for the bench's dynamically prepared program
+      at that tier and its GDP outcome through ``Pipeline`` (cache off);
+    * ``static`` -- for ``field`` and ``cs`` only, the static
+      ``PreparedProgram``'s profile as :func:`profile_cells` stores its
+      ``static`` mode (which covers ``andersen``).
+
+    A bench whose region report has an ERROR is a gate failure.
+    """
+    cells: Cells = {}
+    for bench in map(get, benches):
+        for tier in TIERS:
+            config = RunConfig(cache="off", pointsto_tier=tier)
+            pipe = Pipeline(config)
+            prepared = pipe.prepare(bench.source, bench.name)
+            report = check_region_outcome(prepared, pipe.run(prepared, "gdp"))
+            if report.has_errors:
+                failures.append(f"bench {bench.name} at {tier}: "
+                                f"{report.summary()}\n{report.render_text()}")
+            cell: Dict[str, Any] = {"regioncheck": _sha256(report.to_json())}
+            if tier != "andersen":
+                static = PreparedProgram.from_source(
+                    bench.source, bench.name,
+                    config=config.replace(profile="static"))
+                cell["static"] = _profile_cell(
+                    canonical_static_profile(static.module, static.profile),
+                    None, static.profile.instructions_executed)
+            cells[f"{bench.name}/{tier}"] = cell
     return cells
 
 
@@ -902,6 +945,8 @@ SUITES: Dict[str, Suite] = {
               lint_cells, {"modes": list(LINT_MODES)}, per_field=True),
         Suite("profile", GOLDENS / "profile_identity.json", names,
               profile_cells, {"modes": list(PROFILE_MODES)}, per_field=True),
+        Suite("tiers", GOLDENS / "tier_identity.json", names,
+              tier_cells, {"tiers": list(TIERS)}, per_field=True),
         Suite("rhop", GOLDENS / "rhop_identity.json", names,
               rhop_cells, {"latencies": list(RHOP_LATENCIES)}),
         Suite("rhop-shared", GOLDENS / "rhop_identity.json", names,

@@ -3,7 +3,7 @@ function pointers)."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, Iterable, List, Set, Tuple
 
 from ..ir import Module, Operation
 
@@ -55,3 +55,68 @@ class CallGraph:
         for name in self.callees:
             visit(name, set())
         return order
+
+    def sccs(self) -> List[List[str]]:
+        """Strongly connected components, callees-first (iterative Tarjan;
+        reverse topological order over the condensation)."""
+        index: Dict[str, int] = {}
+        low: Dict[str, int] = {}
+        on_stack: Set[str] = set()
+        stack: List[str] = []
+        sccs: List[List[str]] = []
+        counter = [0]
+
+        def strongconnect(root: str) -> None:
+            work: List[Tuple[str, Iterable[str]]] = [
+                (root, iter(sorted(self.callees.get(root, ()))))
+            ]
+            index[root] = low[root] = counter[0]
+            counter[0] += 1
+            stack.append(root)
+            on_stack.add(root)
+            while work:
+                node, it = work[-1]
+                advanced = False
+                for callee in it:
+                    if callee not in index:
+                        index[callee] = low[callee] = counter[0]
+                        counter[0] += 1
+                        stack.append(callee)
+                        on_stack.add(callee)
+                        work.append(
+                            (callee, iter(sorted(self.callees.get(callee, ()))))
+                        )
+                        advanced = True
+                        break
+                    if callee in on_stack:
+                        low[node] = min(low[node], index[callee])
+                if advanced:
+                    continue
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component: List[str] = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    sccs.append(sorted(component))
+
+        for name in sorted(self.callees):
+            if name not in index:
+                strongconnect(name)
+        return sccs
+
+    def recursive(self) -> Set[str]:
+        """Functions on a call cycle, self-recursion included: their entry
+        facts cannot be computed top-down and must be pinned to top."""
+        return {
+            name
+            for component in self.sccs()
+            for name in component
+            if len(component) > 1 or name in self.callees[name]
+        }

@@ -20,9 +20,7 @@ from .framework import (
     DataflowSolution,
     Lattice,
     SetLattice,
-    recursive_functions,
     solve,
-    top_down_order,
 )
 from .interval import Interval, IntervalAnalysis
 from .regions import AccessRegionAnalysis, ExecutionBounds, TripCounts
@@ -38,7 +36,5 @@ __all__ = [
     "SetLattice",
     "TripCounts",
     "must_defined_registers",
-    "recursive_functions",
     "solve",
-    "top_down_order",
 ]

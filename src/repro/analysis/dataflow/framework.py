@@ -19,18 +19,16 @@ Conventions
   headers on reducible CFGs, cycle entries otherwise), so infinite- or
   tall-lattice analyses (intervals) terminate quickly.
 
-Interprocedural lifting uses :class:`~repro.analysis.callgraph.CallGraph`:
-:func:`top_down_order` yields callers before callees so a client can
-propagate entry facts down the call graph, and
-:func:`recursive_functions` names the functions on call cycles, whose
-entry facts must be pinned to top.
+Interprocedural clients lift entry facts down the
+:class:`~repro.analysis.callgraph.CallGraph` (callers before callees:
+its reversed ``bottom_up_order``) and pin the entry facts of its
+``recursive`` functions to top.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set
+from typing import Any, Dict, FrozenSet, List, Set
 
-from ..callgraph import CallGraph
 from ..cfg import CFG
 from ...ir import Function
 
@@ -116,7 +114,11 @@ class DataflowProblem:
 
 
 class DataflowSolution:
-    """Fixpoint states per block plus solver telemetry."""
+    """Fixpoint states per block plus solver telemetry.
+
+    ``in_states`` and ``out_states`` hold the reachable blocks in
+    iteration order: reverse postorder for a forward problem.
+    """
 
     def __init__(
         self,
@@ -249,34 +251,3 @@ def solve(
             break
 
     return DataflowSolution(problem, in_states, out_states, iterations, widened)
-
-
-# -- interprocedural lifting ----------------------------------------------------
-
-
-def top_down_order(callgraph: CallGraph) -> List[str]:
-    """Function names with every caller before its callees (cycles broken
-    arbitrarily) — the propagation order for entry-fact lifting."""
-    return list(reversed(callgraph.bottom_up_order()))
-
-
-def recursive_functions(callgraph: CallGraph) -> Set[str]:
-    """Functions on a call-graph cycle (including self-recursion); their
-    entry facts cannot be computed top-down and must be pinned to top."""
-    recursive: Set[str] = set()
-    for name in callgraph.callees:
-        seen: Set[str] = set()
-        work = list(callgraph.callees.get(name, ()))
-        while work:
-            callee = work.pop()
-            if callee == name:
-                recursive.add(name)
-                break
-            if callee in seen:
-                continue
-            seen.add(callee)
-            work.extend(callgraph.callees.get(callee, ()))
-    return recursive
-
-
-InputJoin = Callable[[str], Optional[Any]]

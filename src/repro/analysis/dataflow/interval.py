@@ -19,17 +19,9 @@ functions and functions unreachable from ``main`` get TOP parameters.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Tuple
 
-from .framework import (
-    DataflowProblem,
-    DataflowSolution,
-    Lattice,
-    recursive_functions,
-    solve,
-    top_down_order,
-)
-from ..callgraph import CallGraph
+from .framework import DataflowProblem, DataflowSolution, Lattice, solve
 from ..cfg import CFG
 from ...ir import (
     BasicBlock,
@@ -44,8 +36,18 @@ from ...ir import (
     VirtualRegister,
 )
 
+if TYPE_CHECKING:
+    from ..memo import Analyses
+
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
+
+#: Visits a loop header tolerates before its environment is widened.
+WIDEN_AFTER = 3
+
+#: Descending sweeps after the ascending fixpoint (narrowing recovers
+#: bounds widening threw away, e.g. loop-exit compares).
+NARROW_PASSES = 2
 
 
 class Interval:
@@ -687,36 +689,28 @@ class IntervalAnalysis:
     Solves every function once, callers before callees, so that each
     call site's argument intervals can seed the callee's parameter
     environment.  Recursive functions (and functions unreachable from
-    ``main``) get TOP parameters, which is always sound.
+    ``main``) get TOP parameters, which is always sound.  The call graph
+    and CFGs come from ``analyses``, the module's
+    :class:`~repro.analysis.memo.Analyses` memo, which keys each solve by
+    ``const_globals`` (:func:`never_stored_global_values`).
     """
 
-    def __init__(
-        self,
-        module: Module,
-        callgraph: Optional[CallGraph] = None,
-        pointsto=None,
-        widen_after: int = 3,
-        narrow_passes: int = 2,
-    ):
-        self.module = module
-        self.callgraph = callgraph or CallGraph(module)
-        self.const_globals = never_stored_global_values(module, pointsto)
-        self._widen_after = widen_after
-        self._narrow_passes = narrow_passes
-        self.cfgs: Dict[str, CFG] = {}
+    def __init__(self, analyses: "Analyses", const_globals: Dict[str, int]):
+        self.module = analyses.module
+        self.const_globals = const_globals
         self.solutions: Dict[str, DataflowSolution] = {}
-        self.entry_envs: Dict[str, Dict[int, Interval]] = {}
         #: function -> block name -> the block decoded under ``const_globals``
         self._decoded: Dict[str, Dict[str, DecodedBlock]] = {}
-        self._solve_module()
+        self._solve_module(analyses)
 
     # -- solving -------------------------------------------------------------
 
-    def _solve_module(self) -> None:
-        recursive = recursive_functions(self.callgraph)
+    def _solve_module(self, analyses: "Analyses") -> None:
+        callgraph = analyses.callgraph()
+        recursive = callgraph.recursive()
         order = [
             name
-            for name in top_down_order(self.callgraph)
+            for name in reversed(callgraph.bottom_up_order())
             if name in self.module.functions
         ]
         # Entry envs accumulate as callers get solved; missing/recursive
@@ -728,9 +722,7 @@ class IntervalAnalysis:
                 entry: Dict[int, Interval] = {}
             else:
                 entry = arg_envs.get(name, {})
-            self.entry_envs[name] = entry
-            cfg = CFG(func)
-            self.cfgs[name] = cfg
+            cfg = analyses.cfg(func)
             decoded = {
                 block.name: _decode_block(block, self.const_globals)
                 for block in func
@@ -740,8 +732,8 @@ class IntervalAnalysis:
                 func,
                 cfg,
                 _IntervalProblem(entry, decoded),
-                widen_after=self._widen_after,
-                narrow_passes=self._narrow_passes,
+                widen_after=WIDEN_AFTER,
+                narrow_passes=NARROW_PASSES,
             )
             self._propagate_call_args(func, cfg, arg_envs)
 
@@ -839,10 +831,10 @@ class IntervalAnalysis:
         """Yield ``(block, cbr, interval, taken_target)`` for every
         reachable CBR whose outcome the analysis proves constant."""
         func = self.module.functions.get(func_name)
-        cfg = self.cfgs.get(func_name)
-        if func is None or cfg is None:
+        solution = self.solutions.get(func_name)
+        if func is None or solution is None:
             return
-        for block_name in cfg.reverse_postorder():
+        for block_name in solution.in_states:  # reverse postorder
             block = func.blocks[block_name]
             found = self.branch_condition(func_name, block)
             if found is None:

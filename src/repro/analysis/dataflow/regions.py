@@ -24,9 +24,8 @@ them as a drop-in :class:`~repro.profiler.profiledata.ProfileData`.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
-from .framework import recursive_functions, top_down_order
 from .interval import (
     INT32_MAX,
     INT32_MIN,
@@ -40,7 +39,10 @@ from ..callgraph import CallGraph
 from ..cfg import CFG
 from ..dominators import DominatorTree
 from ..loops import Loop, LoopInfo
-from ...ir import BasicBlock, Constant, Function, Module, Opcode, Operation, VirtualRegister
+from ...ir import BasicBlock, Constant, Function, Opcode, Operation, VirtualRegister
+
+if TYPE_CHECKING:
+    from ..memo import Analyses
 
 #: Heuristic trip count used when no sound bound exists (matches the
 #: 10**depth static frequency estimator in analysis/loops.py).
@@ -325,38 +327,32 @@ class ExecutionBounds:
     ``RECURSION_ESTIMATE_FACTOR`` for recursion, capped at
     ``ESTIMATE_CAP``).  Functions unreachable from ``main`` are bounded
     by zero: calls are direct and function references are not data.
+
+    The loop structure rests on ``intervals`` and on the CFGs, dominator
+    trees and call graph of ``analyses``, the module's
+    :class:`~repro.analysis.memo.Analyses` memo.
     """
 
-    def __init__(
-        self,
-        module: Module,
-        intervals: Optional[IntervalAnalysis] = None,
-        pointsto=None,
-    ):
-        self.module = module
-        self.callgraph = CallGraph(module)
-        self.intervals = intervals or IntervalAnalysis(
-            module, self.callgraph, pointsto=pointsto
-        )
-        self.cfgs: Dict[str, CFG] = {}
+    def __init__(self, analyses: "Analyses", intervals: IntervalAnalysis):
+        self.module = analyses.module
+        self.intervals = intervals
         self.loopinfos: Dict[str, LoopInfo] = {}
         self.tripcounts: Dict[str, TripCounts] = {}
         self._irreducible: Dict[str, bool] = {}
         self.entry_bounds: Dict[str, float] = {}
         self.entry_estimates: Dict[str, int] = {}
-        for func in module:
+        for func in self.module:
             if not func.blocks:
                 continue
-            cfg = self.intervals.cfgs.get(func.name) or CFG(func)
-            self.cfgs[func.name] = cfg
-            domtree = DominatorTree(cfg)
+            cfg = analyses.cfg(func)
+            domtree = analyses.dominators(func)
             loops = LoopInfo(cfg, domtree)
             self.loopinfos[func.name] = loops
             self.tripcounts[func.name] = TripCounts(
                 func, cfg, loops, self.intervals
             )
             self._irreducible[func.name] = _has_irreducible_edge(cfg, domtree)
-        self._solve_entries()
+        self._solve_entries(analyses.callgraph())
 
     # -- per-block local factors ---------------------------------------------
 
@@ -384,10 +380,14 @@ class ExecutionBounds:
 
     # -- interprocedural entry bounds ----------------------------------------
 
-    def _solve_entries(self) -> None:
-        recursive = recursive_functions(self.callgraph)
+    def _solve_entries(self, callgraph: CallGraph) -> None:
+        recursive = callgraph.recursive()
+        # Callers first: the position of a call edge in this order tells
+        # a cycle-closing edge apart.
         order = [
-            n for n in top_down_order(self.callgraph) if n in self.module.functions
+            n
+            for n in reversed(callgraph.bottom_up_order())
+            if n in self.module.functions
         ]
         position = {name: i for i, name in enumerate(order)}
         bounds: Dict[str, float] = {n: 0.0 for n in order}
@@ -464,16 +464,17 @@ class AccessRegionAnalysis:
     interval, clamped to the object; any mismatch (heap objects, opaque
     address atoms, out-of-bounds math) falls back to the whole object,
     which is always a sound containment answer.
+
+    The objects an op may access come from ``pointsto`` (a solved
+    points-to result) or, when it is ``None``, from the ops'
+    ``mem_objects`` annotations; CFGs and block affine forms come from
+    ``analyses``, the module's :class:`~repro.analysis.memo.Analyses`
+    memo.
     """
 
-    def __init__(
-        self,
-        module: Module,
-        pointsto=None,
-        bounds: Optional[ExecutionBounds] = None,
-    ):
-        self.module = module
-        self.bounds = bounds or ExecutionBounds(module, pointsto=pointsto)
+    def __init__(self, analyses: "Analyses", bounds: ExecutionBounds, pointsto):
+        self.module = analyses.module
+        self.bounds = bounds
         self._pointsto = pointsto
         #: op uid -> sound execution bound (may be math.inf)
         self.op_weight_bounds: Dict[int, float] = {}
@@ -483,24 +484,23 @@ class AccessRegionAnalysis:
         self.op_regions: Dict[int, Dict[str, Region]] = {}
         #: op uid -> (function name, block name)
         self.op_location: Dict[int, Tuple[str, str]] = {}
-        self._analyze()
+        self._analyze(analyses)
 
     def _objects_for(self, fname: str, op: Operation) -> FrozenSet[str]:
         if self._pointsto is not None:
             return self._pointsto.objects_for_op(fname, op)
         return op.mem_objects()
 
-    def _analyze(self) -> None:
+    def _analyze(self, analyses: "Analyses") -> None:
         intervals = self.bounds.intervals
         for func in self.module:
             if not func.blocks:
                 continue
-            cfg = self.bounds.cfgs.get(func.name)
-            reachable = cfg.reachable() if cfg is not None else set(func.blocks)
+            reachable = analyses.cfg(func).reachable()
             for block in func:
                 if block.name not in reachable:
                     continue
-                affine = AffineAddresses(block)
+                affine = analyses.affine(func, block)
                 entry_env = intervals.env_at_entry(func.name, block.name)
                 for op in block.ops:
                     if not op.is_memory_access():

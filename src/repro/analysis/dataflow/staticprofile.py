@@ -22,11 +22,14 @@ package, and eager re-export would cycle.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from .regions import AccessRegionAnalysis, ESTIMATE_CAP, ExecutionBounds, Region
-from ...ir import Constant, Module, Opcode
+from .regions import ESTIMATE_CAP, Region
+from ...ir import Constant, Opcode
 from ...profiler.profiledata import ProfileData
+
+if TYPE_CHECKING:
+    from ..memo import Analyses
 
 
 class StaticProfile(ProfileData):
@@ -54,24 +57,23 @@ class StaticProfile(ProfileData):
 
 
 def build_static_profile(
-    module: Module,
-    pointsto=None,
-    bounds: Optional[ExecutionBounds] = None,
+    analyses: "Analyses", tier: Optional[str]
 ) -> StaticProfile:
-    """Run the region analysis and package it as a profile.
+    """Package the region analysis ``analyses.access_regions(tier)``
+    (solved here on first request) as a profile.
 
-    ``pointsto`` (a solved points-to result) supplies per-op object sets;
-    without one the ops must already carry ``mem_objects`` annotations.
+    ``tier`` names the points-to solve that supplies per-op object sets;
+    ``None`` takes them from the ops' ``mem_objects`` annotations.
     """
-    bounds = bounds or ExecutionBounds(module, pointsto=pointsto)
-    regions = AccessRegionAnalysis(module, pointsto=pointsto, bounds=bounds)
+    regions = analyses.access_regions(tier)
+    bounds = regions.bounds
+    module = analyses.module
     profile = StaticProfile()
 
     for func in module:
         if not func.blocks:
             continue
-        cfg = bounds.cfgs.get(func.name)
-        reachable = cfg.reachable() if cfg is not None else set(func.blocks)
+        reachable = analyses.cfg(func).reachable()
         call_est = bounds.entry_estimates.get(func.name, 0)
         if call_est > 0 and func.name != "main":
             profile.call_counts[func.name] = call_est

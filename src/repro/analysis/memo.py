@@ -1,15 +1,22 @@
-"""One lazily filled analysis memo per module.
+"""One lazily filled analysis memo per module: the only place that
+chains analyses together.
 
-Lint passes share one through :class:`repro.lint.LintContext` (a
-subclass) and a :class:`~repro.pipeline.PreparedProgram` carries one as
-``prepared.analyses`` (the roofline model lives there).  The memo
-assumes its module is not mutated once an analysis has been taken.
+Every analysis constructor takes what it consumes as a required
+argument (the memo itself for CFGs, dominator trees, the call graph and
+block affine forms; the upstream analysis it refines), so each is built
+at most once per module.  Lint passes share one through
+:class:`repro.lint.LintContext` (a subclass) and a
+:class:`~repro.pipeline.PreparedProgram` carries one as
+``prepared.analyses``.  The memo assumes its module is not mutated once
+an analysis has been taken.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Tuple, TypeVar
+from typing import Callable, Dict, Hashable, Optional, Tuple, TypeVar
 
+from .affine import AffineAddresses
+from .callgraph import CallGraph
 from .cfg import CFG
 from .dataflow import (
     AccessRegionAnalysis,
@@ -23,8 +30,8 @@ from .dominators import DominatorTree
 from .liveness import Liveness
 from .modref import ModRefAnalysis
 from .objects import ObjectTable
-from .pointsto import PointsToResult, solve_pointsto
-from ..ir import Function, Module, Operation
+from .pointsto import PointsToResult, TieredPointsTo
+from ..ir import BasicBlock, Function, Module, Operation
 
 T = TypeVar("T")
 
@@ -40,15 +47,20 @@ def op_locations(module: Module) -> Dict[int, Tuple[str, str, Operation]]:
 class Analyses:
     """Memoized analyses of ``module``, each built on first request.
 
-    Per-function analyses are keyed by function name, per-tier ones by
-    points-to tier.  ``execution_bounds`` is solved once under andersen:
-    its interval fixpoint contains every sharper tier's, so it serves
-    all tiers' region analyses and the static profile.  An interval
-    solve depends on the module only through its never-stored-globals
-    map, so it is keyed by that map: ``intervals`` takes the map from
-    the module's annotations (``const-condition`` depends on that),
-    ``execution_bounds`` from andersen's solution, and when the two maps
-    are equal (any annotated module) both share one solve.
+    Per-function analyses are keyed by function name, affine forms by
+    (function, block), per-tier ones by points-to tier.  A ``tier`` of
+    ``None`` takes object sets from the ops' ``mem_objects`` annotations
+    instead of a solve: that is what a prepared module (annotated by its
+    own tier) and a scheme's transformed clone are analysed under.
+
+    An interval solve depends on the module only through its
+    never-stored-globals map, so it is keyed by that map, and so are the
+    execution bounds over it: ``intervals`` takes the map from the
+    annotations (``const-condition`` depends on that),
+    ``execution_bounds(tier)`` from ``tier``'s solve, and equal maps (any
+    annotated module under its own tier) share one solve.  Every tier's
+    region analysis uses andersen's bounds, whose interval fixpoint
+    contains every sharper tier's; the annotations' uses theirs.
     """
 
     def __init__(self, module: Module):
@@ -78,42 +90,51 @@ class Analyses:
         return self.memo(("must_defined", func.name),
                          lambda: must_defined_registers(func, self.cfg(func)))
 
-    def _intervals_under(self, pointsto) -> IntervalAnalysis:
-        """The interval solve whose never-stored globals come from
-        ``pointsto`` (``None``: the ops' annotations)."""
-        const_globals = never_stored_global_values(self.module, pointsto)
+    def callgraph(self) -> CallGraph:
+        return self.memo("callgraph", lambda: CallGraph(self.module))
+
+    def affine(self, func: Function, block: BasicBlock) -> AffineAddresses:
+        return self.memo(("affine", func.name, block.name),
+                         lambda: AffineAddresses(block))
+
+    def pointsto(self, tier: str = "andersen") -> PointsToResult:
+        return self.memo(("pointsto", tier), lambda: TieredPointsTo(self, tier))
+
+    def _solve(self, tier: Optional[str]) -> Optional[PointsToResult]:
+        """``tier``'s points-to solve; ``None`` for the annotations."""
+        return None if tier is None else self.pointsto(tier)
+
+    def _intervals_under(self, tier: Optional[str]) -> IntervalAnalysis:
+        const_globals = never_stored_global_values(self.module, self._solve(tier))
         return self.memo(
             ("intervals", frozenset(const_globals.items())),
-            lambda: IntervalAnalysis(self.module, pointsto=pointsto))
+            lambda: IntervalAnalysis(self, const_globals))
 
     def intervals(self) -> IntervalAnalysis:
         return self._intervals_under(None)
 
-    def pointsto(self, tier: str = "andersen") -> PointsToResult:
-        return self.memo(("pointsto", tier), lambda: solve_pointsto(self.module, tier))
+    def execution_bounds(self, tier: Optional[str] = "andersen") -> ExecutionBounds:
+        intervals = self._intervals_under(tier)
+        return self.memo(
+            ("execution_bounds", frozenset(intervals.const_globals.items())),
+            lambda: ExecutionBounds(self, intervals))
 
-    def execution_bounds(self) -> ExecutionBounds:
-        return self.memo("execution_bounds", lambda: ExecutionBounds(
-            self.module, intervals=self._intervals_under(self.pointsto())))
+    def access_regions(self, tier: Optional[str] = "andersen") -> AccessRegionAnalysis:
+        return self.memo(("regions", tier), lambda: AccessRegionAnalysis(
+            self, self.execution_bounds(None if tier is None else "andersen"),
+            self._solve(tier)))
 
-    def static_profile(self):
+    def static_profile(self, tier: Optional[str] = "andersen"):
         """Abstract-interpretation access profile (sound static bounds)."""
         # staticprofile imports repro.profiler, which imports this package.
         from .dataflow.staticprofile import build_static_profile
 
-        return self.memo("static_profile", lambda: build_static_profile(
-            self.module, pointsto=self.pointsto(),
-            bounds=self.execution_bounds()))
+        return self.memo(("static_profile", tier),
+                         lambda: build_static_profile(self, tier))
 
-    def access_regions(self, tier: str = "andersen") -> AccessRegionAnalysis:
-        return self.memo(("regions", tier), lambda: AccessRegionAnalysis(
-            self.module, pointsto=self.pointsto(tier),
-            bounds=self.execution_bounds()))
-
-    def modref(self, tier: str = "andersen") -> ModRefAnalysis:
+    def modref(self, tier: Optional[str] = "andersen") -> ModRefAnalysis:
         return self.memo(("modref", tier), lambda: ModRefAnalysis(
-            self.module, pointsto=self.pointsto(tier),
-            regions=self.access_regions(tier)))
+            self, self.access_regions(tier)))
 
     def objects(self) -> ObjectTable:
         return self.memo("objects", lambda: ObjectTable(self.module))

@@ -32,13 +32,15 @@ data-movement roofline uses the footprints they aggregate.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from .affine import coalesce_intervals
-from .callgraph import CallGraph
 from .dataflow.regions import AccessRegionAnalysis
-from ..ir import Module, Opcode
+from ..ir import Opcode
 from ..ir.verifier import KNOWN_EXTERNALS
+
+if TYPE_CHECKING:
+    from .memo import Analyses
 
 #: Per-object effect: coalesced byte intervals, or ``None`` = ⊤ (whole).
 Effect = Optional[List[Tuple[int, int]]]
@@ -137,80 +139,21 @@ class ModRefSummary:
         )
 
 
-def _sccs(callgraph: CallGraph) -> List[List[str]]:
-    """Strongly connected components of the call graph, callees-first
-    (iterative Tarjan; reverse topological order over the condensation)."""
-    index: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    on_stack: Set[str] = set()
-    stack: List[str] = []
-    sccs: List[List[str]] = []
-    counter = [0]
-
-    def strongconnect(root: str) -> None:
-        work: List[Tuple[str, Iterable[str]]] = [
-            (root, iter(sorted(callgraph.callees.get(root, ()))))
-        ]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for callee in it:
-                if callee not in index:
-                    index[callee] = low[callee] = counter[0]
-                    counter[0] += 1
-                    stack.append(callee)
-                    on_stack.add(callee)
-                    work.append(
-                        (callee, iter(sorted(callgraph.callees.get(callee, ()))))
-                    )
-                    advanced = True
-                    break
-                if callee in on_stack:
-                    low[node] = min(low[node], index[callee])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component: List[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(sorted(component))
-
-    for name in sorted(callgraph.callees):
-        if name not in index:
-            strongconnect(name)
-    return sccs
-
-
 class ModRefAnalysis:
-    """Whole-module interprocedural MOD/REF summaries.
-
-    ``pointsto`` (a solved points-to result) supplies per-op object sets
-    when the module is not already annotated; ``regions`` reuses an
-    existing :class:`AccessRegionAnalysis` (the lint context shares one
-    across passes) instead of solving intervals again.
+    """Whole-module interprocedural MOD/REF summaries over ``regions``'
+    per-op byte regions, read through the call graph of ``analyses`` (the
+    module's :class:`~repro.analysis.memo.Analyses` memo, which builds
+    this analysis as ``modref(tier)``).
     """
 
     def __init__(
         self,
-        module: Module,
-        pointsto=None,
-        regions: Optional[AccessRegionAnalysis] = None,
+        analyses: "Analyses",
+        regions: AccessRegionAnalysis,
     ):
-        self.module = module
-        self.regions = regions or AccessRegionAnalysis(module, pointsto=pointsto)
-        self.callgraph = CallGraph(module)
+        self.module = analyses.module
+        self.regions = regions
+        self.callgraph = analyses.callgraph()
         #: Intraprocedural effects (no callees folded in).
         self.local: Dict[str, ModRefSummary] = {}
         #: Transitive effects (callees folded in, recursion widened).
@@ -258,7 +201,7 @@ class ModRefAnalysis:
                             side[obj] = effect
 
     def _compute_transitive(self) -> None:
-        for component in _sccs(self.callgraph):
+        for component in self.callgraph.sccs():
             recursive = len(component) > 1 or (
                 component[0] in self.callgraph.callees.get(component[0], ())
             )

@@ -38,10 +38,13 @@ offsets or contexts):
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..ir import Function, GlobalAddress, Module, Opcode, Operation, VirtualRegister
-from .affine import AffineAddresses, coalesce_intervals
+from .affine import coalesce_intervals
+
+if TYPE_CHECKING:
+    from .memo import Analyses
 
 #: Precision tiers, coarsest first — the refinement lattice order used by
 #: the ``ptdiff`` lint pass and the ``--pointsto`` CLI knob.
@@ -176,12 +179,15 @@ class TieredPointsTo(PointsToResult):
       each object's single content node into one node per field region;
     * context sensitivity instantiates each function's constraint summary
       once per calling call site (1-CFA), bottom-up over the call graph.
+
+    The call graph and the block affine forms come from ``analyses``, the
+    module's :class:`~repro.analysis.memo.Analyses` memo.
     """
 
-    def __init__(self, module: Module, tier: str = "andersen"):
+    def __init__(self, analyses: "Analyses", tier: str):
         if tier not in TIERS:
             raise ValueError(f"unknown points-to tier {tier!r}; one of {TIERS}")
-        self.module = module
+        self.module = analyses.module
         self.tier = tier
         self._field = tier in ("field", "cs")
         self._ctx = tier == "cs"
@@ -203,7 +209,7 @@ class TieredPointsTo(PointsToResult):
         self.solver_iterations = 0
 
         started = time.perf_counter()
-        self._prepare()
+        self._prepare(analyses)
         self._solve()
         self.solve_seconds = time.perf_counter() - started
         self._stats: Optional[PointsToStats] = None
@@ -224,12 +230,10 @@ class TieredPointsTo(PointsToResult):
 
     # -- precomputation -----------------------------------------------------------
 
-    def _prepare(self) -> None:
+    def _prepare(self, analyses: "Analyses") -> None:
         """Contexts (cs tier) and affine offset classification (field)."""
         if self._ctx:
-            from .callgraph import CallGraph
-
-            cg = CallGraph(self.module)
+            cg = analyses.callgraph()
             main = self.module.functions.get("main")
             for name in cg.bottom_up_order():
                 sites = tuple(sorted(op.uid for op in cg.call_sites.get(name, ())))
@@ -244,7 +248,7 @@ class TieredPointsTo(PointsToResult):
         intervals: Dict[str, List[Tuple[int, int]]] = {}
         for func in self.module:
             for block in func:
-                aff = AffineAddresses(block)
+                aff = analyses.affine(func, block)
                 for uid, form in aff.ptradd_offset.items():
                     self._deltas[uid] = form.as_constant()
                 # Direct global accesses at constant offsets define the
@@ -590,8 +594,11 @@ class TieredPointsTo(PointsToResult):
 
 
 def solve_pointsto(module: Module, tier: str = "andersen") -> PointsToResult:
-    """Solve one precision tier over ``module``."""
-    return TieredPointsTo(module, tier=tier)
+    """Solve one precision tier over ``module`` (a fresh memo's
+    ``pointsto(tier)``; a caller holding the module's memo asks it)."""
+    from .memo import Analyses
+
+    return Analyses(module).pointsto(tier)
 
 
 def annotate_memory_ops(

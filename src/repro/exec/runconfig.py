@@ -11,9 +11,10 @@ Design contract:
 * ``to_json``/``from_json`` round-trip exactly; ``from_json`` rejects
   unknown fields and any ``schema_version`` it does not understand, so a
   serialized config is an auditable, forward-safe artifact.
-* :meth:`cache_key_material` is the canonical subset of fields that can
-  change a result — it is embedded in every artifact-cache key and in
-  every sweep report, which is what makes results content-addressable.
+* The artifact cache keys on the fields that can change a result, not on
+  the config as a whole: :func:`repro.exec.artifacts.prepared_key_material`
+  and :func:`~repro.exec.artifacts.outcome_key_material` take them one by
+  one, which is what makes results content-addressable.
 """
 
 from __future__ import annotations
@@ -70,9 +71,9 @@ class RunConfigError(ValueError):
 class RunConfig:
     """Frozen description of one scheme/bench execution policy.
 
-    Fields that change the *result* (scheme, tier, machine, latency,
-    seed) are separated from fields that change only *how* it is obtained
-    (jobs, cache policy, retries…) by :meth:`cache_key_material`.
+    Fields that change the *result* (scheme, tier, profile, machine,
+    latency, seed) feed the artifact-cache keys; fields that change only
+    *how* it is obtained (jobs, cache policy, retries…) do not.
     """
 
     scheme: str = "gdp"
@@ -162,20 +163,6 @@ class RunConfig:
             and self.max_seconds is None
             and self.fault_spec is None
         )
-
-    def cache_key_material(self) -> Dict[str, Any]:
-        """The canonical, result-affecting subset embedded in cache keys
-        (machine preset + latency, points-to tier, profile mode, scheme,
-        seed)."""
-        return {
-            "schema_version": self.schema_version,
-            "machine": self.machine,
-            "latency": self.latency,
-            "pointsto_tier": self.pointsto_tier,
-            "profile": self.profile,
-            "scheme": self.scheme,
-            "seed": self.seed,
-        }
 
     def replace(self, **changes: Any) -> "RunConfig":
         """A copy with ``changes`` applied (dataclasses.replace)."""

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Optional, Sequence
 
-from ..analysis.pointsto import TIERS, PointsToResult, solve_pointsto
+from ..analysis.memo import Analyses
+from ..analysis.pointsto import TIERS, PointsToResult
 from ..ir import Module
 from .diagnostics import (
     Diagnostic,
@@ -50,8 +51,9 @@ register_rule(
 def tier_solutions(
     module: Module, tiers: Sequence[str] = TIERS
 ) -> Dict[str, PointsToResult]:
-    """Solve every requested tier over ``module``."""
-    return {tier: solve_pointsto(module, tier) for tier in tiers}
+    """Solve every requested tier over ``module``, in one memo."""
+    analyses = Analyses(module)
+    return {tier: analyses.pointsto(tier) for tier in tiers}
 
 
 def _diff_iter(

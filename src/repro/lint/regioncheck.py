@@ -41,7 +41,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..analysis.affine import intervals_overlap
-from ..analysis.memo import op_locations
+from ..analysis.memo import Analyses, op_locations
 from ..analysis.modref import (
     Effect,
     ModRefAnalysis,
@@ -330,17 +330,16 @@ def check_region_outcome(
     """Check a full :class:`SchemeOutcome` against every region-granular
     invariant that applies to its scheme.
 
-    The analyses run on ``outcome.module`` (the scheme's transformed
-    clone — its op uids match the assignment) driven by the module's
-    ``mem_objects`` annotations, which carry whichever points-to tier
-    ``prepared`` was built with; running the checker over outcomes
+    The analyses run in a memo over ``outcome.module`` (the scheme's
+    transformed clone — its op uids match the assignment) driven by the
+    module's ``mem_objects`` annotations, which carry whichever points-to
+    tier ``prepared`` was built with; running the checker over outcomes
     prepared at each tier covers the whole refinement chain.
     """
-    from ..analysis.dataflow.regions import AccessRegionAnalysis
-
     module = outcome.module
-    regions = AccessRegionAnalysis(module)
-    modref = ModRefAnalysis(module, regions=regions)
+    analyses = Analyses(module)
+    regions = analyses.access_regions(None)
+    modref = analyses.modref(None)
     report = DiagnosticReport()
     if outcome.object_home is not None:
         report.extend(

@@ -57,15 +57,15 @@ class PreparedProgram:
         if profile is None and profile_mode == "static":
             # Static preparation annotates first: the region analysis
             # needs the points-to object sets the interpreter path only
-            # computes afterwards.
-            from ..analysis.dataflow.staticprofile import build_static_profile
-
+            # computes afterwards.  The profile reads the annotations
+            # through a memo of its own, so the analyses behind it are
+            # dropped once it is built.
             self.pointsto = (
                 pointsto
                 if pointsto is not None
                 else annotate_memory_ops(module, tier=self.pointsto_tier)
             )
-            profile = build_static_profile(module, pointsto=self.pointsto)
+            profile = Analyses(module).static_profile(None)
             self.result = None
             self.profile = profile
         else:

@@ -7,19 +7,13 @@ drift differ — the ``--profile static`` tentpole end to end.
 """
 
 import math
+from collections import Counter
 
 import pytest
 
-from repro.analysis import annotate_memory_ops
+from repro.analysis import Analyses, annotate_memory_ops
 from repro.analysis.cfg import CFG
-from repro.analysis.dataflow import (
-    DataflowProblem,
-    ExecutionBounds,
-    IntervalAnalysis,
-    SetLattice,
-    solve,
-)
-from repro.analysis.dataflow.staticprofile import build_static_profile
+from repro.analysis.dataflow import DataflowProblem, SetLattice, solve
 from repro.lang import compile_source
 from repro.lint import diff_static_dynamic, drift_summary, lint_module
 from repro.profiler import Interpreter
@@ -119,7 +113,7 @@ class TestEngine:
 class TestIntervals:
     def test_widening_terminates_and_bounds_counter(self):
         module = compile_source(LOOP_SRC, "t")
-        analysis = IntervalAnalysis(module)
+        analysis = Analyses(module).intervals()
         func = module.function("main")
         # Some block's entry env carries the induction variable with a
         # finite-from-below interval (starts at 0, widened above).
@@ -140,7 +134,7 @@ class TestIntervals:
         int main() { return scale(21); }
         """
         module = compile_source(src, "t")
-        analysis = IntervalAnalysis(module)
+        analysis = Analyses(module).intervals()
         func = module.function("scale")
         env = analysis.env_at_entry("scale", func.entry.name)
         param = func.params[0]
@@ -154,7 +148,7 @@ class TestIntervals:
         int main() { return f(3); }
         """
         module = compile_source(src, "t")
-        analysis = IntervalAnalysis(module)
+        analysis = Analyses(module).intervals()
         func = module.function("f")
         env = analysis.env_at_entry("f", func.entry.name)
         assert env is not None
@@ -169,7 +163,7 @@ class TestIntervals:
         }
         """
         module = compile_source(src, "t")
-        analysis = IntervalAnalysis(module)
+        analysis = Analyses(module).intervals()
         found = list(analysis.constant_conditions("main"))
         assert found, "x < 3 with x = 5 must fold"
         _block, term, cond, taken = found[0]
@@ -178,7 +172,7 @@ class TestIntervals:
 
     def test_data_dependent_condition_not_constant(self):
         module = compile_source(LOOP_SRC, "t")
-        analysis = IntervalAnalysis(module)
+        analysis = Analyses(module).intervals()
         assert list(analysis.constant_conditions("main")) == []
 
     def test_branch_refinement_bounds_loop_index(self):
@@ -194,7 +188,7 @@ class TestIntervals:
         }
         """
         module = compile_source(src, "t")
-        analysis = IntervalAnalysis(module)
+        analysis = Analyses(module).intervals()
         func = module.function("main")
         body_hi = []
         for name in func.blocks:
@@ -214,7 +208,7 @@ class TestIntervals:
         }
         """
         module = compile_source(src, "t")
-        analysis = IntervalAnalysis(module)
+        analysis = Analyses(module).intervals()
         func = module.function("main")
         dead = [
             name
@@ -231,7 +225,7 @@ class TestIntervals:
 class TestExecutionBounds:
     def test_counted_loop_bound_contains_dynamic(self):
         module = compile_source(LOOP_SRC, "t")
-        bounds = ExecutionBounds(module)
+        bounds = Analyses(module).execution_bounds(None)
         profile = interpret(module)
         for (fname, bname), count in profile.block_counts.items():
             assert count <= bounds.block_bound(fname, bname), (
@@ -251,7 +245,7 @@ class TestExecutionBounds:
         }
         """
         module = compile_source(src, "t")
-        bounds = ExecutionBounds(module)
+        bounds = Analyses(module).execution_bounds(None)
         profile = interpret(module)
         for (fname, bname), count in profile.block_counts.items():
             assert count <= bounds.block_bound(fname, bname)
@@ -270,7 +264,7 @@ class TestExecutionBounds:
         int main() { return f(3); }
         """
         module = compile_source(src, "t")
-        bounds = ExecutionBounds(module)
+        bounds = Analyses(module).execution_bounds(None)
         assert math.isinf(bounds.entry_bounds["f"])
         assert bounds.entry_estimates["f"] >= 1
 
@@ -280,7 +274,7 @@ class TestExecutionBounds:
         int main() { return 0; }
         """
         module = compile_source(src, "t")
-        bounds = ExecutionBounds(module)
+        bounds = Analyses(module).execution_bounds(None)
         assert bounds.entry_bounds["ghost"] == 0
 
 
@@ -290,8 +284,8 @@ class TestExecutionBounds:
 class TestStaticProfile:
     def prepared(self, src):
         module = compile_source(src, "t")
-        pointsto = annotate_memory_ops(module)
-        static = build_static_profile(module, pointsto=pointsto)
+        annotate_memory_ops(module)
+        static = Analyses(module).static_profile(None)
         dynamic = interpret(module)
         return module, static, dynamic
 
@@ -327,8 +321,8 @@ class TestStaticProfile:
 class TestStaticDiff:
     def fixture(self):
         module = compile_source(ARRAY_SRC, "t")
-        pointsto = annotate_memory_ops(module)
-        static = build_static_profile(module, pointsto=pointsto)
+        annotate_memory_ops(module)
+        static = Analyses(module).static_profile(None)
         dynamic = interpret(module)
         return module, static, dynamic
 
@@ -452,10 +446,22 @@ class TestStaticProfileMode:
             RunConfig(profile="oracle")
 
     def test_profile_in_cache_key(self):
+        from repro.exec.artifacts import (
+            outcome_key_material,
+            prepared_key_material,
+        )
+
         from repro.exec import RunConfig
 
-        dyn = RunConfig().cache_key_material()
-        sta = RunConfig(profile="static").cache_key_material()
+        dyn = prepared_key_material(ARRAY_SRC, "t", "andersen")
+        sta = prepared_key_material(ARRAY_SRC, "t", "andersen",
+                                    profile="static")
+        assert dyn != sta
+        assert sta["profile"] == "static"
+        machine = RunConfig().build_machine()
+        dyn = outcome_key_material("ir", machine, "andersen", "gdp", 0)
+        sta = outcome_key_material("ir", machine, "andersen", "gdp", 0,
+                                   profile="static")
         assert dyn != sta
         assert sta["profile"] == "static"
 
@@ -524,7 +530,7 @@ class TestTripCountEdgeCases:
         }
         """
         module = compile_source(src, "t")
-        bounds = ExecutionBounds(module)
+        bounds = Analyses(module).execution_bounds(None)
         profile = interpret(module)
         finite = True
         for (fname, bname), count in profile.block_counts.items():
@@ -542,7 +548,7 @@ class TestTripCountEdgeCases:
         }
         """
         module = compile_source(src, "t")
-        bounds = ExecutionBounds(module)
+        bounds = Analyses(module).execution_bounds(None)
         profile = interpret(module)
         for (fname, bname), count in profile.block_counts.items():
             bound = bounds.block_bound(fname, bname)
@@ -565,7 +571,7 @@ class TestTripCountEdgeCases:
         }
         """
         module = compile_source(src, "t")
-        bounds = ExecutionBounds(module)
+        bounds = Analyses(module).execution_bounds(None)
         header_bounds = [
             bounds.block_bound("main", name)
             for name in module.function("main").blocks
@@ -603,7 +609,7 @@ class TestTripCountEdgeCases:
         module = Module("irreducible")
         module.add_function(func)
 
-        bounds = ExecutionBounds(module)
+        bounds = Analyses(module).execution_bounds(None)
         assert bounds._irreducible["main"]
         for name in ("left", "right", "done"):
             assert math.isinf(bounds.block_bound("main", name))
@@ -624,8 +630,6 @@ class TestTripCountEdgeCases:
     def test_pointer_table_regions_decompose_per_slot(self):
         """End to end: the two stores into a two-slot pointer table read
         back as two adjacent-but-disjoint byte regions of the table."""
-        from repro.analysis.dataflow import AccessRegionAnalysis
-
         src = """
         int a[4];
         int b[4];
@@ -640,7 +644,7 @@ class TestTripCountEdgeCases:
         """
         module = compile_source(src, "t")
         annotate_memory_ops(module)
-        regions = AccessRegionAnalysis(module)
+        regions = Analyses(module).access_regions(None)
         tab_regions = sorted(
             region
             for per_obj in regions.op_regions.values()
@@ -691,7 +695,6 @@ class TestIntervalSharing:
 
     @pytest.mark.parametrize("first", ["intervals", "execution_bounds"])
     def test_plain_module_solves_twice(self, built, first):
-        from repro.analysis import solve_pointsto
         from repro.lint import LintContext
 
         module = compile_source(self.source(), "p")
@@ -700,15 +703,63 @@ class TestIntervalSharing:
         plain, bounded = ctx.intervals(), ctx.execution_bounds().intervals
         assert len(built) == 2
         assert plain.const_globals != bounded.const_globals
-        fresh_plain = IntervalAnalysis(module)
-        fresh_bounded = IntervalAnalysis(
-            module, pointsto=solve_pointsto(module, "andersen"))
+        fresh_plain = Analyses(module).intervals()
+        fresh_bounded = Analyses(module).execution_bounds().intervals
         for shared, fresh in ((plain, fresh_plain), (bounded, fresh_bounded)):
             assert shared.const_globals == fresh.const_globals
             assert set(shared.solutions) == set(fresh.solutions)
             for name, solution in fresh.solutions.items():
                 assert shared.solutions[name].in_states == solution.in_states
                 assert shared.solutions[name].out_states == solution.out_states
+
+
+
+# -- one call graph and one affine form per block ------------------------------------
+
+
+class TestOneBuildPerModule:
+    """The memo is the only wiring: every consumer of the call graph
+    (intervals, execution bounds, the cs points-to tier, MOD/REF) and of
+    a block's affine forms (the field and cs tiers, every tier's region
+    analysis, the static profile) reads the one the memo built."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        from repro.analysis.affine import AffineAddresses
+        from repro.analysis.callgraph import CallGraph
+
+        tally = {"callgraph": [], "affine": []}
+        callgraph_init = CallGraph.__init__
+        affine_init = AffineAddresses.__init__
+
+        def counting_callgraph(self, module):
+            tally["callgraph"].append(module)
+            callgraph_init(self, module)
+
+        def counting_affine(self, block):
+            tally["affine"].append(block)
+            affine_init(self, block)
+
+        monkeypatch.setattr(CallGraph, "__init__", counting_callgraph)
+        monkeypatch.setattr(AffineAddresses, "__init__", counting_affine)
+        return tally
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_lint_of_prepared_bench(self, built, oracle):
+        from repro.bench import get
+        from repro.lint import lint_with_stats
+        from repro.pipeline import PreparedProgram
+
+        prepared = PreparedProgram.from_source(get("g721enc").source, "g721enc")
+        module = prepared.module
+        built["callgraph"].clear()
+        built["affine"].clear()
+        lint_with_stats(module, profile=prepared.profile if oracle else None)
+        per_block = Counter(id(block) for block in built["affine"])
+        assert len(built["callgraph"]) == 1
+        assert built["callgraph"][0] is module
+        assert max(per_block.values()) == 1
+        assert set(per_block) <= {id(b) for func in module for b in func}
 
 
 def test_static_profile_order_ignores_hash_seed():

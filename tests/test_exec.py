@@ -89,11 +89,6 @@ class TestRunConfig:
         with pytest.raises(Exception):
             cfg.scheme = "naive"  # frozen
 
-    def test_cache_key_material_excludes_how_knobs(self):
-        material = RunConfig(jobs=7, retries=5, cache="refresh").cache_key_material()
-        assert "jobs" not in material and "retries" not in material
-        assert material["scheme"] == "gdp" and material["latency"] == 5
-
     def test_cacheable_results_gates(self):
         assert RunConfig().cacheable_results
         assert not RunConfig(cache="off").cacheable_results

@@ -2,14 +2,14 @@
 harness in ``scripts/identity.py`` checks, diffs and records as it says.
 
 ``scripts/check.sh`` runs each suite whole; the tier-1 subsets here are
-lint, profile, rhop and gdp on rawcaudio and fir, scheme on rawcaudio, and cli
-on its fast cells -- ``config show``, a clean and a profiler-faulted
-``partition``, a degraded and an exhausted ``compare``, the bench
-listing, lint with ``--only bogus`` and ``--run-report``, ``submit``
-without a program and a missing file, and service on the coalescing,
-backpressure and old-journal recovery scenarios.  The CLI's fault-class
-cells must show a survived degradation in the golden itself.  A fake
-suite over a temporary golden checks the harness itself without
+lint, profile, tiers, rhop and gdp on rawcaudio and fir, scheme on
+rawcaudio, and cli on its fast cells -- ``config show``, a clean and a
+profiler-faulted ``partition``, a degraded and an exhausted ``compare``,
+the bench listing, lint with ``--only bogus`` and ``--run-report``,
+``submit`` without a program and a missing file, and service on the
+coalescing, backpressure and old-journal recovery scenarios.  The CLI's
+fault-class cells must show a survived degradation in the golden itself.
+A fake suite over a temporary golden checks the harness itself without
 compiling anything.
 """
 
@@ -39,6 +39,8 @@ _GDP_CELLS = len(identity.GDP_CLUSTERS) * len(identity.GDP_RATIOS)
                  id="rhop-rawcaudio"),
     pytest.param("rhop", ["fir"], 4 * len(identity.RHOP_LATENCIES),
                  id="rhop-fir"),
+    pytest.param("tiers", ["rawcaudio"], 3, id="tiers-rawcaudio"),
+    pytest.param("tiers", ["fir"], 3, id="tiers-fir"),
     pytest.param("gdp", ["rawcaudio"], _GDP_CELLS, id="gdp-rawcaudio"),
     pytest.param("gdp", ["fir"], _GDP_CELLS, id="gdp-fir"),
     pytest.param("scheme", ["rawcaudio"], 4 * len(identity.FAULT_SPECS),

@@ -19,15 +19,11 @@ from typing import Dict, Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import Analyses
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.cfg import CFG
-from repro.analysis.dataflow import IntervalAnalysis, interval
-from repro.analysis.dataflow.framework import (
-    DataflowProblem,
-    recursive_functions,
-    solve,
-    top_down_order,
-)
+from repro.analysis.dataflow import interval
+from repro.analysis.dataflow.framework import DataflowProblem, solve
 from repro.analysis.dataflow.interval import (
     INT32_MAX,
     INT32_MIN,
@@ -231,9 +227,9 @@ class ReferenceIntervals:
         self.const_globals = interval.never_stored_global_values(module)
         self.cfgs: Dict[str, CFG] = {}
         self.solutions = {}
-        recursive = recursive_functions(callgraph)
+        recursive = callgraph.recursive()
         arg_envs: Dict[str, Dict[int, Interval]] = {}
-        for name in top_down_order(callgraph):
+        for name in reversed(callgraph.bottom_up_order()):
             if name not in module.functions:
                 continue
             func = module.functions[name]
@@ -350,7 +346,7 @@ def branch_cases():
 
 def test_branch_refinement_cases_match_reference():
     module = branch_cases()
-    shipped = IntervalAnalysis(module).solutions["main"]
+    shipped = Analyses(module).intervals().solutions["main"]
     reference = ReferenceIntervals(module).solutions["main"]
     assert shipped.in_states == reference.in_states
     assert shipped.out_states == reference.out_states
@@ -361,7 +357,7 @@ def test_branch_refinement_cases_match_reference():
 @pytest.mark.parametrize("name", sorted(BENCHES))
 def test_decoded_transfer_matches_reference(name):
     for mode, module in modules(name):
-        shipped = IntervalAnalysis(module)
+        shipped = Analyses(module).intervals()
         reference = ReferenceIntervals(module)
         assert set(shipped.solutions) == set(reference.solutions), mode
         for func in module:

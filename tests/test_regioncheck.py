@@ -4,14 +4,8 @@ data-movement roofline."""
 
 import pytest
 
-from repro.analysis import annotate_memory_ops
-from repro.analysis.dataflow import AccessRegionAnalysis
-from repro.analysis.modref import (
-    ModRefAnalysis,
-    effect_contains,
-    format_effect,
-    merge_effect,
-)
+from repro.analysis import Analyses, annotate_memory_ops
+from repro.analysis.modref import effect_contains, format_effect, merge_effect
 from repro.evalmodel import RooflineModel, build_roofline, roofline_for
 from repro.lang import compile_source
 from repro.lint import (
@@ -103,14 +97,14 @@ class TestEffectLattice:
 
 class TestModRef:
     def test_store_load_classification(self):
-        modref = ModRefAnalysis(annotated(CALLS))
+        modref = Analyses(annotated(CALLS)).modref(None)
         helper = modref.summary_of("helper")
         assert "g:a" in helper.mod
         assert "g:b" in helper.ref
         assert "g:a" not in helper.ref
 
     def test_transitive_inherits_callee_effects(self):
-        modref = ModRefAnalysis(annotated(CALLS))
+        modref = Analyses(annotated(CALLS)).modref(None)
         main = modref.summary_of("main")
         assert "g:a" in main.mod
         assert "g:b" in main.ref
@@ -118,18 +112,18 @@ class TestModRef:
         assert "g:a" not in modref.local["main"].mod
 
     def test_known_externals_do_not_havoc(self):
-        modref = ModRefAnalysis(annotated(CALLS))
+        modref = Analyses(annotated(CALLS)).modref(None)
         assert not modref.local["main"].havoc
         assert not modref.summary_of("main").havoc
 
     def test_recursion_widens_to_top(self):
-        modref = ModRefAnalysis(annotated(RECURSIVE))
+        modref = Analyses(annotated(RECURSIVE)).modref(None)
         assert "fib" in modref.widened
         summary = modref.summary_of("fib")
         assert summary.mod_of("g:a") is None  # widened to whole-object
 
     def test_pointer_table_is_splittable(self):
-        modref = ModRefAnalysis(annotated(POINTER_TABLE))
+        modref = Analyses(annotated(POINTER_TABLE)).modref(None)
         splittable = modref.splittable_objects()
         assert "g:tab" in splittable
         parts = splittable["g:tab"]
@@ -138,7 +132,7 @@ class TestModRef:
             assert prev_hi <= next_lo
 
     def test_region_summary_shape(self):
-        stats = region_summary(ModRefAnalysis(annotated(POINTER_TABLE)))
+        stats = region_summary(Analyses(annotated(POINTER_TABLE)).modref(None))
         assert stats["splittable_objects"] >= 1
         assert stats["splittable_intervals"] >= 2
         assert stats["widened_functions"] == 0
@@ -202,7 +196,7 @@ class TestOutcomeChecks:
         from repro.partition.locks import memory_locks
 
         outcome = run_scheme(table_prepared, machine, "gdp")
-        regions = AccessRegionAnalysis(outcome.module)
+        regions = Analyses(outcome.module).access_regions(None)
         locks = memory_locks(
             outcome.module,
             outcome.object_home,
@@ -223,7 +217,7 @@ class TestOutcomeChecks:
         int a[4];
         int main() { a[1] = 5; return a[1]; }
         """)
-        regions = AccessRegionAnalysis(module)
+        regions = Analyses(module).access_regions(None)
         from repro.ir import Opcode
 
         assignment = {}
@@ -244,7 +238,7 @@ class TestOutcomeChecks:
         int a[4];
         int main() { a[0] = 5; return a[3]; }
         """)
-        regions = AccessRegionAnalysis(module)
+        regions = Analyses(module).access_regions(None)
         from repro.ir import Opcode
 
         assignment = {}
@@ -263,7 +257,7 @@ class TestOutcomeChecks:
         int a[4];
         int main() { int x = a[0]; return x + 1; }
         """)
-        regions = AccessRegionAnalysis(module)
+        regions = Analyses(module).access_regions(None)
         from repro.ir import Opcode
 
         assignment = {}
