@@ -16,12 +16,10 @@ SAMPLE = FULL_SUITE[:8]
 
 
 def rhop_seconds(name: str, scheme: str) -> float:
-    """Detailed-partitioner wall time from the RunReport phase clocks
-    (the per-phase timings the resilient pipeline records on every
-    attempt — the same numbers ``--run-report`` exposes)."""
-    return resilient(name, scheme, LAT).report.phase_seconds(
-        "rhop", scheme=scheme
-    )
+    """Detailed-partitioner wall time: the outcome's ``rhop`` phase clock
+    (``resilient`` runs one attempt, whose report event carries the same
+    numbers ``--run-report`` exposes)."""
+    return resilient(name, scheme, LAT).rhop_seconds
 
 
 def compute_times():
@@ -127,7 +125,7 @@ def test_sec45_run_counts():
 def test_sec45_emit_partition_wallclock(tmp_path):
     """Pin the perf trajectory: write ``BENCH_partition_wallclock.json``
     (repo root) with every bench's partition phase clocks, read from the
-    same RunReport attempt events the Section 4.5 table uses.
+    same ``outcome.timings`` the Section 4.5 table uses.
 
     The payload is scrubbed to the stable skeleton a re-anchor can diff:
     phase names and schemes are deterministic; only the second counts
@@ -140,14 +138,10 @@ def test_sec45_emit_partition_wallclock(tmp_path):
     for name in SAMPLE:
         per_scheme = {}
         for scheme in schemes:
-            report = resilient(name, scheme, LAT).report
-            phases = {}
-            for attempt in report.attempts(scheme):
-                for phase, seconds in attempt["phases"].items():
-                    phases[phase] = phases.get(phase, 0.0) + seconds
+            timings = resilient(name, scheme, LAT).timings
             per_scheme[scheme] = {
                 phase: round(seconds, 6)
-                for phase, seconds in sorted(phases.items())
+                for phase, seconds in sorted(timings.items())
             }
         benches[name] = per_scheme
     payload = {

@@ -72,8 +72,8 @@ def outcome(
 
 @lru_cache(maxsize=None)
 def resilient(name: str, scheme: str, latency: int):
-    """Scheme outcome with its :class:`RunReport` per-phase wall clocks
-    (e.g. Section 4.5 compile-time numbers) rather than just the result.
+    """Scheme outcome with fresh per-phase wall clocks (``.timings``,
+    e.g. Section 4.5 compile-time numbers) rather than just the result.
     Deliberately never served from the artifact cache: a rehydrated
     outcome has no fresh phase timings."""
     pipe = Pipeline(

@@ -3,7 +3,11 @@
 #
 #   tools       ruff + mypy over the tree (strict on src/repro/lint/,
 #               lenient elsewhere — see pyproject.toml); each is skipped
-#               with a notice when the tool is not installed.
+#               with a notice when the tool is not installed.  Without
+#               ruff, scripts/ benchmarks/ examples/ perfbench/ are
+#               byte-compiled instead (bytecode to a temporary directory),
+#               so a syntax error in a file tier-1 never imports still
+#               fails the stage.
 #   examples    `repro lint` over every example program: zero errors;
 #               then every CLI invocation of the `cli` identity suite must
 #               reproduce the exit code, scrubbed output and run report
@@ -88,7 +92,11 @@ stage_tools() {
         note "ruff check"
         ruff check src tests benchmarks examples || failures=$((failures + 1))
     else
-        note "ruff not installed - skipping (config lives in pyproject.toml)"
+        note "ruff not installed - byte-compiling what tier-1 never imports"
+        pycache="$(mktemp -d)"
+        PYTHONPYCACHEPREFIX="$pycache" python -m compileall -q \
+            scripts benchmarks examples perfbench || failures=$((failures + 1))
+        rm -rf "$pycache"
     fi
 
     if command -v mypy >/dev/null 2>&1; then

@@ -50,7 +50,7 @@ from repro.opt import optimize_module
 from repro.partition.gdp import GDPConfig, gdp_partition
 from repro.pipeline import Pipeline, PreparedProgram
 from repro.profiler import Interpreter
-from repro.resilience import LadderExhausted, RunReport
+from repro.resilience import LadderExhausted, RunReport, scrub
 from repro.service import Broker, Journal, ServiceError, scrub_events
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -577,10 +577,6 @@ FAST_CELLS = (
     "missing-file",
 )
 
-_TIMING_KEYS = ("seconds", "wall_seconds", "cell_seconds", "speedup")
-_SOLVER_KEYS = ("solve_seconds", "solver_iterations")
-
-
 def scrub_text(text: str, report_path: str) -> str:
     """``text`` with wall clocks, solver counters and paths replaced."""
     text = text.replace(report_path, REPORT).replace(str(ROOT), "<root>")
@@ -594,28 +590,6 @@ def scrub_text(text: str, report_path: str) -> str:
         re.sub(r"(  )\d+\.\d\d\s*$", r"\1T", line) if "  " in line else line
         for line in text.splitlines()
     )
-
-
-def scrub_report(data: Any) -> Any:
-    """A run-report JSON value with everything wall-clock dependent (or
-    dependent on what earlier runs left in the cache) zeroed or dropped."""
-    if isinstance(data, list):
-        return [
-            scrub_report(item) for item in data
-            if not (isinstance(item, dict) and item.get("kind") == "cache")
-        ]
-    if not isinstance(data, dict):
-        return data
-    scrubbed = {}
-    for key, value in data.items():
-        if key in _TIMING_KEYS or key in _SOLVER_KEYS:
-            value = 0
-        elif key == "phases" and isinstance(value, dict):
-            value = {name: 0 for name in value}
-        else:
-            value = scrub_report(value)
-        scrubbed[key] = value
-    return scrubbed
 
 
 def run_cell(argv: List[str]) -> Dict[str, Any]:
@@ -634,7 +608,7 @@ def run_cell(argv: List[str]) -> Dict[str, Any]:
         report = None
         if os.path.exists(report_path):
             with open(report_path) as handle:
-                report = scrub_report(json.load(handle))
+                report = scrub(json.load(handle))
     return {
         "exit": proc.returncode,
         "stdout": scrub_text(proc.stdout, report_path),
@@ -661,9 +635,9 @@ def cli_cells(names: Sequence[str], failures: List[str]) -> Cells:
       ``(N iters, T ms)``, the sweep table's seconds column and footer
       timings, and the run-report path replaced by placeholders;
     * ``report`` -- the ``--run-report`` file, when the cell writes one,
-      scrubbed the way ``RunReport.to_dict(deterministic=True)`` scrubs:
-      cache events dropped, wall clocks and phase timings zeroed, solver
-      seconds and iteration counts zeroed.
+      through :func:`repro.resilience.scrub`, the projection
+      ``RunReport.to_dict(deterministic=True)`` applies: cache events
+      dropped, wall clocks, phase timings and solver counters zeroed.
     """
     return {name: {"argv": CELLS[name], **run_cell(CELLS[name])} for name in names}
 
@@ -880,8 +854,9 @@ def service_cells(names: Sequence[str], failures: List[str]) -> Cells:
     * ``journal`` -- the log's lines, byte for byte, as they stood right
       before the final shutdown compacted them;
     * ``snapshot`` -- ``snapshot.json``'s text after that shutdown;
-    * ``stats`` -- ``Broker.stats()`` after it, with ``uptime_seconds``
-      zeroed and the artifact cache's byte counts dropped;
+    * ``stats`` -- ``Broker.stats()`` after it, through
+      :func:`repro.resilience.scrub` (``uptime_seconds`` zeroed) and with
+      the artifact cache's byte counts dropped;
     * ``jobs`` -- every job's ``to_dict(include_events=True)``, events
       scrubbed by ``scrub_events``;
     * ``errors`` -- what the scenario's refused calls returned;
@@ -896,8 +871,7 @@ def service_cells(names: Sequence[str], failures: List[str]) -> Cells:
             try:
                 cell: Dict[str, Any] = {"errors": []}
                 broker, log = SCENARIOS[name](cell)
-                stats = broker.stats()
-                stats["uptime_seconds"] = 0
+                stats = scrub(broker.stats())
                 stats["cache"] = _drop_bytes(stats["cache"])
                 jobs = []
                 for job in broker.jobs():

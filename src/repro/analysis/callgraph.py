@@ -25,18 +25,6 @@ class CallGraph:
                         self.callers.setdefault(callee, set()).add(func.name)
                         self.call_sites[callee].append(op)
 
-    def reachable_from(self, root: str = "main") -> Set[str]:
-        """Functions transitively callable from ``root``."""
-        seen: Set[str] = set()
-        work = [root] if root in self.callees else []
-        while work:
-            name = work.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            work.extend(self.callees.get(name, ()))
-        return seen
-
     def bottom_up_order(self) -> List[str]:
         """Callees before callers (recursion broken arbitrarily)."""
         order: List[str] = []

@@ -36,10 +36,6 @@ class CFG:
     def predecessors(self, name: str) -> List[str]:
         return self.preds.get(name, [])
 
-    def exit_blocks(self) -> List[str]:
-        """Blocks ending in RET (no successors)."""
-        return [name for name, succs in self.succs.items() if not succs]
-
     def postorder(self) -> List[str]:
         """Postorder over reachable blocks (iterative DFS)."""
         seen: Set[str] = set()

@@ -113,6 +113,3 @@ class DefUse:
 
     def users(self, def_op: Operation) -> List[Operation]:
         return [self.op_by_uid[u] for u in self.uses_of.get(def_op.uid, [])]
-
-    def reaching_defs(self, use_op: Operation, vid: int) -> List[int]:
-        return self.defs_for.get((use_op.uid, vid), [])

@@ -97,13 +97,6 @@ class LoopInfo:
         """Loop nesting depth of a block (0 = not in any loop)."""
         return self._depth.get(block, 0)
 
-    def innermost_loop_of(self, block: str) -> Optional[Loop]:
-        best: Optional[Loop] = None
-        for loop in self.loops:
-            if loop.contains(block) and (best is None or loop.depth > best.depth):
-                best = loop
-        return best
-
     def static_frequency(self, block: str, base: float = 10.0) -> float:
         """Heuristic execution frequency: ``base ** depth``."""
         return base ** self.depth_of(block)

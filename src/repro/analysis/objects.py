@@ -90,9 +90,6 @@ class ObjectTable:
     def size_of(self, obj_ids: Iterable[str]) -> int:
         return sum(self.objects[o].size for o in obj_ids if o in self.objects)
 
-    def accessors_of(self, obj_id: str) -> List[Operation]:
-        return self.accessors.get(obj_id, [])
-
     def accessed_ids(self) -> List[str]:
         """Objects with at least one static load/store."""
         return [o for o in self.objects if self.accessors.get(o)]

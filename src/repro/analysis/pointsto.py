@@ -605,10 +605,16 @@ def annotate_memory_ops(
     module: Module,
     pointsto: Optional[PointsToResult] = None,
     tier: str = "andersen",
+    analyses: Optional["Analyses"] = None,
 ) -> PointsToResult:
     """Mark every LOAD/STORE with ``mem_objects`` and every MALLOC with its
-    heap object id.  Returns the points-to solution used."""
-    pts = pointsto or solve_pointsto(module, tier)
+    heap object id.  Returns the points-to solution used: ``pointsto``,
+    else ``tier``'s solve in ``analyses`` (the module's memo; a fresh one
+    when omitted)."""
+    pts = pointsto or (
+        solve_pointsto(module, tier) if analyses is None
+        else analyses.pointsto(tier)
+    )
     for func in module:
         for op in func.operations():
             if op.is_memory_access():

@@ -22,6 +22,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..resilience.report import MASK, scrub
+
 # The artifact (de)serialisers live here as module attributes: the
 # driver calls them through this module, which is where perfbench's
 # layer probes wrap them.
@@ -39,10 +41,6 @@ from .runconfig import SCHEMA_VERSION, RunConfig
 #: Default scheme set of a sweep (Table 1 order, unified first so the
 #: relative-performance column always has its baseline).
 SWEEP_SCHEMES = ("unified", "gdp", "profilemax", "naive")
-
-#: Placeholder used when deterministic serialisation scrubs a field whose
-#: value depends on execution order or wall clocks (cache locality, jobs).
-_SCRUBBED = "-"
 
 
 def lookup_cached_outcome(
@@ -149,13 +147,33 @@ def run_cell(
         cache_events["outcome"] = "skip"
     for event in report.cache_events():
         cache_events[event["cache"]] = event["status"]
+    full = report.to_dict()
     cell.update(
         cache=cache_events,
         seconds=time.perf_counter() - started,
-        report=report.to_dict(),
-        report_deterministic=report.to_dict(deterministic=True),
+        report=full,
+        report_deterministic=scrub(full),
     )
     return cell
+
+
+def cell_summary(cell: Dict[str, Any]) -> Dict[str, Any]:
+    """The deterministic projection of one engine cell (what a job
+    reports as its result, and what byte-identity checks compare)."""
+    return {
+        "bench": cell["bench"],
+        "scheme": cell["scheme"],
+        "latency": cell["latency"],
+        "pointsto_tier": cell["pointsto_tier"],
+        "seed": cell["seed"],
+        "machine": cell["machine"],
+        "status": cell["status"],
+        "ran_as": cell["ran_as"],
+        "cycles": cell["cycles"],
+        "dynamic_moves": cell["dynamic_moves"],
+        "roofline_ratio": cell.get("roofline_ratio"),
+        "error": cell["error"],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +191,11 @@ def _cell_sort_key(cell: Dict[str, Any]) -> Tuple:
 class SweepResult:
     """Merged result of one sweep: ordered cells + aggregate telemetry.
 
-    ``to_dict(deterministic=True)`` strips everything execution-order or
-    wall-clock dependent (seconds, jobs, cache locality), leaving only
-    the seed-determined results — the form the ``--jobs 1`` vs
-    ``--jobs 4`` byte-identity tests pin.
+    ``to_dict(deterministic=True)`` keeps only the seed-determined
+    results: each cell's :func:`cell_summary`, its cache statuses masked
+    and its report through :func:`~repro.resilience.report.scrub`, under
+    the config with its execution-only fields reset -- the form the
+    ``--jobs 1`` vs ``--jobs 4`` byte-identity tests pin.
     """
 
     def __init__(
@@ -241,21 +260,17 @@ class SweepResult:
 
     def to_dict(self, deterministic: bool = False) -> Dict[str, Any]:
         if deterministic:
-            cells = []
-            for cell in self.cells:
-                copy = {
-                    k: v for k, v in cell.items()
-                    if k not in ("seconds", "report", "report_deterministic")
-                }
-                copy["cache"] = {k: _SCRUBBED for k in cell["cache"]}
-                copy["report"] = cell["report_deterministic"]
-                cells.append(copy)
-            config = self.config.replace(jobs=None, cache="off",
-                                         cache_dir=None)
             return {
                 "schema_version": SCHEMA_VERSION,
-                "config": config.to_dict(),
-                "cells": cells,
+                "config": self.config.executed_by(
+                    RunConfig(cache="off")
+                ).to_dict(),
+                "cells": [
+                    dict(cell_summary(cell),
+                         cache=dict.fromkeys(cell["cache"], MASK),
+                         report=cell["report_deterministic"])
+                    for cell in self.cells
+                ],
                 "summary": self.summary(),
             }
         return {

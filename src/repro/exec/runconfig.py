@@ -47,6 +47,11 @@ POINTSTO_TIERS = ("andersen", "field", "cs")
 #: but never writes, ``refresh`` recomputes and overwrites.
 CACHE_POLICIES = ("on", "off", "readonly", "refresh")
 
+#: Fields that change only *how* a result is obtained -- parallelism and
+#: the artifact store -- never the result.  Job keys leave them out, and
+#: :meth:`RunConfig.executed_by` takes them from the config that runs it.
+EXECUTION_ONLY_FIELDS = ("jobs", "cache", "cache_dir")
+
 #: Machine presets a config can name (see repro.machine.presets).
 MACHINE_PRESETS = ("two_cluster", "four_cluster", "heterogeneous",
                    "single_cluster")
@@ -167,6 +172,14 @@ class RunConfig:
     def replace(self, **changes: Any) -> "RunConfig":
         """A copy with ``changes`` applied (dataclasses.replace)."""
         return dataclasses.replace(self, **changes)
+
+    def executed_by(self, executor: "RunConfig") -> "RunConfig":
+        """This config with ``executor``'s execution-only fields: a job
+        runs on its server's, a sweep's deterministic projection shows
+        ``RunConfig(cache="off")``'s."""
+        return self.replace(**{
+            name: getattr(executor, name) for name in EXECUTION_ONLY_FIELDS
+        })
 
     # -- builders for the objects the pipelines consume ------------------------
 

@@ -69,14 +69,6 @@ class Function:
     def op_count(self) -> int:
         return sum(len(b) for b in self.blocks.values())
 
-    def find_block_of(self, op: Operation) -> BasicBlock:
-        """Locate the block containing ``op`` (linear scan)."""
-        for block in self.blocks.values():
-            for o in block.ops:
-                if o is op:
-                    return block
-        raise ValueError(f"operation {op} not found in function {self.name}")
-
     # -- printing -----------------------------------------------------------
 
     def __str__(self) -> str:

@@ -68,9 +68,6 @@ class Module:
         self.globals[name] = var
         return var
 
-    def global_var(self, name: str) -> GlobalVariable:
-        return self.globals[name]
-
     # -- functions --------------------------------------------------------------
 
     def add_function(self, func: Function) -> Function:

@@ -181,9 +181,6 @@ class Operation:
         """True for operations that read or write data memory (not MALLOC)."""
         return self.opcode in (Opcode.LOAD, Opcode.STORE)
 
-    def is_branch(self) -> bool:
-        return self.opcode.opclass is OpClass.BRANCH
-
     def is_terminator(self) -> bool:
         return self.opcode in TERMINATORS
 

@@ -190,14 +190,6 @@ class DiagnosticReport:
     def by_rule(self, rule: str) -> List[Diagnostic]:
         return [d for d in self.diagnostics if d.rule == rule]
 
-    def rules_fired(self) -> List[str]:
-        """Distinct rule ids in first-seen order."""
-        seen: List[str] = []
-        for d in self.diagnostics:
-            if d.rule not in seen:
-                seen.append(d.rule)
-        return seen
-
     def summary(self) -> str:
         e, w = len(self.errors), len(self.warnings)
         i = len(self.diagnostics) - e - w

@@ -80,14 +80,11 @@ class LintRunner:
 
     def __init__(
         self,
-        passes: Optional[Iterable[LintPass]] = None,
         only: Optional[Iterable[str]] = None,
         machine: Optional[Machine] = None,
         profile=None,
     ):
-        if passes is not None:
-            self.passes = list(passes)
-        elif only is not None:
+        if only is not None:
             wanted = list(only)
             unknown = [n for n in wanted if n not in PASS_REGISTRY]
             if unknown:
@@ -100,10 +97,6 @@ class LintRunner:
             self.passes = default_passes()
         self.machine = machine
         self.profile = profile
-
-    def register(self, lint_pass: LintPass) -> "LintRunner":
-        self.passes.append(lint_pass)
-        return self
 
     def run(
         self, module: Module, ctx: Optional[LintContext] = None

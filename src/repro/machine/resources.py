@@ -38,9 +38,6 @@ class ClusterConfig:
     def units(self, cls: FUClass) -> int:
         return self.fu_counts.get(cls, 0)
 
-    def total_units(self) -> int:
-        return sum(self.fu_counts.values())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         counts = ", ".join(f"{c.value}={n}" for c, n in self.fu_counts.items())
         return f"<cluster {self.name or '?'}: {counts}>"

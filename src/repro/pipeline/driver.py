@@ -27,7 +27,6 @@ stops spending on retries once it expires.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, Iterable, Optional
 
 # The artifact (de)serialisers are called as ``engine.<name>``: those
@@ -234,7 +233,7 @@ class Pipeline:
         config = self.config
         if config.profile == "static":
             return PreparedProgram.from_source(source, name, config=config)
-        started = time.perf_counter()
+        report.start_attempt()
         try:
             if self.faults is not None:
                 self.faults.begin_attempt("profiler", 1)
@@ -243,18 +242,13 @@ class Pipeline:
         except (InjectedFault, InterpreterError) as exc:
             self._drain_faults(report)
             reason = str(exc)
-            report.record_attempt(
-                "profile:dynamic", 1, "error",
-                time.perf_counter() - started, error=reason,
-            )
+            report.record_attempt("profile:dynamic", 1, "error", error=reason)
             report.record_fallback("profile:dynamic", "profile:static", reason)
-            started = time.perf_counter()
+            report.start_attempt()
             prepared = PreparedProgram.from_source(
                 source, name, config=config.replace(profile="static")
             )
-            report.record_attempt(
-                "profile:static", 1, "ok", time.perf_counter() - started
-            )
+            report.record_attempt("profile:static", 1, "ok")
             return prepared
 
     # -- execution ---------------------------------------------------------------
@@ -326,7 +320,7 @@ class Pipeline:
                 if self.faults is not None:
                     self.faults.begin_attempt(rung, attempt)
                 seed_offset = config.seed + (attempt - 1) * RESEED_STRIDE
-                started = time.perf_counter()
+                report.start_attempt()
                 try:
                     outcome = run_scheme(
                         prepared,
@@ -341,8 +335,7 @@ class Pipeline:
                     self._drain_faults(report)
                     last_failure = str(as_phase_error(exc, rung, rung))
                     report.record_attempt(
-                        rung, attempt, "error", time.perf_counter() - started,
-                        error=last_failure,
+                        rung, attempt, "error", error=last_failure
                     )
                     continue
                 self._drain_faults(report)
@@ -355,7 +348,6 @@ class Pipeline:
                         )
                         report.record_attempt(
                             rung, attempt, "invalid",
-                            time.perf_counter() - started,
                             phases=outcome.timings,
                             error=last_failure,
                             diagnostics=[
@@ -364,8 +356,7 @@ class Pipeline:
                         )
                         continue
                 report.record_attempt(
-                    rung, attempt, "ok", time.perf_counter() - started,
-                    phases=outcome.timings,
+                    rung, attempt, "ok", phases=outcome.timings
                 )
                 report.record_final(scheme, rung, "ok")
                 return _answering(outcome, scheme, report)

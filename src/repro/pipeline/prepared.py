@@ -57,15 +57,19 @@ class PreparedProgram:
         if profile is None and profile_mode == "static":
             # Static preparation annotates first: the region analysis
             # needs the points-to object sets the interpreter path only
-            # computes afterwards.  The profile reads the annotations
-            # through a memo of its own, so the analyses behind it are
-            # dropped once it is built.
+            # computes afterwards.  The tier solve and the profile, which
+            # reads the annotations, share a memo of their own (the call
+            # graph and block affine forms read no annotations), so the
+            # analyses behind the profile are dropped once it is built.
+            analyses = Analyses(module)
             self.pointsto = (
                 pointsto
                 if pointsto is not None
-                else annotate_memory_ops(module, tier=self.pointsto_tier)
+                else annotate_memory_ops(
+                    module, tier=self.pointsto_tier, analyses=analyses
+                )
             )
-            profile = Analyses(module).static_profile(None)
+            profile = analyses.static_profile(None)
             self.result = None
             self.profile = profile
         else:

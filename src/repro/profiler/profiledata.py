@@ -53,12 +53,6 @@ class ProfileData:
         counts = self.op_object_counts.get(op_uid)
         return sum(counts.values()) if counts else 0
 
-    def object_access_count(self, obj_id: str) -> int:
-        """Total dynamic accesses touching one data object."""
-        return sum(
-            counts.get(obj_id, 0) for counts in self.op_object_counts.values()
-        )
-
     def object_access_counts(self) -> Counter:
         totals: Counter = Counter()
         for counts in self.op_object_counts.values():

@@ -11,7 +11,9 @@ everything downstream.  This package makes the chain survivable:
 - :class:`PhaseError` / :class:`InjectedFault` / :class:`LadderExhausted`
   — phase-attributed error taxonomy;
 - :class:`RunReport` — deterministic, JSON-serialisable telemetry of
-  every attempt, fault, fallback, and budget event;
+  every attempt, fault, fallback, and budget event; :func:`scrub` is
+  the one deterministic projection of it (and of sweeps and job
+  events);
 - :class:`FaultPlan` — seed-driven fault injection (``--fault-spec``) so
   every degradation path is exercisable in tests and CI.
 
@@ -29,7 +31,7 @@ from .errors import (
     as_phase_error,
 )
 from .faults import FaultClause, FaultPlan
-from .report import PhaseTimer, RunReport
+from .report import PhaseTimer, RunReport, scrub
 
 __all__ = [
     "Budget",
@@ -43,4 +45,5 @@ __all__ = [
     "ResilienceError",
     "RunReport",
     "as_phase_error",
+    "scrub",
 ]

@@ -1,18 +1,25 @@
 """Run reports: JSON-serialisable telemetry for resilient pipeline runs.
 
 A :class:`RunReport` records, in order, everything that happened while a
-scheme (or a whole comparison) ran: every attempt with its per-phase wall
-clocks, every injected or organic fault, every retry-with-reseed, every
-fallback down the degradation ladder, and every budget expiry.  The JSON
-form is deterministic (sorted keys, stable event order); with
-``deterministic=True`` wall-clock fields are zeroed so two runs with the
-same :class:`~repro.resilience.faults.FaultPlan` seed serialise to
+scheme (or a whole comparison) ran: every attempt with its wall clock
+and per-phase clocks, every injected or organic fault, every
+retry-with-reseed, every fallback down the degradation ladder, and every
+budget expiry.  Attempt and ``final`` seconds are read from the report's
+own (injectable) clock.  The JSON form is deterministic (sorted keys,
+stable event order); with ``deterministic=True`` it goes through
+:func:`scrub`, so two runs with the same
+:class:`~repro.resilience.faults.FaultPlan` seed serialise to
 byte-identical JSON — the property the fault-injection tests pin.
 
+:data:`SCRUBBED` is the one table of what varies between identical
+runs (wall clocks, solver counters, job and worker ids) and :func:`scrub`
+the one function that applies it; the sweep, the service's job events
+and the identity harness project through it too.
+
 :class:`PhaseTimer` is the per-phase clock the schemes fill in; its
-timings ride on :class:`~repro.pipeline.schemes.SchemeOutcome` and are
-copied into the report, so compile-time benchmarks and resilience
-telemetry read the same numbers.
+timings ride on :class:`~repro.pipeline.schemes.SchemeOutcome`
+(``outcome.timings``, the one read path for phase seconds) and are
+copied into the report's attempt events.
 """
 
 from __future__ import annotations
@@ -21,6 +28,46 @@ import json
 import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional
+
+#: Placeholder for an identity (job id, worker id, cache locality) in a
+#: deterministic projection.
+MASK = "-"
+
+#: What varies between identical runs, field name -> replacement: wall
+#: clocks, solver counters (hash seed and machine dependent) and the ids
+#: of whoever ran the work.  A mapping field (``phases``) keeps its keys
+#: and has every value replaced.
+SCRUBBED: Dict[str, Any] = {
+    "seconds": 0.0, "ts": 0.0, "queue_wait": 0.0, "phases": 0.0,
+    "wall_seconds": 0.0, "cell_seconds": 0.0, "speedup": 0.0,
+    "uptime_seconds": 0.0,
+    "solve_seconds": 0, "solver_iterations": 0,
+    "job": MASK, "worker": MASK,
+}
+
+
+def scrub(value: Any) -> Any:
+    """The deterministic projection of a JSON value: every
+    :data:`SCRUBBED` field replaced at any depth, and ``{"kind":
+    "cache"}`` events dropped from every list (cache locality depends on
+    execution order and on what earlier runs left on disk)."""
+    if isinstance(value, list):
+        return [
+            scrub(item) for item in value
+            if not (isinstance(item, dict) and item.get("kind") == "cache")
+        ]
+    if not isinstance(value, dict):
+        return value
+    scrubbed = {}
+    for key, item in value.items():
+        if key not in SCRUBBED:
+            item = scrub(item)
+        elif isinstance(item, dict):
+            item = dict.fromkeys(item, SCRUBBED[key])
+        else:
+            item = SCRUBBED[key]
+        scrubbed[key] = item
+    return scrubbed
 
 
 class PhaseTimer:
@@ -39,9 +86,6 @@ class PhaseTimer:
             elapsed = self._clock() - start
             self.timings[name] = self.timings.get(name, 0.0) + elapsed
 
-    def total(self) -> float:
-        return sum(self.timings.values())
-
 
 class RunReport:
     """Ordered event log of one resilient run (or comparison of runs).
@@ -50,7 +94,8 @@ class RunReport:
 
     - ``run``       — a requested scheme starts (one per ``run()`` call)
     - ``attempt``   — one end-to-end scheme execution: status ``ok`` /
-      ``error`` / ``invalid``, per-phase seconds, error text, diagnostics
+      ``error`` / ``invalid``, seconds since :meth:`start_attempt`,
+      per-phase seconds, error text, diagnostics
     - ``fault``     — a :class:`FaultPlan` clause fired
     - ``fallback``  — the ladder stepped down a rung
     - ``budget``    — the budget expired / attempt cap hit, ending retries
@@ -59,7 +104,7 @@ class RunReport:
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter):
         self._clock = clock
-        self._t0 = clock()
+        self._t0 = self._attempt_t0 = clock()
         self.events: List[Dict[str, Any]] = []
 
     # -- recording -------------------------------------------------------------
@@ -73,12 +118,16 @@ class RunReport:
     def record_run(self, requested: str, ladder: List[str]) -> None:
         self._event("run", requested=requested, ladder=list(ladder))
 
+    def start_attempt(self) -> None:
+        """Mark the start of the attempt the next :meth:`record_attempt`
+        records."""
+        self._attempt_t0 = self._clock()
+
     def record_attempt(
         self,
         scheme: str,
         attempt: int,
         status: str,
-        seconds: float,
         phases: Optional[Dict[str, float]] = None,
         error: Optional[str] = None,
         diagnostics: Optional[List[str]] = None,
@@ -88,7 +137,7 @@ class RunReport:
             scheme=scheme,
             attempt=attempt,
             status=status,
-            seconds=seconds,
+            seconds=self._clock() - self._attempt_t0,
             phases=dict(sorted((phases or {}).items())),
             error=error,
             diagnostics=sorted(diagnostics or []),
@@ -191,60 +240,20 @@ class RunReport:
             return "degraded"
         return "ok"
 
-    def phase_seconds(
-        self, phase: str, scheme: Optional[str] = None, status: str = "ok"
-    ) -> float:
-        """Total wall seconds spent in ``phase`` over matching attempts.
-
-        The per-phase clocks come straight from the schemes'
-        :class:`PhaseTimer`, so these are the authoritative compile-time
-        numbers (used by ``bench_sec45_compile_time``)."""
-        total = 0.0
-        for event in self.attempts(scheme):
-            if status is not None and event["status"] != status:
-                continue
-            total += event["phases"].get(phase, 0.0)
-        return total
-
     # -- serialisation ---------------------------------------------------------
 
-    _TIMING_KEYS = ("seconds",)
-
     def to_dict(self, deterministic: bool = False) -> Dict[str, Any]:
-        """JSON-ready dict.  With ``deterministic=True`` every wall-clock
-        field (``seconds`` and per-phase timings) is zeroed, leaving only
-        the seed-determined structure — byte-stable across runs."""
-        events = []
-        for event in self.events:
-            copy = dict(event)
-            if deterministic:
-                if copy["kind"] == "cache":
-                    # Cache locality depends on execution order (pool
-                    # workers race on shared artifacts) and on what
-                    # earlier runs left on disk — scrub like wall clocks.
-                    continue
-                for key in self._TIMING_KEYS:
-                    if key in copy:
-                        copy[key] = 0.0
-                if "phases" in copy:
-                    copy["phases"] = {name: 0.0 for name in copy["phases"]}
-                if "stats" in copy:
-                    # Solver wall clock and worklist pop count depend on
-                    # hash seed / machine; zero them like other timings.
-                    stats = dict(copy["stats"])
-                    for key in ("solve_seconds", "solver_iterations"):
-                        if key in stats:
-                            stats[key] = 0
-                    copy["stats"] = stats
-            events.append(copy)
+        """JSON-ready dict; with ``deterministic=True`` its :func:`scrub`
+        projection, leaving only the seed-determined structure —
+        byte-stable across runs."""
         summary = {
             "attempts": len(self.attempts()),
             "faults": len(self.faults()),
             "fallbacks": len(self.fallbacks()),
         }
         final = self.final()
-        return {
-            "events": events,
+        data = {
+            "events": [dict(event) for event in self.events],
             "final": (
                 {
                     "requested": final["requested"],
@@ -256,6 +265,7 @@ class RunReport:
             ),
             "summary": summary,
         }
+        return scrub(data) if deterministic else data
 
     def to_json(self, deterministic: bool = False, indent: int = 2) -> str:
         return json.dumps(

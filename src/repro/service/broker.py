@@ -183,7 +183,9 @@ class Broker:
             raise ValueError(
                 "tenant_pending must be >= 1 (or None for unbounded)"
             )
-        self.config = config or RunConfig()
+        # A job is one cell: the server's config names the store its
+        # jobs share, and no parallelism of its own.
+        self.config = (config or RunConfig()).replace(jobs=None)
         self.max_requeues = max_requeues
         self.max_depth = max_depth
         self.tenant_pending = tenant_pending
@@ -349,14 +351,10 @@ class Broker:
         return self._server_owned(config)
 
     def _server_owned(self, config: RunConfig) -> RunConfig:
-        """The server owns the shared store and the worker pool; a job is
-        one cell, so client-side parallelism/cache knobs are stripped
-        before the config reaches the engine (and the coalescing key
-        already ignores them)."""
-        return config.replace(
-            jobs=None, cache=self.config.cache,
-            cache_dir=self.config.cache_dir,
-        )
+        """The server owns the shared store and the worker pool, so a
+        job's execution-only fields are the server's before the config
+        reaches the engine (the coalescing key already ignores them)."""
+        return config.executed_by(self.config)
 
     def _enqueue(self, job: Job, kind: str, **fields: Any) -> None:
         """Queue an admitted ``job`` behind a ``kind`` event that says

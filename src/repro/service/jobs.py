@@ -14,15 +14,16 @@ resilience ladder (or the profiler rung) fell back along the way — and a
 Every transition appends an ordered :func:`Job.record` event; the event
 list *is* the job's NDJSON stream (``GET /v1/jobs/{id}/events``).  Event
 payloads carry wall clocks, worker ids and the job id for observability;
-:func:`scrub_events` strips exactly those fields — the same way
-RunReport wall clocks are scrubbed — leaving a byte-stable lifecycle
-that goldens can pin.
+:func:`scrub_events` projects them through the one table of what varies
+between identical runs (:data:`repro.resilience.report.SCRUBBED`, the
+same one a deterministic RunReport applies), leaving a byte-stable
+lifecycle that goldens can pin.
 
 Coalescing identity: :func:`job_key` hashes the program content together
-with every *result-affecting* RunConfig field (execution-only knobs —
-``jobs``, ``cache``, ``cache_dir`` — are excluded, since the server owns
-those).  Two submissions with equal keys are the same work; the broker
-folds the second onto the first while it is in flight.
+with every *result-affecting* RunConfig field (the execution-only ones,
+:data:`repro.exec.runconfig.EXECUTION_ONLY_FIELDS`, are excluded, since
+the server owns those).  Two submissions with equal keys are the same
+work; the broker folds the second onto the first while it is in flight.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ import threading
 from typing import Any, Dict, Iterator, List, Optional
 
 from ..exec.cache import canonical_key, content_sha
-from ..exec.runconfig import RunConfig
+from ..exec.engine import cell_summary
+from ..exec.runconfig import EXECUTION_ONLY_FIELDS, RunConfig
+from ..resilience.report import scrub
 
 #: Job states, in lifecycle order.
 QUEUED = "queued"
@@ -75,18 +78,6 @@ def job_record(
     }
 
 
-#: RunConfig fields that change only *how* a result is obtained, never
-#: the result itself; excluded from the coalescing key so e.g. two
-#: clients disagreeing about ``jobs`` still share one execution.
-_EXECUTION_ONLY_FIELDS = ("jobs", "cache", "cache_dir")
-
-#: Fields :func:`scrub_events` zeroes (wall clocks) or masks (identity),
-#: mirroring the RunReport deterministic serialisation contract.
-_SCRUB_ZERO = ("ts", "queue_wait", "seconds")
-_SCRUB_MASK = ("job", "worker")
-_SCRUBBED = "-"
-
-
 def job_key(bench: str, source: str, config: RunConfig) -> str:
     """Content hash identifying one unit of service work.
 
@@ -102,50 +93,19 @@ def job_key(bench: str, source: str, config: RunConfig) -> str:
         "source_sha": content_sha(source),
         "config": {
             k: v for k, v in config.to_dict().items()
-            if k not in _EXECUTION_ONLY_FIELDS
+            if k not in EXECUTION_ONLY_FIELDS
         },
     }
     return canonical_key(material)
 
 
 def scrub_events(events: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Deterministic projection of an event stream.
-
-    Job ids, worker ids, timestamps and queue-wait clocks are execution
-    artifacts — two byte-identical runs of the same job differ only in
-    them — so they are masked/zeroed exactly like RunReport wall clocks,
-    leaving the seed-determined lifecycle the goldens pin.
-    """
-    scrubbed = []
-    for event in events:
-        copy = dict(event)
-        for key in _SCRUB_ZERO:
-            if key in copy:
-                copy[key] = 0.0
-        for key in _SCRUB_MASK:
-            if key in copy:
-                copy[key] = _SCRUBBED
-        scrubbed.append(copy)
-    return scrubbed
-
-
-def cell_summary(cell: Dict[str, Any]) -> Dict[str, Any]:
-    """The deterministic projection of one engine cell (what a job
-    reports as its result, and what byte-identity checks compare)."""
-    return {
-        "bench": cell["bench"],
-        "scheme": cell["scheme"],
-        "latency": cell["latency"],
-        "pointsto_tier": cell["pointsto_tier"],
-        "seed": cell["seed"],
-        "machine": cell["machine"],
-        "status": cell["status"],
-        "ran_as": cell["ran_as"],
-        "cycles": cell["cycles"],
-        "dynamic_moves": cell["dynamic_moves"],
-        "roofline_ratio": cell.get("roofline_ratio"),
-        "error": cell["error"],
-    }
+    """Deterministic projection of an event stream: job ids, worker ids,
+    timestamps and queue-wait clocks are execution artifacts -- two
+    byte-identical runs of the same job differ only in them -- so
+    :func:`~repro.resilience.report.scrub` masks and zeroes them, leaving
+    the seed-determined lifecycle the goldens pin."""
+    return scrub(events)
 
 
 class Job:

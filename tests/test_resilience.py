@@ -30,6 +30,7 @@ from repro.resilience import (
     RunReport,
     as_phase_error,
     budget_expired,
+    scrub,
 )
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
@@ -222,21 +223,33 @@ class TestRunReport:
         with timer.phase("gdp"):
             now[0] += 0.5
         assert timer.timings == {"rhop": 3.0, "gdp": 0.5}
-        assert timer.total() == 3.5
 
-    def test_phase_seconds_filters_status_and_scheme(self):
-        report = RunReport(clock=lambda: 0.0)
-        report.record_attempt("gdp", 1, "error", 1.0, phases={"rhop": 9.0})
-        report.record_attempt("gdp", 2, "ok", 1.0, phases={"rhop": 2.0})
-        report.record_attempt("naive", 1, "ok", 1.0, phases={"rhop": 4.0})
-        assert report.phase_seconds("rhop") == 6.0
-        assert report.phase_seconds("rhop", scheme="gdp") == 2.0
-        assert report.phase_seconds("rhop", scheme="gdp", status="error") == 9.0
+    def test_attempt_and_final_seconds_read_the_report_clock(self):
+        now = [10.0]
+        report = RunReport(clock=lambda: now[0])
+        now[0] = 11.0
+        report.start_attempt()
+        now[0] = 13.5
+        report.record_attempt("gdp", 1, "error", phases={"rhop": 9.0})
+        report.start_attempt()
+        now[0] = 14.0
+        report.record_attempt("naive", 1, "ok")
+        now[0] = 15.0
+        report.record_final("gdp", "naive", "ok")
+        attempts = report.attempts()
+        assert [e["seconds"] for e in attempts] == [2.5, 0.5]
+        # Phase clocks are the caller's; the report copies them.
+        assert attempts[0]["phases"] == {"rhop": 9.0}
+        # ``final`` counts from the report's creation.
+        assert report.final()["seconds"] == 5.0
 
-    def test_deterministic_json_zeroes_clocks_only(self):
-        report = RunReport()
+    def test_deterministic_json_zeroes_clocks_only(self, prepared):
+        now = [0.0]
+        report = RunReport(clock=lambda: now[0])
         report.record_run("gdp", ["gdp", "naive"])
-        report.record_attempt("gdp", 1, "ok", 12.5, phases={"rhop": 3.25})
+        report.start_attempt()
+        now[0] = 12.5
+        report.record_attempt("gdp", 1, "ok", phases={"rhop": 3.25})
         report.record_final("gdp", "gdp", "ok")
         data = json.loads(report.to_json(deterministic=True))
         attempt = [e for e in data["events"] if e["kind"] == "attempt"][0]
@@ -250,6 +263,15 @@ class TestRunReport:
         assert [e for e in live["events"] if e["kind"] == "attempt"][0][
             "seconds"
         ] == 12.5
+        # The deterministic form is the one scrub of the live form, also
+        # on a fault-injected ladder run (faults, retries, a fallback).
+        ladder = RunReport()
+        resilient(retries=1, fault_spec="seed=3;raise:gdp").run(
+            prepared, "gdp", report=ladder
+        )
+        assert ladder.fallbacks() and ladder.faults()
+        assert scrub(ladder.to_dict()) == ladder.to_dict(deterministic=True)
+        assert scrub(ladder.to_dict()) != ladder.to_dict()
 
     @staticmethod
     def _finals(*finals):

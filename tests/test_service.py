@@ -86,6 +86,36 @@ class TestJobKey:
         assert scrubbed[0]["job"] == "-" and scrubbed[0]["worker"] == "-"
         assert scrubbed[0]["kind"] == "started"  # structure preserved
         assert events[0]["ts"] == 1.25  # input untouched
+        # The one table (``resilience.report.SCRUBBED``) applies at any
+        # depth, keeps each replacement's type, zeroes a mapping's values
+        # and drops cache events from every list.
+        nested = [{
+            "kind": "finished", "seconds": 3.5, "wall_seconds": 2.0,
+            "cell_seconds": 4.0, "speedup": 2.0, "uptime_seconds": 9.0,
+            "cycles": 812,
+            "report": {"events": [
+                {"kind": "attempt", "seconds": 1.5,
+                 "phases": {"gdp": 0.25, "rhop": 1.0}},
+                {"kind": "cache", "cache": "outcome", "status": "hit"},
+                {"kind": "pointsto", "stats": {
+                    "solve_seconds": 0.01, "solver_iterations": 42,
+                    "nodes": 9}},
+            ]},
+        }, {"kind": "cache", "cache": "prepared", "status": "miss"}]
+        assert scrub_events(nested) == [{
+            "kind": "finished", "seconds": 0.0, "wall_seconds": 0.0,
+            "cell_seconds": 0.0, "speedup": 0.0, "uptime_seconds": 0.0,
+            "cycles": 812,
+            "report": {"events": [
+                {"kind": "attempt", "seconds": 0.0,
+                 "phases": {"gdp": 0.0, "rhop": 0.0}},
+                {"kind": "pointsto", "stats": {
+                    "solve_seconds": 0, "solver_iterations": 0,
+                    "nodes": 9}},
+            ]},
+        }]
+        solver = scrub_events(nested)[0]["report"]["events"][1]["stats"]
+        assert type(solver["solve_seconds"]) is int
 
 
 # -- the fair queue -----------------------------------------------------------
