@@ -14,21 +14,21 @@
 #               recorded in tests/goldens/cli_identity.json (33 cells).
 #   benches     every bench's plain, --dynamic-oracle and prepared lint
 #               report must hash to tests/goldens/lint_identity.json, with
-#               zero ERRORs in the plain report (a bench with one fails,
-#               its report printed); every bench's plain and prepared
-#               interpreter profile (counts, regions, heap sizes, steps,
-#               output, return value) and its static profile (plus bounds
-#               and static regions) must match
+#               zero ERRORs in the plain and --dynamic-oracle reports (a
+#               bench with one fails, its report printed): the oracle
+#               report runs the points-to refinement differ
+#               (cs <= field <= andersen, every observed target in every
+#               tier) and the static-vs-dynamic drift differ (every static
+#               bound contains the measured profile); every bench's plain
+#               and prepared interpreter profile (counts, regions, heap
+#               sizes, steps, output, return value) and its static profile
+#               (plus bounds and static regions) must match
 #               tests/goldens/profile_identity.json (identity suites
 #               `lint` and `profile`).
 #   faults      every scheme x fault-spec cell of rawcaudio/fir/huffman
 #               must reproduce tests/goldens/scheme_identity.json (144
 #               cells; identity suite `scheme`).  The CLI runs of one spec
 #               per fault class are `cli` cells (stage `examples`).
-#   ptdiff      points-to refinement differ over the whole suite.
-#   staticdiff  static-vs-dynamic drift differ over the whole suite:
-#               every static access bound must contain the observed
-#               dynamic counts/regions (zero violations).
 #   regioncheck region-granular MOD/REF checks over the whole suite:
 #               the cross-tier region refinement chain holds on every
 #               bench (zero errors), every scheme outcome passes the
@@ -80,7 +80,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
 export PYTHONPATH="$ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
 
-STAGES="tools examples benches faults ptdiff staticdiff regioncheck rhop cache service chaos perfbench"
+STAGES="tools examples benches faults regioncheck rhop cache service chaos perfbench"
 failures=0
 
 note() { printf '== %s\n' "$*"; }
@@ -130,8 +130,8 @@ stage_examples() {
 
 stage_benches() {
     note "lint identity (all benches x plain/oracle/prepared vs golden, zero" \
-        "plain errors), profile identity (all benches x plain/prepared/static" \
-        "vs golden)"
+        "plain and oracle errors), profile identity (all benches x" \
+        "plain/prepared/static vs golden)"
     python scripts/identity.py lint profile || failures=$((failures + 1))
 }
 
@@ -143,75 +143,6 @@ stage_benches() {
 stage_faults() {
     note "scheme identity (rawcaudio/fir/huffman x schemes x fault specs vs golden)"
     python scripts/identity.py scheme || failures=$((failures + 1))
-}
-
-# -- ptdiff: points-to refinement differ over the whole suite -----------------
-# Every sharper tier must be a refinement of the tier below on every
-# benchmark (pts_cs ⊆ pts_field ⊆ pts_andersen per memory op), and every
-# tier must contain the objects the interpreter actually touches.
-
-stage_ptdiff() {
-    note "points-to refinement differ (all benches x all tiers + dynamic oracle)"
-    python - <<'PY' || failures=$((failures + 1))
-import sys
-
-from repro.bench import all_benchmarks
-from repro.lang import compile_source
-from repro.lint import diff_tiers
-from repro.profiler import Interpreter
-
-bad = 0
-for bench in all_benchmarks():
-    module = compile_source(bench.source, bench.name)
-    interp = Interpreter(module)
-    interp.run()
-    report = diff_tiers(module, profile=interp.profile)
-    avg = " ".join(
-        f"{t}={report.stats[t]['avg_set_size']}" for t in report.stats
-    )
-    status = "FAIL" if report.has_errors else "ok"
-    print(f"{status}: differ {bench.name}: {report.summary()} ({avg})")
-    if report.has_errors:
-        print(report.render_text())
-        bad += 1
-sys.exit(1 if bad else 0)
-PY
-}
-
-# -- staticdiff: static-vs-dynamic drift differ over the whole suite ----------
-# The abstract-interpretation access bounds must *contain* what the
-# interpreter actually observes on every benchmark: every executed block
-# within its static bound, every op's access weight within its bound,
-# every touched byte region inside its static region.  Zero violations.
-
-stage_staticdiff() {
-    note "static-vs-dynamic drift differ (all benches, zero violations)"
-    python - <<'PY' || failures=$((failures + 1))
-import sys
-
-from repro.bench import all_benchmarks
-from repro.lang import compile_source
-from repro.lint import diff_static_dynamic
-from repro.profiler import Interpreter
-
-bad = 0
-for bench in all_benchmarks():
-    module = compile_source(bench.source, bench.name)
-    interp = Interpreter(module)
-    interp.run()
-    report = diff_static_dynamic(module, interp.profile)
-    s = report.stats["staticdiff"]
-    status = "FAIL" if report.has_errors else "ok"
-    print(f"{status}: staticdiff {bench.name}: "
-          f"{s['violations']} violation(s), "
-          f"{s['ops_finite_bound']}/{s['ops_compared']} ops finite, "
-          f"{s['blocks_bounded']}/{s['blocks_measured']} blocks bounded, "
-          f"median weight ratio {s['median_weight_ratio']}")
-    if report.has_errors:
-        print(report.render_text())
-        bad += 1
-sys.exit(1 if bad else 0)
-PY
 }
 
 # -- regioncheck: region-granular MOD/REF checks over the whole suite ---------

@@ -43,9 +43,7 @@ from repro.exec.artifacts import stable_op_keys
 from repro.exec.runconfig import SCHEMES, RunConfig
 from repro.ir import renumber_ops
 from repro.lang import compile_source
-from repro.lint import (
-    DETERMINISTIC_COLUMNS, check_region_outcome, lint_with_stats,
-)
+from repro.lint import check_region_outcome, lint_report, lint_with_stats
 from repro.opt import optimize_module
 from repro.partition.gdp import GDPConfig, gdp_partition
 from repro.pipeline import Pipeline, PreparedProgram
@@ -68,15 +66,6 @@ def _sha256(text: str) -> str:
 LINT_MODES = ("plain", "oracle", "prepared")
 
 
-def _cli_report(module, machine, profile=None):
-    """The report ``repro lint [--dynamic-oracle]`` prints for ``module``."""
-    report, ctx = lint_with_stats(module, machine=machine, profile=profile)
-    for tier in TIERS:
-        stats = ctx.pointsto(tier).stats().to_dict()
-        report.stats[tier] = {c: stats[c] for c in DETERMINISTIC_COLUMNS}
-    return report
-
-
 def lint_cells(benches: Sequence[str], failures: List[str]) -> Cells:
     """bench -> mode -> SHA-256 of ``lint_module(...).to_json()``.
 
@@ -84,27 +73,31 @@ def lint_cells(benches: Sequence[str], failures: List[str]) -> Cells:
     prove the findings did not move.  The three modes are the three ways
     the suite is linted:
 
-    * ``plain`` -- a ``compile_source`` module with the per-tier
-      ``DETERMINISTIC_COLUMNS`` points-to stats ``repro lint`` adds;
+    * ``plain`` -- a ``compile_source`` module linted as ``repro lint``
+      reports it (:func:`repro.lint.lint_report`: the passes plus the
+      per-tier ``DETERMINISTIC_COLUMNS`` points-to stats);
     * ``oracle`` -- the same module linted with an interpreter profile of
-      itself, as ``repro lint --dynamic-oracle`` does;
+      itself, as ``repro lint --dynamic-oracle`` does, so the points-to
+      refinement differ (``ptdiff``) and the static-vs-dynamic drift
+      differ (``staticdiff``) check every bench;
     * ``prepared`` -- the dynamically prepared module, as the benchmark's
       prepare workload lints it.
 
-    A bench whose plain report has an ERROR is a gate failure.
+    A bench whose plain or oracle report has an ERROR is a gate failure.
     """
     machine = RunConfig().build_machine()
     dynamic = RunConfig(profile="dynamic", cache="off")
     cells: Cells = {}
     for bench in map(get, benches):
         module = compile_source(bench.source, bench.name)
-        plain = _cli_report(module, machine)
-        if plain.has_errors:
-            failures.append(f"bench {bench.name}: {plain.summary()}\n"
-                            f"{plain.render_text()}")
+        plain = lint_report(module, machine)
         interp = Interpreter(module)
         interp.run()
-        oracle = _cli_report(module, machine, profile=interp.profile)
+        oracle = lint_report(module, machine, profile=interp.profile)
+        for mode, report in (("plain", plain), ("oracle", oracle)):
+            if report.has_errors:
+                failures.append(f"bench {bench.name} ({mode}): "
+                                f"{report.summary()}\n{report.render_text()}")
         prepared = PreparedProgram.from_source(
             bench.source, bench.name, config=dynamic
         )

@@ -37,7 +37,10 @@ from typing import List, NoReturn, Optional
 from .bench import all_benchmarks, get as get_benchmark
 from .evalmodel import format_table
 from .exec.engine import SWEEP_SCHEMES
-from .exec.runconfig import CACHE_POLICIES, MACHINE_PRESETS, SCHEMES, RunConfig
+from .exec.runconfig import (
+    CACHE_POLICIES, MACHINE_PRESETS, POINTSTO_TIERS, PROFILE_MODES, SCHEMES,
+    RunConfig,
+)
 from .ir import print_module
 from .ir.serialize import dumps
 from .lang import compile_source
@@ -96,9 +99,6 @@ def _add_compile_flags(parser: argparse.ArgumentParser) -> None:
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     """The result-affecting RunConfig knobs: machine, latency, points-to
     tier, profile source and seed."""
-    from .analysis import TIERS
-    from .exec.runconfig import PROFILE_MODES
-
     parser.add_argument("--latency", type=int, default=5, metavar="CYCLES",
                         help="intercluster move latency (default 5)")
     parser.add_argument("--machine", default="two_cluster",
@@ -106,7 +106,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                         help="machine preset (default two_cluster, the "
                         "paper's evaluation configuration)")
     parser.add_argument("--pointsto", dest="pointsto_tier",
-                        default="andersen", choices=list(TIERS),
+                        default="andersen", choices=list(POINTSTO_TIERS),
                         help="points-to precision tier annotating the "
                         "memory ops (default andersen; field adds "
                         "field-sensitivity, cs adds 1-CFA call-site "
@@ -235,21 +235,22 @@ def _print_precision(prepared: PreparedProgram) -> None:
 
 
 def _run_schemes(args) -> int:
-    """``partition`` (the requested scheme) and ``compare`` (every
-    Table-1 scheme): one prepare, one ``run_all``, one exit rule.  Exit 1
-    exactly when the run report's outcome state is degraded."""
+    """``partition`` (the requested scheme), ``compare`` and ``bench
+    NAME`` (every Table-1 scheme): one prepare, one ``run_all``, one exit
+    rule.  Exit 1 exactly when the run report's outcome state is
+    degraded."""
     config = _config_from_args(args)
+    source = (get_benchmark(args.name).source if args.command == "bench"
+              else _read_source(args.file))
     pipe = Pipeline(config)
     report = RunReport()
-    prepared = pipe.prepare(_read_source(args.file), args.name, report)
+    prepared = pipe.prepare(source, args.name, report)
     report.record_pointsto(
         prepared.pointsto_tier, prepared.pointsto.stats().to_dict()
     )
-    compare = args.command == "compare"
+    schemes = [args.scheme] if args.command == "partition" else SWEEP_SCHEMES
     try:
-        outcomes = pipe.run_all(
-            prepared, SWEEP_SCHEMES if compare else [args.scheme], report
-        )
+        outcomes = pipe.run_all(prepared, schemes, report)
     except LadderExhausted as exc:
         print(exc)
         _save_run_report(args, report)
@@ -257,10 +258,12 @@ def _run_schemes(args) -> int:
     for outcome in outcomes.values():
         if outcome.roofline:
             report.record_roofline(outcome.scheme, outcome.roofline)
-    if compare:
+    if args.command == "partition":
+        _print_partition(config, prepared, outcomes[args.scheme], report)
+    elif args.command == "compare":
         _print_comparison(prepared, outcomes)
     else:
-        _print_partition(config, prepared, outcomes[args.scheme], report)
+        _print_relative(args, prepared, outcomes)
     _save_run_report(args, report)
     return EXIT_DEGRADED if report.outcome_state() == "degraded" else EXIT_OK
 
@@ -310,14 +313,25 @@ def _print_comparison(prepared, outcomes) -> None:
     ))
 
 
+def _print_relative(args, prepared, outcomes) -> None:
+    """``bench NAME``: every scheme's speed relative to unified memory."""
+    base = outcomes["unified"].cycles
+    rows = [
+        [name, f"{base / out.cycles if out.cycles else 0.0:.3f}"]
+        for name, out in outcomes.items() if name != "unified"
+    ]
+    print(f"{args.name} @ {args.latency}-cycle move latency "
+          f"(relative to unified memory):")
+    _print_precision(prepared)
+    print(format_table(["scheme", "vs unified"], rows))
+
+
 def _lint(args) -> int:
-    from .analysis.pointsto import TIERS
     from .lint import (
-        DETERMINISTIC_COLUMNS,
         Severity,
         check_region_outcome,
         check_scheme_outcome,
-        lint_with_stats,
+        lint_report,
     )
 
     config = _config_from_args(args)
@@ -334,20 +348,12 @@ def _lint(args) -> int:
 
     machine = config.build_machine()
     try:
-        report, ctx = lint_with_stats(
+        report = lint_report(
             module, machine=machine, only=args.only or None, profile=profile
         )
     except ValueError as exc:  # unknown pass name in --only
         print(exc, file=sys.stderr)
         return EXIT_HARD_FAILURE
-
-    # Per-tier precision stats ride on the report (deterministic columns
-    # only, so --format json output is byte-stable across runs).  The
-    # context memoizes the solves the differ pass already performed, so
-    # this costs nothing beyond any tier the passes skipped.
-    for tier in TIERS:
-        stats = ctx.pointsto(tier).stats().to_dict()
-        report.stats[tier] = {c: stats[c] for c in DETERMINISTIC_COLUMNS}
 
     if args.verify_partition:
         pipe = Pipeline(config.replace(validate=False), machine=machine)
@@ -356,10 +362,9 @@ def _lint(args) -> int:
         report.extend(check_scheme_outcome(prepared, outcome))
         report.extend(check_region_outcome(prepared, outcome))
 
-    fmt = "json" if args.json else args.format
-    if fmt == "json":
+    if args.format == "json":
         print(report.to_json())
-    elif fmt == "sarif":
+    elif args.format == "sarif":
         print(report.to_sarif())
     else:
         print(report.render_text())
@@ -382,21 +387,7 @@ def _bench(args) -> int:
         ]
         print(format_table(["benchmark", "category", "description"], rows))
         return EXIT_OK
-    config = _config_from_args(args)
-    bench = get_benchmark(args.name)
-    pipe = Pipeline(config)
-    report = RunReport()
-    prepared = pipe.prepare(bench.source, bench.name, report)
-    rel = pipe.compare(
-        prepared, schemes=("gdp", "profilemax", "naive"), report=report
-    )
-    rows = [[scheme, f"{value:.3f}"] for scheme, value in rel.items()]
-    print(f"{bench.name} @ {args.latency}-cycle move latency "
-          f"(relative to unified memory):")
-    _print_precision(prepared)
-    print(format_table(["scheme", "vs unified"], rows))
-    _save_run_report(args, report)
-    return EXIT_OK
+    return _run_schemes(args)
 
 
 def _bench_sweep(args) -> int:
@@ -604,9 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="MiniC source, '-' for stdin, or an "
                    "examples/*.py script with a SOURCE block")
     p.add_argument("--name", default="program")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable report (stable ordering); "
-                   "alias for --format json")
     p.add_argument("--format", default="text",
                    choices=["text", "json", "sarif"],
                    help="report format: human text, stable JSON, or "

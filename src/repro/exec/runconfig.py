@@ -25,6 +25,8 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+from ..analysis.pointsto import TIERS
+
 #: Version of the RunConfig field set.  Bump when fields are added,
 #: removed, or change meaning; ``from_dict`` refuses other versions and
 #: the artifact cache treats entries written under other versions as
@@ -39,9 +41,9 @@ SCHEMES = ("gdp", "profilemax", "naive", "unified")
 #: abstract-interpretation access-region analysis — zero interpreter runs.
 PROFILE_MODES = ("dynamic", "static")
 
-#: Points-to precision tiers (mirrors repro.analysis.TIERS without the
-#: import cycle; validated against the real registry lazily).
-POINTSTO_TIERS = ("andersen", "field", "cs")
+#: The points-to precision tiers a config may name (the analysis's own
+#: tuple, coarsest first).
+POINTSTO_TIERS = TIERS
 
 #: Cache policies: ``on`` read+write, ``off`` neither, ``readonly`` reads
 #: but never writes, ``refresh`` recomputes and overwrites.

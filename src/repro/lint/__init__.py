@@ -28,6 +28,7 @@ from .ptdiff import (
     DETERMINISTIC_COLUMNS,
     RefinementDifferPass,
     diff_tiers,
+    lint_report,
     precision_table,
     tier_solutions,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "DETERMINISTIC_COLUMNS",
     "RefinementDifferPass",
     "diff_tiers",
+    "lint_report",
     "precision_table",
     "tier_solutions",
     "StaticDriftPass",

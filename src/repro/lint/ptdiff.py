@@ -25,18 +25,20 @@ pairs) so golden tests stay stable across hash seeds.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Dict, Iterable, Iterator, Optional, Sequence
 
 from ..analysis.memo import Analyses
 from ..analysis.pointsto import TIERS, PointsToResult
+from ..evalmodel.report import format_table
 from ..ir import Module
+from ..machine import Machine
 from .diagnostics import (
     Diagnostic,
     DiagnosticReport,
     Severity,
     register_rule,
 )
-from .runner import LintContext, LintPass, register_pass
+from .runner import LintContext, LintPass, lint_with_stats, register_pass
 
 register_rule(
     "ptdiff-subset",
@@ -138,18 +140,32 @@ def precision_table(
 ) -> str:
     """Deterministic per-tier precision table (one row per tier)."""
     sols = solutions or tier_solutions(module, tiers)
-    header = ("tier",) + DETERMINISTIC_COLUMNS
-    rows = [header]
+    rows = []
     for tier in tiers:
         stats = sols[tier].stats().to_dict()
-        rows.append((tier,) + tuple(str(stats[c]) for c in DETERMINISTIC_COLUMNS))
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    lines = []
-    for n, row in enumerate(rows):
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-        if n == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
+        rows.append([tier] + [str(stats[c]) for c in DETERMINISTIC_COLUMNS])
+    table = format_table(("tier",) + DETERMINISTIC_COLUMNS, rows)
+    return "\n".join(line.rstrip() for line in table.splitlines())
+
+
+def lint_report(
+    module: Module,
+    machine: Optional[Machine] = None,
+    only: Optional[Iterable[str]] = None,
+    profile=None,
+) -> DiagnosticReport:
+    """The report ``repro lint`` prints: :func:`lint_with_stats` plus every
+    tier's ``DETERMINISTIC_COLUMNS`` points-to stats, so the JSON form is
+    byte-stable across runs.  The context memoizes the solves the differ
+    pass already performed, so the stats cost nothing beyond any tier the
+    passes skipped."""
+    report, ctx = lint_with_stats(
+        module, machine=machine, only=only, profile=profile
+    )
+    for tier in TIERS:
+        stats = ctx.pointsto(tier).stats().to_dict()
+        report.stats[tier] = {c: stats[c] for c in DETERMINISTIC_COLUMNS}
+    return report
 
 
 @register_pass

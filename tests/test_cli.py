@@ -168,6 +168,20 @@ class TestBench:
         assert len(finals) == 4
         assert f"[run report written to {path}]" in capsys.readouterr().out
 
+    def test_bench_single_exhausted_ladder_exits_2(self, monkeypatch,
+                                                    capsys):
+        """``bench NAME`` shares the exit rule of ``partition`` and
+        ``compare``: a scheme whose every rung fails is a hard failure,
+        reported in one line, not a traceback."""
+        def failing(prepared, machine, scheme, **kwargs):
+            raise RuntimeError(f"{scheme} refused")
+
+        monkeypatch.setattr("repro.pipeline.driver.run_scheme", failing)
+        assert main(["bench", "rawdaudio"]) == 2
+        out = capsys.readouterr().out
+        assert "all rungs of ladder ['unified'] failed" in out
+        assert "unified refused" in out
+
 
 class TestLint:
     def test_stdin_with_verify_partition(self, capsys, monkeypatch):

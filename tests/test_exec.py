@@ -57,6 +57,12 @@ class TestRunConfig:
     def test_defaults_round_trip(self):
         assert RunConfig.from_json(RunConfig().to_json()) == RunConfig()
 
+    def test_pointsto_tiers_are_the_analysis_tuple(self):
+        from repro.analysis import TIERS
+        from repro.exec import POINTSTO_TIERS
+
+        assert POINTSTO_TIERS is TIERS
+
     def test_unknown_field_rejected(self):
         data = RunConfig().to_dict()
         data["frobnicate"] = True

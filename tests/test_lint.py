@@ -726,7 +726,7 @@ class TestLintCLI:
         assert main(["lint", warny_file, "--strict"]) == 1
 
     def test_lint_json_output(self, warny_file, capsys):
-        assert main(["lint", warny_file, "--json"]) == 0
+        assert main(["lint", warny_file, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["errors"] == 0
         assert any(
