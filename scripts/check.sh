@@ -29,14 +29,13 @@
 #               must reproduce tests/goldens/scheme_identity.json (144
 #               cells; identity suite `scheme`).  The CLI runs of one spec
 #               per fault class are `cli` cells (stage `examples`).
-#   regioncheck region-granular MOD/REF checks over the whole suite:
-#               the cross-tier region refinement chain holds on every
-#               bench (zero errors), every scheme outcome passes the
-#               region-located partition invariants with a sound
-#               roofline ratio (>= 1.0), and >= 3 benches carry
-#               region-splittable advisories; then every bench x tier's
-#               GDP region report and field/cs static profile must match
-#               tests/goldens/tier_identity.json (identity suite `tiers`).
+#   regioncheck every bench x tier's GDP region report and field/cs static
+#               profile must match tests/goldens/tier_identity.json
+#               (identity suite `tiers`), whose gate also needs zero
+#               region errors, the cross-tier region refinement chain and
+#               every scheme's region invariants with a sound roofline
+#               ratio (>= 1.0) at andersen, and >= 3 benches carrying
+#               region-splittable advisories.
 #   rhop        computation-partitioner identity: every bench x scheme x
 #               latency {1, 5, 10} cell reproduces the status, cycles,
 #               dynamic moves and op->cluster assignment hash recorded in
@@ -146,63 +145,16 @@ stage_faults() {
 }
 
 # -- regioncheck: region-granular MOD/REF checks over the whole suite ---------
-# The cross-tier region refinement chain must hold on every bench, every
-# scheme outcome must satisfy the region-located partition invariants
-# (zero ERROR findings) with a sound roofline ratio, and the suite must
-# carry at least three region-splittable advisories — the acceptance
-# gates of benchmarks/bench_region_interference.py at CI scale.
+# Suite `tiers` pins every bench x tier's GDP region report and field/cs
+# static profile, and its gate is the acceptance gate of
+# benchmarks/bench_region_interference.py at CI scale: zero region ERRORs
+# at every tier; at andersen also the prepared module's region
+# refinement chain, every scheme's region invariants and a sound roofline
+# ratio (>= 1.0); and region-splittable advisories on >= 3 benches.
 
 stage_regioncheck() {
-    note "region-granular checks (refinement chain, outcome invariants, roofline)"
-    python - <<'PY' || failures=$((failures + 1))
-import sys
-
-from repro.bench import all_benchmarks
-from repro.lint import check_region_outcome, lint_module
-from repro.machine import two_cluster_machine
-from repro.exec.runconfig import SCHEMES
-from repro.pipeline import PreparedProgram, run_scheme
-
-machine = two_cluster_machine(move_latency=5)
-bad = 0
-splittable_benches = []
-for bench in all_benchmarks():
-    prepared = PreparedProgram.from_source(bench.source, bench.name)
-    lint = lint_module(prepared.module, only=["regioncheck"])
-    advisories = sum(
-        1 for d in lint.diagnostics if d.rule == "region-splittable"
-    )
-    if advisories:
-        splittable_benches.append(bench.name)
-    errors = len(lint.errors)
-    worst = 1.0
-    for name in SCHEMES:
-        outcome = run_scheme(prepared, machine, name)
-        report = check_region_outcome(prepared, outcome)
-        errors += len(report.errors)
-        for diag in report.errors:
-            print(f"  {name}: {diag.render()}")
-        ratio = (outcome.roofline or {}).get("ratio", 0.0)
-        worst = max(worst, ratio)
-        if outcome.roofline is None or ratio < 1.0:
-            print(f"  {name}: unsound roofline {outcome.roofline}")
-            errors += 1
-    status = "FAIL" if errors else "ok"
-    print(f"{status}: regioncheck {bench.name}: {errors} error(s), "
-          f"{advisories} splittable advisory(ies), "
-          f"worst roofline x{worst:.2f}")
-    bad += 1 if errors else 0
-if len(splittable_benches) < 3:
-    print(f"FAIL: only {splittable_benches} carry region-splittable "
-          f"advisories (need >= 3 benches)")
-    bad += 1
-else:
-    print(f"ok: splittable advisories on {splittable_benches}")
-sys.exit(1 if bad else 0)
-PY
-
     note "tier identity (all benches x tiers: GDP region report, static" \
-        "profile at field/cs vs golden)"
+        "profile at field/cs vs golden; region and roofline gate)"
     python scripts/identity.py tiers || failures=$((failures + 1))
 }
 

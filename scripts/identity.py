@@ -43,7 +43,9 @@ from repro.exec.artifacts import stable_op_keys
 from repro.exec.runconfig import SCHEMES, RunConfig
 from repro.ir import renumber_ops
 from repro.lang import compile_source
-from repro.lint import check_region_outcome, lint_report, lint_with_stats
+from repro.lint import (
+    check_region_outcome, lint_module, lint_report, lint_with_stats,
+)
 from repro.opt import optimize_module
 from repro.partition.gdp import GDPConfig, gdp_partition
 from repro.pipeline import Pipeline, PreparedProgram
@@ -249,20 +251,28 @@ def tier_cells(benches: Sequence[str], failures: List[str]) -> Cells:
       ``PreparedProgram``'s profile as :func:`profile_cells` stores its
       ``static`` mode (which covers ``andersen``).
 
-    A bench whose region report has an ERROR is a gate failure.
+    A bench whose region report has an ERROR is a gate failure, and so
+    is, at ``andersen``, what :func:`_region_gate` finds.  A full run
+    also needs ``region-splittable`` advisories on at least three
+    benches.
     """
     cells: Cells = {}
+    splittable: List[str] = []
     for bench in map(get, benches):
         for tier in TIERS:
             config = RunConfig(cache="off", pointsto_tier=tier)
             pipe = Pipeline(config)
             prepared = pipe.prepare(bench.source, bench.name)
-            report = check_region_outcome(prepared, pipe.run(prepared, "gdp"))
+            gdp = pipe.run(prepared, "gdp")
+            report = check_region_outcome(prepared, gdp)
             if report.has_errors:
                 failures.append(f"bench {bench.name} at {tier}: "
                                 f"{report.summary()}\n{report.render_text()}")
             cell: Dict[str, Any] = {"regioncheck": _sha256(report.to_json())}
-            if tier != "andersen":
+            if tier == "andersen":
+                if _region_gate(bench.name, pipe, prepared, gdp, failures):
+                    splittable.append(bench.name)
+            else:
                 static = PreparedProgram.from_source(
                     bench.source, bench.name,
                     config=config.replace(profile="static"))
@@ -270,7 +280,36 @@ def tier_cells(benches: Sequence[str], failures: List[str]) -> Cells:
                     canonical_static_profile(static.module, static.profile),
                     None, static.profile.instructions_executed)
             cells[f"{bench.name}/{tier}"] = cell
+    if set(benches) == set(names()) and len(splittable) < 3:
+        failures.append(f"only {splittable} carry region-splittable "
+                        f"advisories (need >= 3 benches)")
     return cells
+
+
+def _region_gate(bench: str, pipe: Pipeline, prepared, gdp,
+                 failures: List[str]) -> bool:
+    """The andersen-tier region checks beyond GDP's report: the prepared
+    module's ``regioncheck`` lint pass (the cross-tier region refinement
+    chain) has no ERROR, and every Table-1 scheme runs as itself, passes
+    ``check_region_outcome`` and has a sound roofline ratio (>= 1).
+    Returns whether the module carries a ``region-splittable`` advisory.
+    """
+    lint = lint_module(prepared.module, only=["regioncheck"])
+    if lint.has_errors:
+        failures.append(f"bench {bench} regioncheck lint: "
+                        f"{lint.summary()}\n{lint.render_text()}")
+    for scheme in SCHEMES:
+        if scheme == "gdp":
+            outcome, errors = gdp, ""  # its report is gated at every tier
+        else:
+            outcome = pipe.run(prepared, scheme)
+            report = check_region_outcome(prepared, outcome)
+            errors = report.render_text() if report.has_errors else ""
+        ratio = (outcome.roofline or {}).get("ratio", 0.0)
+        if outcome.fell_back or ratio < 1.0 or errors:
+            failures.append(f"bench {bench} {scheme} (ran as {outcome.scheme}):"
+                            f" roofline {outcome.roofline}\n{errors}")
+    return bool(lint.by_rule("region-splittable"))
 
 
 # -- rhop ---------------------------------------------------------------------

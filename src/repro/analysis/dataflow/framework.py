@@ -153,18 +153,22 @@ class DataflowSolution:
         )
 
 
+#: Visits a widening point (a loop header) tolerates before its state is
+#: widened.
+WIDEN_AFTER = 3
+
+
 def solve(
     func: Function,
     cfg: CFG,
     problem: DataflowProblem,
-    widen_after: int = 3,
     narrow_passes: int = 0,
 ) -> DataflowSolution:
     """Run ``problem`` over one function's reachable blocks to a fixpoint.
 
-    ``widen_after`` is the number of visits a widening point tolerates
-    before widening kicks in; ``narrow_passes`` descending sweeps run
-    after the ascending fixpoint (0 disables narrowing).
+    A widening point widens after :data:`WIDEN_AFTER` visits;
+    ``narrow_passes`` descending sweeps run after the ascending fixpoint
+    (0 disables narrowing).
     """
     lattice = problem.lattice
     forward = problem.direction == "forward"
@@ -221,7 +225,7 @@ def solve(
         iterations += 1
         state = joined_input(name)
         visits[name] += 1
-        if name in widen_points and visits[name] > widen_after:
+        if name in widen_points and visits[name] > WIDEN_AFTER:
             state = lattice.widen(in_states[name], state)
             widened.add(name)
         if visits[name] > 1 and lattice.equals(state, in_states[name]):

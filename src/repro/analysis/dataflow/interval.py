@@ -42,9 +42,6 @@ if TYPE_CHECKING:
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
 
-#: Visits a loop header tolerates before its environment is widened.
-WIDEN_AFTER = 3
-
 #: Descending sweeps after the ascending fixpoint (narrowing recovers
 #: bounds widening threw away, e.g. loop-exit compares).
 NARROW_PASSES = 2
@@ -504,18 +501,6 @@ def _run_steps(steps: Iterable[Step], env: Dict[int, Interval]) -> None:
             env[vid] = iv
 
 
-def transfer_op(
-    op: Operation,
-    env: Dict[int, Interval],
-    const_globals: Optional[Dict[str, int]] = None,
-) -> None:
-    """Apply one operation's effect to ``env`` in place (TOP entries are
-    dropped; STORE/branches leave the environment untouched)."""
-    step = decode_op(op, const_globals)
-    if step is not None:
-        _run_steps((step,), env)
-
-
 #: The comparison that holds on the *false* edge of each comparison.
 _NEGATE = {
     Opcode.CMPEQ: Opcode.CMPNE,
@@ -732,7 +717,6 @@ class IntervalAnalysis:
                 func,
                 cfg,
                 _IntervalProblem(entry, decoded),
-                widen_after=WIDEN_AFTER,
                 narrow_passes=NARROW_PASSES,
             )
             self._propagate_call_args(func, cfg, arg_envs)
@@ -855,5 +839,4 @@ __all__ = [
     "decode_op",
     "eval_value",
     "never_stored_global_values",
-    "transfer_op",
 ]

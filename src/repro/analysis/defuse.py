@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from ..ir import Function, Operation
+from ..ir import Function
 from .cfg import CFG
 
 
@@ -27,9 +27,6 @@ class DefUse:
     def __init__(self, func: Function, cfg: CFG = None):
         self.func = func
         self.cfg = cfg or CFG(func)
-        self.op_by_uid: Dict[int, Operation] = {
-            op.uid: op for op in func.operations()
-        }
         self.edges: Set[Tuple[int, int]] = set()
         self.uses_of: Dict[int, List[int]] = {}
         self.defs_for: Dict[Tuple[int, int], List[int]] = {}
@@ -108,8 +105,3 @@ class DefUse:
                             self.param_uses.setdefault(vid, []).append(op.uid)
                 if op.dest is not None:
                     current[op.dest.vid] = {op.uid}
-
-    # -- queries -----------------------------------------------------------------
-
-    def users(self, def_op: Operation) -> List[Operation]:
-        return [self.op_by_uid[u] for u in self.uses_of.get(def_op.uid, [])]

@@ -17,7 +17,7 @@ intercluster communication.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..ir import Function, Module, Opcode, Operation
 from .cfg import CFG
@@ -48,7 +48,6 @@ class ProgramGraph:
         self.module = module
         self.nodes: Dict[int, ProgramNode] = {}
         self.edges: Dict[Tuple[int, int], float] = {}
-        self._adjacency: Dict[int, Set[int]] = {}
 
         static_freqs: Dict[str, LoopInfo] = {}
 
@@ -99,13 +98,8 @@ class ProgramGraph:
         weight = 1.0 + self.nodes[src].freq
         key = (src, dst)
         self.edges[key] = self.edges.get(key, 0.0) + weight
-        self._adjacency.setdefault(src, set()).add(dst)
-        self._adjacency.setdefault(dst, set()).add(src)
 
     # -- queries ---------------------------------------------------------------
-
-    def neighbors(self, uid: int) -> Set[int]:
-        return self._adjacency.get(uid, set())
 
     def memory_nodes(self) -> List[ProgramNode]:
         """Nodes whose operation is annotated with data objects."""
@@ -117,9 +111,6 @@ class ProgramGraph:
 
     def node_count(self) -> int:
         return len(self.nodes)
-
-    def edge_count(self) -> int:
-        return len(self.edges)
 
     def undirected_edges(self) -> Dict[Tuple[int, int], float]:
         """Edges with (min, max) uid keys, weights accumulated."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional
 
 from .cfg import CFG
 
@@ -13,7 +13,6 @@ class DominatorTree:
     def __init__(self, cfg: CFG):
         self.cfg = cfg
         self.idom: Dict[str, Optional[str]] = {}
-        self._children: Dict[str, List[str]] = {}
         self._compute()
 
     def _compute(self) -> None:
@@ -40,11 +39,6 @@ class DominatorTree:
                     self.idom[name] = new_idom
                     changed = True
 
-        self._children = {}
-        for name, parent in self.idom.items():
-            if name != self.cfg.entry:
-                self._children.setdefault(parent, []).append(name)
-
     def _intersect(self, a: str, b: str, index: Dict[str, int]) -> str:
         while a != b:
             while index[a] > index[b]:
@@ -54,11 +48,6 @@ class DominatorTree:
         return a
 
     # -- queries ---------------------------------------------------------------
-
-    def immediate_dominator(self, name: str) -> Optional[str]:
-        if name == self.cfg.entry:
-            return None
-        return self.idom.get(name)
 
     def dominates(self, a: str, b: str) -> bool:
         """True if block ``a`` dominates block ``b`` (reflexive)."""
@@ -71,17 +60,3 @@ class DominatorTree:
             node = self.idom.get(node)
         return False
 
-    def children(self, name: str) -> List[str]:
-        return self._children.get(name, [])
-
-    def dominated_set(self, name: str) -> Set[str]:
-        """All blocks dominated by ``name`` (including itself)."""
-        result: Set[str] = set()
-        work = [name]
-        while work:
-            node = work.pop()
-            if node in result:
-                continue
-            result.add(node)
-            work.extend(self.children(node))
-        return result

@@ -60,6 +60,3 @@ class Liveness:
 
     def live_out_of(self, block: str) -> Set[int]:
         return self.live_out.get(block, set())
-
-    def live_into(self, block: str) -> Set[int]:
-        return self.live_in.get(block, set())

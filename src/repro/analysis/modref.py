@@ -232,10 +232,6 @@ class ModRefAnalysis:
 
     # -- queries -------------------------------------------------------------
 
-    def summary_of(self, name: str) -> ModRefSummary:
-        """Transitive summary of ``name`` (empty for unknown functions)."""
-        return self.summaries.get(name, ModRefSummary())
-
     def program_effects(self) -> ModRefSummary:
         """Union of every function's local effects — what the whole
         program may touch, with intervals (``main``'s transitive summary

@@ -27,21 +27,22 @@ class DataObject:
         return f"<object {self.id} ({self.size} bytes)>"
 
 
+#: Bytes an allocation site without a profiled size is taken to hold.
+DEFAULT_HEAP_SIZE = 64
+
+
 class ObjectTable:
     """All data objects of a module, with sizes and accessor op lists.
 
     ``heap_sizes`` maps allocation-site ids (``h:<site>``) to profiled byte
-    totals; unprofiled sites default to ``default_heap_size`` so the
+    totals; unprofiled sites default to :data:`DEFAULT_HEAP_SIZE` so the
     partitioner still has a balance signal before profiling.
     """
-
-    DEFAULT_HEAP_SIZE = 64
 
     def __init__(
         self,
         module: Module,
         heap_sizes: Optional[Dict[str, int]] = None,
-        default_heap_size: int = DEFAULT_HEAP_SIZE,
     ):
         self.module = module
         self.objects: Dict[str, DataObject] = {}
@@ -58,7 +59,7 @@ class ObjectTable:
                 if op.opcode is Opcode.MALLOC:
                     site = op.attrs["site"]
                     obj_id = heap_object_id(site)
-                    size = heap_sizes.get(obj_id, default_heap_size)
+                    size = heap_sizes.get(obj_id, DEFAULT_HEAP_SIZE)
                     self.objects[obj_id] = DataObject(obj_id, "heap", site, size)
 
         for func in module:

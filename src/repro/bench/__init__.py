@@ -4,7 +4,6 @@ applications and DSP kernels (Section 4.1)."""
 from .registry import (
     Benchmark,
     all_benchmarks,
-    dsp_kernels,
     get,
     mediabench,
     names,
@@ -14,7 +13,6 @@ from .registry import (
 __all__ = [
     "Benchmark",
     "all_benchmarks",
-    "dsp_kernels",
     "get",
     "mediabench",
     "names",

@@ -62,10 +62,6 @@ def mediabench() -> List[Benchmark]:
     return [b for b in all_benchmarks() if b.category == "mediabench"]
 
 
-def dsp_kernels() -> List[Benchmark]:
-    return [b for b in all_benchmarks() if b.category == "dsp"]
-
-
 _loaded = False
 
 

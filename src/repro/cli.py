@@ -34,7 +34,7 @@ import re
 import sys
 from typing import List, NoReturn, Optional
 
-from .bench import all_benchmarks, get as get_benchmark
+from .bench import all_benchmarks, get as get_benchmark, names as bench_names
 from .evalmodel import format_table
 from .exec.engine import SWEEP_SCHEMES
 from .exec.runconfig import (
@@ -45,13 +45,21 @@ from .ir import print_module
 from .ir.serialize import dumps
 from .lang import compile_source
 from .pipeline import Pipeline, PreparedProgram
-from .profiler import Interpreter
+from .profiler import MAX_STEPS, Interpreter
 from .resilience import LadderExhausted, RunReport
 
 #: Uniform exit codes (documented in README).
 EXIT_OK = 0
 EXIT_DEGRADED = 1
 EXIT_HARD_FAILURE = 2
+
+#: The one exit rule: a run's, sweep cell's or job's terminal state ->
+#: exit code; any state not named here is a hard failure.
+STATE_EXIT_CODES = {"ok": EXIT_OK, "done": EXIT_OK, "degraded": EXIT_DEGRADED}
+
+
+def _exit_code(state: str) -> int:
+    return STATE_EXIT_CODES.get(state, EXIT_HARD_FAILURE)
 
 
 def _read_source(path: str) -> str:
@@ -236,9 +244,8 @@ def _print_precision(prepared: PreparedProgram) -> None:
 
 def _run_schemes(args) -> int:
     """``partition`` (the requested scheme), ``compare`` and ``bench
-    NAME`` (every Table-1 scheme): one prepare, one ``run_all``, one exit
-    rule.  Exit 1 exactly when the run report's outcome state is
-    degraded."""
+    NAME`` (every Table-1 scheme): one prepare, one ``run_all``, and the
+    exit code of the run report's outcome state."""
     config = _config_from_args(args)
     source = (get_benchmark(args.name).source if args.command == "bench"
               else _read_source(args.file))
@@ -253,19 +260,18 @@ def _run_schemes(args) -> int:
         outcomes = pipe.run_all(prepared, schemes, report)
     except LadderExhausted as exc:
         print(exc)
-        _save_run_report(args, report)
-        return EXIT_HARD_FAILURE
-    for outcome in outcomes.values():
-        if outcome.roofline:
-            report.record_roofline(outcome.scheme, outcome.roofline)
-    if args.command == "partition":
-        _print_partition(config, prepared, outcomes[args.scheme], report)
-    elif args.command == "compare":
-        _print_comparison(prepared, outcomes)
     else:
-        _print_relative(args, prepared, outcomes)
+        for outcome in outcomes.values():
+            if outcome.roofline:
+                report.record_roofline(outcome.scheme, outcome.roofline)
+        if args.command == "partition":
+            _print_partition(config, prepared, outcomes[args.scheme], report)
+        elif args.command == "compare":
+            _print_comparison(prepared, outcomes)
+        else:
+            _print_relative(args, prepared, outcomes)
     _save_run_report(args, report)
-    return EXIT_DEGRADED if report.outcome_state() == "degraded" else EXIT_OK
+    return _exit_code(report.outcome_state())
 
 
 def _print_partition(config, prepared, outcome, report) -> None:
@@ -379,6 +385,8 @@ def _lint(args) -> int:
 
 
 def _bench(args) -> int:
+    if args.name is not None and args.name not in bench_names():
+        _invalid_invocation(f"unknown benchmark {args.name!r}")
     if args.all:
         return _bench_sweep(args)
     if args.name is None:
@@ -392,7 +400,6 @@ def _bench(args) -> int:
 
 def _bench_sweep(args) -> int:
     """Run the Table-1 sweep (all benchmarks x all schemes) in parallel."""
-    from .bench import names as bench_names
     from .exec.engine import ParallelRunner
 
     config = _config_from_args(args)
@@ -401,12 +408,9 @@ def _bench_sweep(args) -> int:
     result = runner.sweep(benches, latencies=[args.latency])
     print(result.render_table())
     _save_run_report(args, result)
-    counts = result.counts()
-    if counts["failed"]:
-        return EXIT_HARD_FAILURE
-    if counts["degraded"]:
-        return EXIT_DEGRADED
-    return EXIT_OK
+    # The worst cell decides: exit codes rank states by severity.
+    return max((_exit_code(cell["status"]) for cell in result.cells),
+               default=EXIT_OK)
 
 
 def _config_show(args) -> int:
@@ -453,10 +457,9 @@ def _serve(args) -> int:
 
     from .service import Broker, ServiceServer
 
-    config = RunConfig(cache=args.cache, cache_dir=args.cache_dir)
     broker = Broker(
-        config=config, workers=args.workers, quota=args.quota,
-        max_requeues=args.max_requeues,
+        config=_config_from_args(args), workers=args.workers,
+        quota=args.quota, max_requeues=args.max_requeues,
         journal_dir=args.journal, fsync=args.fsync,
         max_depth=args.max_depth, tenant_pending=args.tenant_pending,
     )
@@ -526,11 +529,7 @@ def _submit(args) -> int:
         print(f"service unreachable or timed out: {exc}", file=sys.stderr)
         return EXIT_HARD_FAILURE
     print(json.dumps(final, indent=2, sort_keys=True))
-    if final["state"] == "done":
-        return EXIT_OK
-    if final["state"] == "degraded":
-        return EXIT_DEGRADED
-    return EXIT_HARD_FAILURE
+    return _exit_code(final["state"])
 
 
 def _cache_clear(args) -> int:
@@ -559,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="compile and interpret a program")
     p.add_argument("file")
     p.add_argument("--name", default="program")
-    p.add_argument("--max-steps", type=int, default=50_000_000)
+    p.add_argument("--max-steps", type=int, default=MAX_STEPS)
     _add_compile_flags(p)
     p.set_defaults(func=_run)
 
@@ -603,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="interpret the program and check every "
                    "profiler-observed memory target against every "
                    "points-to tier (refinement differ oracle)")
-    p.add_argument("--max-steps", type=int, default=50_000_000,
+    p.add_argument("--max-steps", type=int, default=MAX_STEPS,
                    help="interpreter step budget for --dynamic-oracle")
     p.add_argument("--strict", action="store_true",
                    help="exit non-zero on warnings too, not just errors")

@@ -20,6 +20,10 @@ from typing import Dict, List, Optional
 
 from ..machine import Machine
 
+#: Most merge groups :func:`exhaustive_search` enumerates (2**(n-1)
+#: mappings, each one a full schedule evaluation).
+MAX_GROUPS = 12
+
 
 class MappingPoint:
     """One evaluated object mapping."""
@@ -75,7 +79,6 @@ class ExhaustiveResult:
 def exhaustive_search(
     prepared,
     machine: Machine,
-    max_groups: int = 12,
     scheme_homes: Optional[Dict[str, Dict[str, int]]] = None,
 ) -> ExhaustiveResult:
     """Evaluate every object-group mapping (2-cluster machines only).
@@ -91,9 +94,9 @@ def exhaustive_search(
     groups = sorted(
         prepared.merge.object_groups(), key=lambda g: min(g.object_ids)
     )
-    if len(groups) > max_groups:
+    if len(groups) > MAX_GROUPS:
         raise ValueError(
-            f"{len(groups)} object groups exceed max_groups={max_groups}; "
+            f"{len(groups)} object groups exceed MAX_GROUPS={MAX_GROUPS}; "
             "exhaustive search would be infeasible"
         )
     objects = prepared.objects

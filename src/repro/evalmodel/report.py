@@ -34,11 +34,17 @@ def _fmt(cell: object) -> str:
     return str(cell)
 
 
+#: Characters the longest bar of a :func:`bar_chart` spans.
+BAR_WIDTH = 40
+
+#: Grid size of a :func:`scatter_plot`.
+SCATTER_ROWS = 16
+SCATTER_COLS = 60
+
+
 def bar_chart(
     labels: Sequence[str],
     series: Dict[str, Sequence[float]],
-    width: int = 40,
-    unit: str = "",
     baseline: Optional[float] = None,
 ) -> str:
     """Horizontal ASCII bar chart with one bar group per label.
@@ -57,16 +63,16 @@ def bar_chart(
     for i, label in enumerate(labels):
         for j, (name, values) in enumerate(series.items()):
             value = values[i]
-            filled = int(round(width * value / peak))
+            filled = int(round(BAR_WIDTH * value / peak))
             bar = "#" * filled
             if baseline is not None:
-                mark = int(round(width * baseline / peak))
+                mark = int(round(BAR_WIDTH * baseline / peak))
                 if mark >= len(bar):
                     bar = bar + " " * (mark - len(bar)) + "|"
             prefix = label if j == 0 else ""
             lines.append(
                 f"{prefix.ljust(label_w)}  {name.ljust(name_w)} "
-                f"{bar} {value:.3f}{unit}"
+                f"{bar} {value:.3f}"
             )
         lines.append("")
     return "\n".join(lines).rstrip()
@@ -77,8 +83,6 @@ def scatter_plot(
     ys: Sequence[float],
     shades: Optional[Sequence[float]] = None,
     marks: Optional[Dict[str, Tuple[float, float]]] = None,
-    rows: int = 16,
-    cols: int = 60,
     x_label: str = "x",
     y_label: str = "y",
 ) -> str:
@@ -95,6 +99,7 @@ def scatter_plot(
     xspan = (xmax - xmin) or 1.0
     yspan = (ymax - ymin) or 1.0
     glyphs = ".:oO@"
+    rows, cols = SCATTER_ROWS, SCATTER_COLS
     grid = [[" "] * cols for _ in range(rows)]
 
     def cell(x: float, y: float) -> Tuple[int, int]:

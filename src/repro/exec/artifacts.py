@@ -40,7 +40,7 @@ from typing import Any, Dict, Optional
 from ..analysis import PointsToResult, PointsToStats
 from ..ir import Module
 from ..ir.serialize import dumps, loads
-from ..profiler import ProfileData
+from ..profiler import MAX_STEPS, ProfileData
 from .cache import content_sha
 
 
@@ -172,19 +172,19 @@ def prepared_key_material(
     source: str,
     name: str,
     pointsto_tier: str,
-    max_steps: int = 50_000_000,
     profile: str = "dynamic",
 ) -> Dict[str, Any]:
-    """Cache key inputs for a prepared program (compile options are the
-    :meth:`PreparedProgram.from_source` defaults the engine always uses).
-    ``profile`` separates interpreted profiles from statically derived
-    ones — their counters differ, so they must never share an artifact."""
+    """Cache key inputs for a prepared program (the compile recipe is
+    :meth:`PreparedProgram.from_source`'s fixed one; ``max_steps`` is the
+    profiling budget :data:`~repro.profiler.MAX_STEPS`).  ``profile``
+    separates interpreted profiles from statically derived ones — their
+    counters differ, so they must never share an artifact."""
     return {
         "kind": "prepared",
         "source_sha": content_sha(source),
         "name": name,
         "pointsto_tier": pointsto_tier,
-        "max_steps": max_steps,
+        "max_steps": MAX_STEPS,
         "profile": profile,
     }
 

@@ -24,8 +24,6 @@ from .types import (
     PointerType,
     StructType,
     VoidType,
-    element_type,
-    pointer_to,
 )
 from .values import Constant, FunctionRef, GlobalAddress, Value, VirtualRegister
 from .verifier import VerificationError, verify_function, verify_module
@@ -58,8 +56,6 @@ __all__ = [
     "PointerType",
     "StructType",
     "VoidType",
-    "element_type",
-    "pointer_to",
     "Constant",
     "FunctionRef",
     "GlobalAddress",

@@ -44,12 +44,6 @@ class BasicBlock:
             return []
         return list(term.targets)
 
-    def index_of(self, op: Operation) -> int:
-        for i, o in enumerate(self.ops):
-            if o is op:
-                return i
-        raise ValueError(f"operation not in block {self.name}")
-
     def __iter__(self) -> Iterator[Operation]:
         return iter(self.ops)
 

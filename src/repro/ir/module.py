@@ -79,9 +79,6 @@ class Module:
     def function(self, name: str) -> Function:
         return self.functions[name]
 
-    def has_function(self, name: str) -> bool:
-        return name in self.functions
-
     @property
     def main(self) -> Function:
         """The program entry point (a function named ``main``)."""

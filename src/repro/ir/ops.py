@@ -174,9 +174,6 @@ class Operation:
     def opclass(self) -> OpClass:
         return self.opcode.opclass
 
-    def is_memory(self) -> bool:
-        return self.opcode.opclass is OpClass.MEMORY
-
     def is_memory_access(self) -> bool:
         """True for operations that read or write data memory (not MALLOC)."""
         return self.opcode in (Opcode.LOAD, Opcode.STORE)

@@ -189,27 +189,3 @@ VOID = VoidType()
 INT = IntType(32)
 I1 = IntType(1)
 FLOAT = FloatType()
-
-
-def pointer_to(ty: IRType) -> PointerType:
-    """Convenience constructor for pointer types."""
-    return PointerType(ty)
-
-
-def element_type(ty: IRType) -> IRType:
-    """Scalar element type reached through one level of indexing.
-
-    For a pointer this is the pointee, for an array the element type.
-    """
-    if isinstance(ty, PointerType):
-        return ty.pointee
-    if isinstance(ty, ArrayType):
-        return ty.element
-    raise TypeError(f"type {ty} is not indexable")
-
-
-def access_width(ty: IRType) -> int:
-    """Width in bytes of a memory access moving a value of type ``ty``."""
-    if isinstance(ty, (ArrayType, StructType)):
-        raise TypeError("aggregate values are not loaded/stored directly")
-    return ty.size()

@@ -189,6 +189,29 @@ class Ternary(Expr):
         self.if_false = if_false
 
 
+def children(expr: Expr) -> List[Expr]:
+    """The direct sub-expressions of ``expr``, in source order."""
+    if isinstance(expr, Unary):
+        return [expr.operand]
+    if isinstance(expr, Binary):
+        return [expr.lhs, expr.rhs]
+    if isinstance(expr, Assign):
+        return [expr.target, expr.value]
+    if isinstance(expr, Index):
+        return [expr.base, expr.index]
+    if isinstance(expr, Field):
+        return [expr.base]
+    if isinstance(expr, Call):
+        return list(expr.args)
+    if isinstance(expr, Malloc):
+        return [expr.size]
+    if isinstance(expr, Cast):
+        return [expr.operand]
+    if isinstance(expr, Ternary):
+        return [expr.cond, expr.if_true, expr.if_false]
+    return []
+
+
 # ---------------------------------------------------------------------------
 # Statements
 # ---------------------------------------------------------------------------

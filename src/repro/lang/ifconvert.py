@@ -36,25 +36,20 @@ from . import ast
 _counter = itertools.count()
 
 
-class IfConvertConfig:
-    """Limits keeping the transform to genuinely small diamonds."""
-
-    def __init__(self, max_statements: int = 10):
-        self.max_statements = max_statements
+#: Statements a branch may hold, keeping the transform to genuinely
+#: small diamonds.
+MAX_STATEMENTS = 10
 
 
-def if_convert_program(
-    program: ast.Program, config: Optional[IfConvertConfig] = None
-) -> int:
+def if_convert_program(program: ast.Program) -> int:
     """If-convert eligible diamonds in place; returns conversions done."""
-    config = config or IfConvertConfig()
     count = 0
     for func in program.functions:
         total = 0
         # Iterate to a fixed point: converting an inner diamond can make
         # the enclosing one convertible.
         while True:
-            done = _convert_block(func.body, config)
+            done = _convert_block(func.body)
             total += done
             if done == 0:
                 break
@@ -62,30 +57,30 @@ def if_convert_program(
     return count
 
 
-def _convert_block(block: ast.Block, config: IfConvertConfig) -> int:
+def _convert_block(block: ast.Block) -> int:
     count = 0
     for i, stmt in enumerate(list(block.stmts)):
-        count += _convert_stmt(stmt, config)
+        count += _convert_stmt(stmt)
         if isinstance(stmt, ast.If):
-            replacement = _try_convert(stmt, config)
+            replacement = _try_convert(stmt)
             if replacement is not None:
                 block.stmts[i] = replacement
                 count += 1
     return count
 
 
-def _convert_stmt(stmt: ast.Stmt, config: IfConvertConfig) -> int:
+def _convert_stmt(stmt: ast.Stmt) -> int:
     count = 0
     if isinstance(stmt, ast.Block):
-        count += _convert_block(stmt, config)
+        count += _convert_block(stmt)
     elif isinstance(stmt, ast.If):
-        count += _convert_stmt(stmt.then, config)
+        count += _convert_stmt(stmt.then)
         if stmt.orelse is not None:
-            count += _convert_stmt(stmt.orelse, config)
+            count += _convert_stmt(stmt.orelse)
     elif isinstance(stmt, (ast.While, ast.DoWhile)):
-        count += _convert_stmt(stmt.body, config)
+        count += _convert_stmt(stmt.body)
     elif isinstance(stmt, ast.For):
-        count += _convert_stmt(stmt.body, config)
+        count += _convert_stmt(stmt.body)
     return count
 
 
@@ -99,15 +94,15 @@ class _Branch:
         self.declared: Set[str] = set()
 
 
-def _try_convert(stmt: ast.If, config: IfConvertConfig) -> Optional[ast.Stmt]:
+def _try_convert(stmt: ast.If) -> Optional[ast.Stmt]:
     if not _is_safe(stmt.cond, allow_loads=True):
         return None
-    then_branch = _analyse_branch(stmt.then, config)
+    then_branch = _analyse_branch(stmt.then)
     if then_branch is None:
         return None
     else_branch = _Branch()
     if stmt.orelse is not None:
-        maybe = _analyse_branch(stmt.orelse, config)
+        maybe = _analyse_branch(stmt.orelse)
         if maybe is None:
             return None
         else_branch = maybe
@@ -141,9 +136,9 @@ def _try_convert(stmt: ast.If, config: IfConvertConfig) -> Optional[ast.Stmt]:
     return ast.Block(loc, out)
 
 
-def _analyse_branch(stmt: ast.Stmt, config: IfConvertConfig) -> Optional[_Branch]:
+def _analyse_branch(stmt: ast.Stmt) -> Optional[_Branch]:
     stmts = _flatten(stmt)
-    if stmts is None or len(stmts) > config.max_statements:
+    if stmts is None or len(stmts) > MAX_STATEMENTS:
         return None
     branch = _Branch()
     rename: Dict[str, str] = {}
@@ -220,13 +215,13 @@ def _is_safe(expr: ast.Expr, allow_loads: bool) -> bool:
         return False
     if not allow_loads and isinstance(expr, ast.Unary) and expr.op == "*":
         return False
-    return all(_is_safe(child, allow_loads) for child in _expr_children(expr))
+    return all(_is_safe(child, allow_loads) for child in ast.children(expr))
 
 
 def _reads_any(expr: ast.Expr, names: Set[str]) -> bool:
     if isinstance(expr, ast.Ident) and expr.name in names:
         return True
-    return any(_reads_any(child, names) for child in _expr_children(expr))
+    return any(_reads_any(child, names) for child in ast.children(expr))
 
 
 def _renamed(expr: ast.Expr, mapping: Dict[str, str]) -> ast.Expr:
@@ -239,27 +234,5 @@ def _renamed(expr: ast.Expr, mapping: Dict[str, str]) -> ast.Expr:
 def _rename_in_place(expr: ast.Expr, mapping: Dict[str, str]) -> None:
     if isinstance(expr, ast.Ident) and expr.name in mapping:
         expr.name = mapping[expr.name]
-    for child in _expr_children(expr):
+    for child in ast.children(expr):
         _rename_in_place(child, mapping)
-
-
-def _expr_children(expr: ast.Expr) -> List[ast.Expr]:
-    if isinstance(expr, ast.Unary):
-        return [expr.operand]
-    if isinstance(expr, ast.Binary):
-        return [expr.lhs, expr.rhs]
-    if isinstance(expr, ast.Assign):
-        return [expr.target, expr.value]
-    if isinstance(expr, ast.Index):
-        return [expr.base, expr.index]
-    if isinstance(expr, ast.Field):
-        return [expr.base]
-    if isinstance(expr, ast.Call):
-        return list(expr.args)
-    if isinstance(expr, ast.Malloc):
-        return [expr.size]
-    if isinstance(expr, ast.Cast):
-        return [expr.operand]
-    if isinstance(expr, ast.Ternary):
-        return [expr.cond, expr.if_true, expr.if_false]
-    return []

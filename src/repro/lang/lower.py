@@ -575,9 +575,9 @@ def compile_source(
 
         if_convert_program(program)
     if unroll_factor >= 2:
-        from .unroll import UnrollConfig, unroll_program
+        from .unroll import unroll_program
 
-        unroll_program(program, UnrollConfig(factor=unroll_factor))
+        unroll_program(program, unroll_factor)
     checker = check(program)
     module = Lowerer(program, checker, name).lower()
     verify_module(module)

@@ -25,6 +25,11 @@ which is semantically equivalent for any trip count provided the bound is
 pure, the body is straight-line, and the body never writes ``i`` — all
 checked before rewriting.  Each body copy is wrapped in its own block so
 local declarations keep their scoping.
+
+``factor`` is the *maximum* unroll factor: a body is unrolled less, down
+to 2, so the unrolled region stays near :data:`TARGET_STMTS` statements
+(mirroring the code-growth budgets of production unrollers), and a body
+of more than :data:`MAX_BODY_STMTS` statements is left alone.
 """
 
 from __future__ import annotations
@@ -34,66 +39,57 @@ from typing import List, Optional, Tuple
 from . import ast
 
 
-class UnrollConfig:
-    """Tunables for the unroller.
+#: Largest loop body (in statements) that is unrolled at all.
+MAX_BODY_STMTS = 64
 
-    ``factor`` is the *maximum* unroll factor; big bodies are unrolled
-    less so regions stay near ``target_stmts`` statements (mirroring the
-    code-growth budgets of production unrollers).
-    """
-
-    def __init__(
-        self, factor: int = 4, max_body_stmts: int = 64, target_stmts: int = 48
-    ):
-        if factor < 2:
-            raise ValueError("unroll factor must be >= 2")
-        self.factor = factor
-        self.max_body_stmts = max_body_stmts
-        self.target_stmts = target_stmts
-
-    def factor_for(self, body_stmts: int) -> int:
-        """Adaptive factor: halve until the unrolled body fits the target."""
-        factor = self.factor
-        while factor > 2 and body_stmts * factor > self.target_stmts:
-            factor //= 2
-        return factor
+#: Statement count the adaptive factor keeps an unrolled body near.
+TARGET_STMTS = 48
 
 
-def unroll_program(program: ast.Program, config: Optional[UnrollConfig] = None) -> int:
-    """Unroll eligible loops in place; returns the number of loops unrolled."""
-    config = config or UnrollConfig()
+def unroll_program(program: ast.Program, factor: int = 4) -> int:
+    """Unroll eligible loops in place by at most ``factor``; returns the
+    number of loops unrolled."""
+    if factor < 2:
+        raise ValueError("unroll factor must be >= 2")
     count = 0
     for func in program.functions:
-        count += _unroll_block(func.body, config)
+        count += _unroll_block(func.body, factor)
     return count
 
 
-def _unroll_block(block: ast.Block, config: UnrollConfig) -> int:
+def _factor_for(factor: int, body_stmts: int) -> int:
+    """Adaptive factor: halve until the unrolled body fits the target."""
+    while factor > 2 and body_stmts * factor > TARGET_STMTS:
+        factor //= 2
+    return factor
+
+
+def _unroll_block(block: ast.Block, factor: int) -> int:
     count = 0
     for i, stmt in enumerate(list(block.stmts)):
-        count += _unroll_stmt(stmt, config)
+        count += _unroll_stmt(stmt, factor)
         if isinstance(stmt, ast.For):
-            replacement = _try_unroll(stmt, config)
+            replacement = _try_unroll(stmt, factor)
             if replacement is not None:
                 block.stmts[i] = replacement
                 count += 1
     return count
 
 
-def _unroll_stmt(stmt: ast.Stmt, config: UnrollConfig) -> int:
+def _unroll_stmt(stmt: ast.Stmt, factor: int) -> int:
     """Recurse into nested statements (the loop itself is handled by the
     caller so the innermost loops are rewritten first)."""
     count = 0
     if isinstance(stmt, ast.Block):
-        count += _unroll_block(stmt, config)
+        count += _unroll_block(stmt, factor)
     elif isinstance(stmt, ast.If):
-        count += _unroll_stmt(stmt.then, config)
+        count += _unroll_stmt(stmt.then, factor)
         if stmt.orelse is not None:
-            count += _unroll_stmt(stmt.orelse, config)
+            count += _unroll_stmt(stmt.orelse, factor)
     elif isinstance(stmt, (ast.While, ast.DoWhile)):
-        count += _unroll_stmt(stmt.body, config)
+        count += _unroll_stmt(stmt.body, factor)
     elif isinstance(stmt, ast.For):
-        count += _unroll_stmt(stmt.body, config)
+        count += _unroll_stmt(stmt.body, factor)
     return count
 
 
@@ -102,7 +98,7 @@ def _unroll_stmt(stmt: ast.Stmt, config: UnrollConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _try_unroll(loop: ast.For, config: UnrollConfig) -> Optional[ast.Stmt]:
+def _try_unroll(loop: ast.For, factor: int) -> Optional[ast.Stmt]:
     shape = _canonical_shape(loop)
     if shape is None:
         return None
@@ -111,12 +107,12 @@ def _try_unroll(loop: ast.For, config: UnrollConfig) -> Optional[ast.Stmt]:
     if not _is_straight_line(body, var):
         return None
     body_stmts = _stmt_count(body)
-    if body_stmts > config.max_body_stmts:
+    if body_stmts > MAX_BODY_STMTS:
         return None
     if not _is_pure(limit, forbid_var=var):
         return None
 
-    factor = config.factor_for(body_stmts)
+    factor = _factor_for(factor, body_stmts)
     loc = loop.loc
 
     def ident() -> ast.Ident:
@@ -245,7 +241,7 @@ def _writes_var(expr: ast.Expr, var: str) -> bool:
         if isinstance(target, ast.Ident) and target.name == var:
             return True
         return _writes_var(target, var) or _writes_var(expr.value, var)
-    for child in _children(expr):
+    for child in ast.children(expr):
         if _writes_var(child, var):
             return True
     return False
@@ -262,29 +258,7 @@ def _is_pure(expr: ast.Expr, forbid_var: Optional[str] = None) -> bool:
         and expr.name == forbid_var
     ):
         return False
-    return all(_is_pure(child, forbid_var) for child in _children(expr))
-
-
-def _children(expr: ast.Expr) -> List[ast.Expr]:
-    if isinstance(expr, ast.Unary):
-        return [expr.operand]
-    if isinstance(expr, ast.Binary):
-        return [expr.lhs, expr.rhs]
-    if isinstance(expr, ast.Assign):
-        return [expr.target, expr.value]
-    if isinstance(expr, ast.Index):
-        return [expr.base, expr.index]
-    if isinstance(expr, ast.Field):
-        return [expr.base]
-    if isinstance(expr, ast.Call):
-        return list(expr.args)
-    if isinstance(expr, ast.Malloc):
-        return [expr.size]
-    if isinstance(expr, ast.Cast):
-        return [expr.operand]
-    if isinstance(expr, ast.Ternary):
-        return [expr.cond, expr.if_true, expr.if_false]
-    return []
+    return all(_is_pure(child, forbid_var) for child in ast.children(expr))
 
 
 def _stmt_count(stmt: ast.Stmt) -> int:

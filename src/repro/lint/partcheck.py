@@ -193,8 +193,7 @@ def check_memory_locks(
     module: Module,
     assignment: Dict[int, int],
     object_home: Dict[str, int],
-    access_counts: Optional[Dict[str, int]] = None,
-    phase: str = "rhop",
+    access_counts: Dict[str, int],
 ) -> DiagnosticReport:
     """Verify the phase-2 contract: every memory operation is placed on
     its object's home cluster (Section 3.4's hard lock)."""
@@ -207,7 +206,7 @@ def check_memory_locks(
             "lock-violation",
             f"memory operation placed on cluster {placed} but its "
             f"object(s) {{{objs}}} are homed on cluster {cluster}",
-            func=func, block=block, op=str(op), phase=phase,
+            func=func, block=block, op=str(op), phase="rhop",
             hint="the computation partitioner must honour memory "
             "locks; a remote access has no hardware path",
         )
@@ -218,7 +217,7 @@ def misplaced_memory_ops(
     module: Module,
     assignment: Dict[int, int],
     object_home: Dict[str, int],
-    access_counts: Optional[Dict[str, int]] = None,
+    access_counts: Dict[str, int],
 ) -> Iterator[Tuple[int, int, int, Tuple[str, str, Operation]]]:
     """``(uid, placed, home, (func, block, op))`` for every memory
     operation locked to ``home`` but placed on another cluster, in uid
@@ -262,7 +261,6 @@ def check_moves(
     module: Module,
     assignment: Dict[int, int],
     machine: Machine,
-    phase: str = "moves",
 ) -> DiagnosticReport:
     """Verify move insertion and per-cluster resource feasibility: every
     cut def-use edge is bridged by a copy, ICMOVE endpoints agree with the
@@ -284,7 +282,7 @@ def check_moves(
                         "unassigned-op",
                         "operation has no cluster assignment",
                         func=func.name, block=block.name, op=str(op),
-                        phase=phase,
+                        phase="moves",
                         hint="the scheduler would crash on this block",
                     )
                     continue
@@ -295,7 +293,7 @@ def check_moves(
                         f"operation assigned to cluster {cluster}, but the "
                         f"machine has clusters 0..{machine.num_clusters - 1}",
                         func=func.name, block=block.name, op=str(op),
-                        phase=phase,
+                        phase="moves",
                     )
                     continue
                 cls = machine.fu_class_of(op)
@@ -305,14 +303,14 @@ def check_moves(
                         f"operation needs a {cls.value} unit but cluster "
                         f"{cluster} has none",
                         func=func.name, block=block.name, op=str(op),
-                        phase=phase,
+                        phase="moves",
                         hint="no list schedule exists for this block on "
                         "this machine",
                     )
                 if op.is_icmove():
                     _check_icmove(
                         report, func.name, block.name, op, cluster,
-                        defs_clusters, param_vids, phase,
+                        defs_clusters, param_vids,
                     )
                     continue  # an ICMOVE is itself the bridge for its src
                 for src in op.register_srcs():
@@ -326,7 +324,7 @@ def check_moves(
                             f"{sorted(sources)} but consumed on cluster "
                             f"{cluster} with no intercluster move",
                             func=func.name, block=block.name, op=str(op),
-                            phase=phase,
+                            phase="moves",
                             hint="insert_intercluster_moves must place an "
                             "ICMOVE (or local copy) for this flow",
                         )
@@ -341,7 +339,6 @@ def _check_icmove(
     cluster: int,
     defs_clusters: Dict[int, set],
     param_vids: set,
-    phase: str,
 ) -> None:
     src_cluster = op.attrs.get("from")
     dst_cluster = op.attrs.get("to")
@@ -349,7 +346,7 @@ def _check_icmove(
         report.warning(
             "useless-icmove",
             f"intercluster move from cluster {src_cluster} to itself",
-            func=func, block=block, op=str(op), phase=phase,
+            func=func, block=block, op=str(op), phase="moves",
             hint="a same-cluster move should be a plain MOV; it wrongly "
             "pays bus latency and bandwidth",
         )
@@ -358,7 +355,7 @@ def _check_icmove(
             "icmove-mismatch",
             f"ICMOVE annotated to={dst_cluster} but assigned to cluster "
             f"{cluster}",
-            func=func, block=block, op=str(op), phase=phase,
+            func=func, block=block, op=str(op), phase="moves",
         )
     if src_cluster is not None:
         for src in op.register_srcs():
@@ -371,7 +368,7 @@ def _check_icmove(
                     f"ICMOVE claims its value comes from cluster "
                     f"{src_cluster} but {src} is defined on "
                     f"{sorted(sources)}",
-                    func=func, block=block, op=str(op), phase=phase,
+                    func=func, block=block, op=str(op), phase="moves",
                 )
 
 
@@ -382,7 +379,6 @@ def check_schedule(
     module: Module,
     assignment: Dict[int, int],
     machine: Machine,
-    phase: str = "schedule",
 ) -> DiagnosticReport:
     """Re-schedule every block and verify the result against the three
     lower bounds no valid schedule may beat: the dependence critical path
@@ -403,7 +399,7 @@ def check_schedule(
                 report.error(
                     "schedule-failure",
                     f"list scheduler could not converge: {exc}",
-                    func=func.name, block=block.name, phase=phase,
+                    func=func.name, block=block.name, phase="schedule",
                     hint="usually an operation assigned to a cluster with "
                     "zero units of its FU class",
                 )
@@ -416,7 +412,7 @@ def check_schedule(
                     "schedule-infeasible",
                     f"block schedule of {sched.length} cycles beats the "
                     f"{reason} lower bound of {bound} cycles",
-                    func=func.name, block=block.name, phase=phase,
+                    func=func.name, block=block.name, phase="schedule",
                     hint="the cycle model is reporting impossible "
                     "numbers; distrust this evaluation",
                 )
@@ -502,7 +498,6 @@ def check_scheme_outcome(
                 outcome.assignment,
                 outcome.object_home,
                 prepared.object_access_counts(),
-                phase="rhop",
             )
         )
     report.extend(check_moves(outcome.module, outcome.assignment, outcome.machine))

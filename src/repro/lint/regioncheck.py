@@ -158,8 +158,7 @@ def check_region_locks(
     assignment: Dict[int, int],
     object_home: Dict[str, int],
     regions,
-    access_counts: Optional[Dict[str, int]] = None,
-    phase: str = "rhop",
+    access_counts: Dict[str, int],
 ) -> DiagnosticReport:
     """The Section 3.4 lock contract, located at byte regions: every
     memory op locked to an object home must sit on that cluster, and the
@@ -173,7 +172,7 @@ def check_region_locks(
             "region-cross-cluster",
             f"bytes {_regions_text(per_obj) or '<unknown>'} are homed on "
             f"cluster {home} but accessed from cluster {placed}",
-            func=func, block=block, op=str(op), phase=phase,
+            func=func, block=block, op=str(op), phase="rhop",
             hint="a remote sub-region access has no hardware path; the "
             "computation partitioner must honour the region's home",
         )
@@ -185,7 +184,6 @@ def check_region_interference(
     assignment: Dict[int, int],
     object_home: Dict[str, int],
     regions,
-    phase: str = "moves",
 ) -> DiagnosticReport:
     """Overlapping regions of one object must never be accessed from two
     clusters with a write on either side.
@@ -235,7 +233,7 @@ def check_region_interference(
                     f"{format_effect(_as_effect(reg_b))} accessed from "
                     f"cluster {cl_b} (conflicting op in {o_block}: "
                     f"{o_op})",
-                    func=func, block=block, op=str(op), phase=phase,
+                    func=func, block=block, op=str(op), phase="moves",
                     hint="regions split across clusters must be "
                     "provably disjoint; this pair shares bytes with a "
                     "write on one side",
@@ -255,7 +253,6 @@ def check_region_moves(
     module: Module,
     assignment: Dict[int, int],
     regions,
-    phase: str = "moves",
 ) -> DiagnosticReport:
     """Region-located form of the cut-edge contract: when a value loaded
     from a byte region is consumed on another cluster, an ``ICMOVE``
@@ -295,7 +292,7 @@ def check_region_moves(
                             f"consumed on cluster {cluster} with no "
                             "intercluster move",
                             func=func.name, block=block.name, op=str(op),
-                            phase=phase,
+                            phase="moves",
                             hint="the loaded region's contents cross "
                             "the cluster cut; an ICMOVE must carry them",
                         )

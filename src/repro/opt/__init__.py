@@ -8,7 +8,7 @@ from .cleanup import (
     optimize_module,
     propagate_copies,
 )
-from .constfold import fold_constants, fold_module
+from .constfold import fold_constants
 
 __all__ = [
     "eliminate_common_subexpressions",
@@ -17,5 +17,4 @@ __all__ = [
     "optimize_module",
     "propagate_copies",
     "fold_constants",
-    "fold_module",
 ]

@@ -162,14 +162,20 @@ def eliminate_dead_code(func: Function, cfg: Optional[CFG] = None) -> int:
             return removed_total
 
 
-def optimize_function(func: Function, max_iterations: int = 4) -> int:
-    """Run fold -> copy-prop -> CSE -> DCE to a fixed point.  No pass
-    changes a terminator, so one CFG serves every DCE round."""
+#: Rounds of the pass sequence before :func:`optimize_function` stops
+#: short of a fixed point.
+MAX_ITERATIONS = 4
+
+
+def optimize_function(func: Function) -> int:
+    """Run fold -> copy-prop -> CSE -> DCE to a fixed point (at most
+    :data:`MAX_ITERATIONS` rounds).  No pass changes a terminator, so one
+    CFG serves every DCE round."""
     from .constfold import fold_constants
 
     cfg = CFG(func)
     total = 0
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         changed = fold_constants(func)
         changed += propagate_copies(func)
         changed += eliminate_common_subexpressions(func)
@@ -180,6 +186,6 @@ def optimize_function(func: Function, max_iterations: int = 4) -> int:
     return total
 
 
-def optimize_module(module: Module, max_iterations: int = 4) -> int:
+def optimize_module(module: Module) -> int:
     """Optimize every function; returns total rewrites+removals."""
-    return sum(optimize_function(f, max_iterations) for f in module)
+    return sum(optimize_function(f) for f in module)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..ir import Constant, Function, Module, Opcode, Operation, VirtualRegister
+from ..ir import Constant, Function, Opcode, Operation, VirtualRegister
 from ..ir.types import FLOAT, INT
 from ..profiler.interp import _HANDLERS
 
@@ -94,8 +94,3 @@ def _simplify(op: Operation) -> bool:
     ):
         return to_mov(op.srcs[0])
     return False
-
-
-def fold_module(module: Module) -> int:
-    """Fold every function; returns total rewrites."""
-    return sum(fold_constants(func) for func in module)

@@ -9,7 +9,7 @@ from .globalvals import (
     single_cluster_homes,
     size_balanced_homes,
 )
-from .assign import InsertionStats, count_static_moves, insert_intercluster_moves
+from .assign import InsertionStats, insert_intercluster_moves
 from .estimator import Anchor, INFEASIBLE, ScheduleEstimator
 from .gdp import DataPartition, GDPConfig, build_group_graph, gdp_partition
 from .locks import memory_locks
@@ -30,7 +30,6 @@ __all__ = [
     "single_cluster_homes",
     "size_balanced_homes",
     "InsertionStats",
-    "count_static_moves",
     "insert_intercluster_moves",
     "Anchor",
     "INFEASIBLE",

@@ -171,8 +171,3 @@ def insert_intercluster_moves(
                 if key in copy_reg:
                     stats.rewritten_uses += op.replace_src(src, copy_reg[key])
     return stats
-
-
-def count_static_moves(func: Function) -> int:
-    """ICMOVE operations present in a function."""
-    return sum(1 for op in func.operations() if op.is_icmove())

@@ -42,17 +42,21 @@ def size_balanced_homes(objects: ObjectTable, k: int = 2) -> Dict[str, int]:
     return homes
 
 
+#: :func:`affinity_homes`' byte cap per cluster, as a multiple of the
+#: even split.
+AFFINITY_BALANCE = 1.5
+
+
 def affinity_homes(
     objects: ObjectTable,
     access_counts: Dict[str, int],
     k: int = 2,
-    balance: float = 1.5,
 ) -> Dict[str, int]:
     """Affinity placement: objects in dynamic-access order, each to the
     lightest cluster by *access traffic* so hot objects spread out, with a
-    byte-balance cap of ``balance`` x the even split."""
+    byte-balance cap of :data:`AFFINITY_BALANCE` x the even split."""
     total = objects.total_size()
-    cap = balance * total / k if total else float("inf")
+    cap = AFFINITY_BALANCE * total / k if total else float("inf")
     byte_loads = [0.0] * k
     traffic_loads = [0.0] * k
     homes: Dict[str, int] = {}

@@ -8,7 +8,7 @@ clusters".
 
 from __future__ import annotations
 
-from typing import Counter as CounterT, Dict, Optional
+from typing import Dict
 
 from ..ir import Module, Opcode
 
@@ -16,7 +16,7 @@ from ..ir import Module, Opcode
 def memory_locks(
     module: Module,
     object_home: Dict[str, int],
-    access_counts: Optional[Dict[str, int]] = None,
+    access_counts: Dict[str, int],
 ) -> Dict[int, int]:
     """Op uid -> cluster for every memory operation in the module.
 
@@ -25,7 +25,6 @@ def memory_locks(
     the home of the most-accessed object wins; ``access_counts`` maps
     object ids to dynamic access counts for that tie-break.
     """
-    access_counts = access_counts or {}
     locks: Dict[int, int] = {}
     for func in module:
         for op in func.operations():

@@ -124,11 +124,15 @@ def access_pattern_merge(
     return result
 
 
+#: :func:`slack_merge` joins dependent operations whose flow edge has at
+#: most this much schedule slack.
+SLACK_THRESHOLD = 1
+
+
 def slack_merge(
     graph: ProgramGraph,
     objects: ObjectTable,
     depgraphs,
-    slack_threshold: int = 1,
 ) -> MergeResult:
     """Alternative coarsening that additionally merges low-slack dependent
     operations (the variant Section 3.3.1 evaluated and rejected: "merging
@@ -149,7 +153,7 @@ def slack_merge(
 
     for dg in depgraphs:
         for edge in dg.flow_edges():
-            if dg.slack(edge) <= slack_threshold:
+            if dg.slack(edge) <= SLACK_THRESHOLD:
                 uf.union(("op", edge.src), ("op", edge.dst))
 
     result = MergeResult()

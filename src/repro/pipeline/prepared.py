@@ -46,7 +46,6 @@ class PreparedProgram:
         self,
         module: Module,
         profile: Optional[ProfileData] = None,
-        max_steps: int = 50_000_000,
         pointsto_tier: str = "andersen",
         pointsto: Optional[PointsToResult] = None,
         profile_mode: str = "dynamic",
@@ -74,7 +73,7 @@ class PreparedProgram:
             self.profile = profile
         else:
             if profile is None:
-                interp = Interpreter(module, max_steps=max_steps)
+                interp = Interpreter(module)
                 self.result = interp.run()
                 profile = interp.profile
             else:
@@ -119,35 +118,29 @@ class PreparedProgram:
         cls,
         source: str,
         name: str = "program",
-        max_steps: int = 50_000_000,
-        unroll_factor: Optional[int] = None,
-        if_convert: bool = True,
-        optimize: bool = True,
         config=None,
     ) -> "PreparedProgram":
         """Compile MiniC source — with if-conversion, loop unrolling and
-        scalar optimization by default, recovering the region-level ILP
-        and code quality of the paper's hyperblock-forming compiler —
-        then profile and prepare it under ``config``'s points-to tier and
-        profile source (default: andersen, dynamic)."""
-        if unroll_factor is None:
-            unroll_factor = cls.DEFAULT_UNROLL
-        module = compile_source(
-            source, name, unroll_factor=unroll_factor, if_convert=if_convert
-        )
-        if optimize:
-            from ..opt import optimize_module
+        scalar optimization, recovering the region-level ILP and code
+        quality of the paper's hyperblock-forming compiler — then profile
+        (under the interpreter's ``MAX_STEPS`` budget) and prepare it
+        under ``config``'s points-to tier and profile source (default:
+        andersen, dynamic)."""
+        from ..opt import optimize_module
 
-            optimize_module(module)
+        module = compile_source(
+            source, name, unroll_factor=cls.DEFAULT_UNROLL, if_convert=True
+        )
+        optimize_module(module)
         # Canonicalize uid order before any uid-keyed side table exists:
         # the optimizer creates ops out of textual order, and partitioner
         # tie-breaks on relative uid order must match what a cache
         # rehydration (uids in parse order) would produce.
         renumber_ops(module)
         if config is None:
-            return cls(module, max_steps=max_steps)
+            return cls(module)
         return cls(
-            module, max_steps=max_steps, pointsto_tier=config.pointsto_tier,
+            module, pointsto_tier=config.pointsto_tier,
             profile_mode=config.profile,
         )
 

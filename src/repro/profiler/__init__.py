@@ -2,7 +2,7 @@
 profile (block counts, per-object access counts, heap sizes) consumed by
 the partitioning algorithms."""
 
-from .interp import Interpreter, InterpreterError, StepLimitExceeded, profile_module
+from .interp import MAX_STEPS, Interpreter, InterpreterError, StepLimitExceeded
 from .memory import Memory, MemoryError_
 from .profiledata import ProfileData
 
@@ -10,7 +10,7 @@ __all__ = [
     "Interpreter",
     "InterpreterError",
     "StepLimitExceeded",
-    "profile_module",
+    "MAX_STEPS",
     "Memory",
     "MemoryError_",
     "ProfileData",

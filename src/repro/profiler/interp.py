@@ -59,10 +59,16 @@ class StepLimitExceeded(InterpreterError):
     """The program ran longer than the configured instruction budget."""
 
 
+#: Interpreted-operation budget: the default of :class:`Interpreter` and
+#: of the CLI's ``--max-steps``, the budget every prepare profiles under,
+#: and the ``max_steps`` of the prepared-artifact cache key.
+MAX_STEPS = 50_000_000
+
+
 class Interpreter:
     """Executes a module and gathers an execution profile."""
 
-    def __init__(self, module: Module, max_steps: int = 50_000_000):
+    def __init__(self, module: Module, max_steps: int = MAX_STEPS):
         self.module = module
         self.memory = Memory(module)
         self.profile = ProfileData()
@@ -482,12 +488,3 @@ _HANDLERS = {
     Opcode.ITOF: lambda a: float(int(a)),
     Opcode.FTOI: lambda a: _wrap32(int(a)),
 }
-
-
-def profile_module(
-    module: Module, max_steps: int = 50_000_000
-) -> ProfileData:
-    """Run ``main`` and return the collected profile."""
-    interp = Interpreter(module, max_steps=max_steps)
-    interp.run()
-    return interp.profile

@@ -34,24 +34,13 @@ class ProfileData:
 
     # -- recording ----------------------------------------------------------------
 
-    def record_block(self, func: str, block: str) -> None:
-        self.block_counts[(func, block)] += 1
-
     def record_access(self, op_uid: int, obj_id: str) -> None:
         self.op_object_counts.setdefault(op_uid, Counter())[obj_id] += 1
-
-    def record_malloc(self, obj_id: str, size: int) -> None:
-        self.heap_sizes[obj_id] += size
 
     # -- queries ------------------------------------------------------------------------
 
     def block_frequency(self, func: str, block: str) -> float:
         return float(self.block_counts.get((func, block), 0))
-
-    def op_frequency(self, op_uid: int) -> int:
-        """Total dynamic executions of one memory operation."""
-        counts = self.op_object_counts.get(op_uid)
-        return sum(counts.values()) if counts else 0
 
     def object_access_counts(self) -> Counter:
         totals: Counter = Counter()

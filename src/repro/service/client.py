@@ -10,13 +10,14 @@ Two client-side robustness contracts live here:
 
 * **Fail fast** — every request carries a finite socket timeout (urllib
   would otherwise block forever on a hung server), and the ``wait``
-  long-poll is chunked into ``poll_cap``-second legs so a stalled
+  long-poll is chunked into :data:`POLL_CAP`-second legs so a stalled
   connection surfaces as an error within one leg, not never.
 * **Backpressure** — a 429 from the broker's admission control is not an
   error but a "later, please": the client retries with jittered
-  exponential backoff, honouring the server's ``Retry-After`` as the
-  delay floor, until the ``retry_budget`` (total seconds of backoff) is
-  spent — at which point the 429 propagates to the caller.
+  exponential backoff (:data:`BACKOFF_BASE` doubling up to
+  :data:`BACKOFF_CAP` seconds), honouring the server's ``Retry-After`` as
+  the delay floor, until the ``retry_budget`` (total seconds of backoff)
+  is spent — at which point the 429 propagates to the caller.
 """
 
 from __future__ import annotations
@@ -30,14 +31,22 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from .broker import ServiceError
 
+#: First 429 backoff delay (seconds); each retry doubles it.
+BACKOFF_BASE = 0.05
+
+#: Longest single 429 backoff delay (seconds) before jitter.
+BACKOFF_CAP = 2.0
+
+#: Longest single ``wait`` long-poll leg (seconds).
+POLL_CAP = 30.0
+
 
 class ServiceClient:
     """Thin blocking client for one service base URL.
 
     ``timeout`` is the per-request socket timeout (must be finite —
     hanging forever is the failure mode this client exists to avoid);
-    ``retry_budget``/``backoff_base``/``backoff_cap`` shape the 429
-    retry loop; ``poll_cap`` bounds one ``wait`` long-poll leg.
+    ``retry_budget`` bounds the total 429 backoff.
     """
 
     def __init__(
@@ -45,20 +54,12 @@ class ServiceClient:
         base_url: str,
         timeout: float = 30.0,
         retry_budget: float = 60.0,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
-        poll_cap: float = 30.0,
     ):
         if timeout is None or timeout <= 0:
             raise ValueError("timeout must be a positive number of seconds")
-        if poll_cap <= 0:
-            raise ValueError("poll_cap must be > 0")
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.retry_budget = retry_budget
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.poll_cap = poll_cap
         #: 429-backoff retries performed (telemetry; the load test
         #: asserts backpressure was actually exercised through here).
         self.retries = 0
@@ -81,9 +82,7 @@ class ServiceClient:
             except ServiceError as exc:
                 if exc.status != 429:
                     raise
-                delay = min(
-                    self.backoff_cap, self.backoff_base * (2 ** attempt)
-                )
+                delay = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** attempt))
                 # Full jitter (0.5x-1.5x) decorrelates a thundering herd
                 # of retrying clients; Retry-After is the floor.
                 delay *= 0.5 + random.random()
@@ -207,12 +206,10 @@ class ServiceClient:
         except urllib.error.HTTPError as exc:
             raise self._as_service_error(exc) from None
 
-    def wait(
-        self, job_id: str, timeout: float = 300.0, poll: float = 0.2
-    ) -> Dict[str, Any]:
+    def wait(self, job_id: str, timeout: float = 300.0) -> Dict[str, Any]:
         """Poll until the job is terminal; returns the final descriptor.
 
-        Each long-poll leg is capped at :attr:`poll_cap` seconds, so a
+        Each long-poll leg is capped at :data:`POLL_CAP` seconds, so a
         wedged connection costs one leg, never the whole timeout."""
         from .jobs import TERMINAL_STATES
 
@@ -220,7 +217,7 @@ class ServiceClient:
         while True:
             remaining = deadline - time.monotonic()
             descriptor = self.job(
-                job_id, wait=max(0.0, min(remaining, self.poll_cap))
+                job_id, wait=max(0.0, min(remaining, POLL_CAP))
             )
             if descriptor["state"] in TERMINAL_STATES:
                 return descriptor

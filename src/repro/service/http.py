@@ -41,6 +41,9 @@ from .broker import Broker, ServiceError
 #: kilobytes; anything bigger is a mistake or abuse).
 MAX_BODY_BYTES = 1 << 20
 
+#: Server-side cap (seconds) on one ``?wait=`` long-poll; clients re-poll.
+MAX_WAIT = 300.0
+
 
 class _Server(ThreadingHTTPServer):
     daemon_threads = True
@@ -159,8 +162,7 @@ class _Handler(BaseHTTPRequestHandler):
                 job = self.broker.get(path[len("/v1/jobs/"):])
                 wait = self._number(query, "wait", 0.0)
                 if wait > 0:
-                    cap = self.server.service.max_wait  # type: ignore[attr-defined]
-                    job.wait(timeout=min(wait, cap))
+                    job.wait(timeout=min(wait, MAX_WAIT))
                 self._send_json(200, job.to_dict(include_events=True))
             else:
                 raise ServiceError(404, "not_found", f"no route {path!r}")
@@ -234,12 +236,9 @@ class ServiceServer:
         host: str = "127.0.0.1",
         port: int = 0,
         verbose: bool = False,
-        max_wait: float = 300.0,
     ):
         self.broker = broker
         self.verbose = verbose
-        #: Server-side cap on one ``?wait=`` long-poll (clients re-poll).
-        self.max_wait = max_wait
         self._httpd = _Server((host, port), _Handler)
         self._httpd.service = self  # type: ignore[attr-defined]
         self.host, self.port = self._httpd.server_address[:2]

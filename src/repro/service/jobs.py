@@ -49,6 +49,10 @@ JOB_STATES = (QUEUED, RUNNING, DONE, DEGRADED, FAILED, CANCELLED)
 #: States a job never leaves.
 TERMINAL_STATES = frozenset((DONE, DEGRADED, FAILED, CANCELLED))
 
+#: Seconds :meth:`Job.follow_events` sleeps between checks for new events
+#: when nothing wakes it.
+FOLLOW_POLL = 0.5
+
 _REQUIRED = object()
 
 #: A job's durable record, field -> default (a required field has none):
@@ -191,7 +195,7 @@ class Job:
             return [dict(e) for e in self.events if e["seq"] >= since]
 
     def follow_events(
-        self, timeout: Optional[float] = None, poll: float = 0.5
+        self, timeout: Optional[float] = None
     ) -> Iterator[Dict[str, Any]]:
         """Yield events in order, blocking for new ones until the job is
         terminal (the NDJSON ``?follow=1`` stream).  ``timeout`` bounds
@@ -208,7 +212,7 @@ class Job:
                     return
                 if deadline is not None and self._clock() >= deadline:
                     return
-                self._cond.wait(timeout=poll)
+                self._cond.wait(timeout=FOLLOW_POLL)
 
     # -- serialisation ---------------------------------------------------------
 

@@ -22,13 +22,13 @@ Replaying the log (or a snapshot + log suffix) folds these into the
 latest known state per job: terminal jobs are restored as history,
 queued/running jobs are the ones a restarted broker must requeue.
 
-Durability knobs:
+Durability:
 
 * ``fsync`` policy — ``always`` (fsync every append: an acked submission
   survives any crash; the ``repro serve --journal`` default), ``interval``
-  (flush every append, fsync at most every ``fsync_interval`` seconds),
-  ``never`` (flush only; the OS decides).
-* compaction — every ``compact_every`` appends (and at clean shutdown)
+  (flush every append, fsync at most every :data:`FSYNC_INTERVAL`
+  seconds), ``never`` (flush only; the OS decides).
+* compaction — every :data:`COMPACT_EVERY` appends (and at clean shutdown)
   the broker folds its live job table into ``<root>/snapshot.json``
   (written atomically) and truncates the log, so the journal stays
   O(live + recent) instead of growing forever.
@@ -60,6 +60,12 @@ JOURNAL_FILE = "journal.ndjson"
 SNAPSHOT_FILE = "snapshot.json"
 
 FSYNC_POLICIES = ("always", "interval", "never")
+
+#: Under the ``interval`` policy, the most seconds between two fsyncs.
+FSYNC_INTERVAL = 0.1
+
+#: Appends between compactions.
+COMPACT_EVERY = 4096
 
 
 def record_checksum(record: Dict[str, Any]) -> str:
@@ -130,20 +136,14 @@ class Journal:
         self,
         root: str,
         fsync: str = "always",
-        fsync_interval: float = 0.1,
-        compact_every: int = 4096,
         faults: Union[FaultPlan, str, None] = None,
     ):
         if fsync not in FSYNC_POLICIES:
             raise ValueError(
                 f"fsync policy must be one of {FSYNC_POLICIES}, got {fsync!r}"
             )
-        if compact_every < 1:
-            raise ValueError("compact_every must be >= 1")
         self.root = root
         self.fsync = fsync
-        self.fsync_interval = fsync_interval
-        self.compact_every = compact_every
         if isinstance(faults, str):
             faults = FaultPlan.parse(faults)
         self.faults = faults
@@ -283,7 +283,7 @@ class Journal:
                 os.fsync(handle.fileno())
             elif self.fsync == "interval":
                 now = time.monotonic()
-                if now - self._last_fsync >= self.fsync_interval:
+                if now - self._last_fsync >= FSYNC_INTERVAL:
                     os.fsync(handle.fileno())
                     self._last_fsync = now
             self.appended += 1
@@ -293,7 +293,7 @@ class Journal:
     @property
     def compaction_due(self) -> bool:
         with self._lock:
-            return self._since_compact >= self.compact_every
+            return self._since_compact >= COMPACT_EVERY
 
     def compact(self, jobs: List[Dict[str, Any]]) -> None:
         """Fold ``jobs`` (the broker's live table, snapshot-entry shape)

@@ -57,7 +57,7 @@ class TestBUG:
     def test_locks_respected(self, prepared, machine):
         module, _ = prepared.fresh_copy()
         homes = {o: (0 if o != "g:b" else 1) for o in prepared.objects.ids()}
-        locks = memory_locks(module, homes)
+        locks = memory_locks(module, homes, {})
         result = BUG(machine.as_partitioned()).partition_module(module, locks)
         for uid, cluster in locks.items():
             assert result.assignment[uid] == cluster

@@ -6,7 +6,7 @@ here means a benchmark's semantics changed and all measured figures move.
 
 import pytest
 
-from repro.bench import all_benchmarks, dsp_kernels, get, mediabench, names
+from repro.bench import all_benchmarks, get, mediabench, names
 from repro.lang import compile_source
 from repro.profiler import Interpreter
 
@@ -52,7 +52,7 @@ def test_suite_size_matches_paper_scale():
 
 def test_categories_partition_suite():
     med = {b.name for b in mediabench()}
-    dsp = {b.name for b in dsp_kernels()}
+    dsp = {b.name for b in all_benchmarks() if b.category == "dsp"}
     assert med and dsp
     assert not (med & dsp)
     assert med | dsp == set(names())

@@ -63,7 +63,7 @@ class TestCompile:
     def test_compile_to_file(self, demo_file, tmp_path, capsys):
         out_path = tmp_path / "demo.ir"
         assert main(["compile", demo_file, "-o", str(out_path)]) == 0
-        assert loads(out_path.read_text()).has_function("main")
+        assert "main" in loads(out_path.read_text()).functions
 
 
 class TestPartitionAndCompare:
@@ -181,6 +181,17 @@ class TestBench:
         out = capsys.readouterr().out
         assert "all rungs of ladder ['unified'] failed" in out
         assert "unified refused" in out
+
+    @pytest.mark.parametrize("flags", [[], ["--all"]])
+    def test_unknown_bench_is_an_invalid_invocation(self, flags, capsys):
+        """An unknown name is a bad invocation, as a missing file is: one
+        error line and exit 2, neither a traceback nor a failed sweep."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "nosuch", *flags])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "repro: error: unknown benchmark 'nosuch'"
+        assert captured.out == ""
 
 
 class TestLint:

@@ -5,7 +5,6 @@ import pytest
 from repro.lang.errors import LexError, MiniCError, ParseError, SourceLocation
 from repro.lang import compile_source, tokenize
 from repro.machine import two_cluster_machine
-from repro.pipeline import PreparedProgram
 
 
 class TestSourceLocation:
@@ -46,14 +45,6 @@ class TestPublicAPI:
         plain = compile_source(src, "a")
         explicit = compile_source(src, "b", unroll_factor=0, if_convert=False)
         assert plain.op_count() == explicit.op_count()
-
-    def test_prepared_program_disable_transforms(self):
-        src = "int t[4]; int main() { t[0] = 1; return t[0]; }"
-        raw = PreparedProgram.from_source(
-            src, "t", unroll_factor=0, if_convert=False, optimize=False
-        )
-        cooked = PreparedProgram.from_source(src, "t")
-        assert raw.profile.output == cooked.profile.output
 
     def test_machine_repr_readable(self):
         text = repr(two_cluster_machine(move_latency=7))

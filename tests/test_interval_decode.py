@@ -241,7 +241,7 @@ class ReferenceIntervals:
             self.cfgs[name] = cfg
             self.solutions[name] = solve(
                 func, cfg, ReferenceProblem(entry, self.const_globals),
-                widen_after=3, narrow_passes=2,
+                narrow_passes=2,
             )
             self._propagate_call_args(func, cfg, arg_envs)
 
@@ -416,14 +416,21 @@ def test_each_opcode_decodes_to_reference(code, srcs, env, globals_map, has_dest
         assert vid == op.dest.vid
         assert evaluate(dict(env)) == reference_eval_op(op, env, globals_map)
     ours, theirs = dict(env), dict(env)
-    interval.transfer_op(op, ours, globals_map)
+    transfer(op, ours, globals_map)
     reference_transfer_op(op, theirs, globals_map)
     assert ours == theirs
+
+
+def transfer(op, env, const_globals=None):
+    """One op's effect on ``env``, as the block transfer applies it."""
+    step = interval.decode_op(op, const_globals)
+    if step is not None:
+        interval._run_steps((step,), env)
 
 
 def test_top_results_are_dropped_from_the_env():
     op = Operation(Opcode.ADD, VirtualRegister(0, INT),
                    [VirtualRegister(1, INT), Constant(1, INT)])
     env = {0: Interval(3, 4), 1: Interval(0, INT32_MAX)}
-    interval.transfer_op(op, env)
+    transfer(op, env)
     assert 0 not in env  # [1, 2**31] escapes the 32-bit range: TOP

@@ -70,12 +70,13 @@ class TestOperations:
 
     def test_classification(self):
         load = Operation(Opcode.LOAD, VirtualRegister(0, INT), [Constant(0)])
-        assert load.is_memory() and load.is_memory_access()
+        assert load.opclass is OpClass.MEMORY and load.is_memory_access()
         malloc = Operation(
             Opcode.MALLOC, VirtualRegister(1, PointerType(INT)), [Constant(8)],
             attrs={"site": "s"},
         )
-        assert malloc.is_memory() and not malloc.is_memory_access()
+        assert malloc.opclass is OpClass.MEMORY
+        assert not malloc.is_memory_access()
         br = Operation(Opcode.BR, targets=["next"])
         assert br.is_terminator()
         call = Operation(
@@ -131,14 +132,6 @@ class TestBlocksAndFunctions:
         assert block.terminator is not None
         assert block.successors() == ["x"]
 
-    def test_index_of(self):
-        block = BasicBlock("b")
-        op = block.append(Operation(Opcode.MOV, VirtualRegister(0, INT), [Constant(1)]))
-        assert block.index_of(op) == 0
-        other = Operation(Opcode.MOV, VirtualRegister(1, INT), [Constant(2)])
-        with pytest.raises(ValueError):
-            block.index_of(other)
-
     def test_function_vreg_minting(self):
         p = VirtualRegister(0, INT, "a")
         func = Function("f", [p], INT)
@@ -187,7 +180,7 @@ class TestModule:
         mod.add_function(func)
         with pytest.raises(ValueError):
             mod.add_function(make_add_function())
-        assert not mod.has_function("main")
+        assert "main" not in mod.functions
         main = Function("main", [], INT)
         mod.add_function(main)
         assert mod.main is main

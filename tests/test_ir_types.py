@@ -12,9 +12,6 @@ from repro.ir.types import (
     PointerType,
     StructType,
     VoidType,
-    access_width,
-    element_type,
-    pointer_to,
 )
 
 
@@ -68,7 +65,7 @@ class TestPointerTypes:
         assert str(pp) == "i32**"
 
     def test_equality(self):
-        assert PointerType(INT) == pointer_to(INT)
+        assert PointerType(INT) == PointerType(INT)
         assert PointerType(INT) != PointerType(FLOAT)
 
 
@@ -130,23 +127,3 @@ class TestStructTypes:
         assert a == b
         assert a != c
 
-
-class TestHelpers:
-    def test_element_type(self):
-        assert element_type(PointerType(INT)) == INT
-        assert element_type(ArrayType(FLOAT, 3)) == FLOAT
-
-    def test_element_type_rejects_scalars(self):
-        with pytest.raises(TypeError):
-            element_type(INT)
-
-    def test_access_width(self):
-        assert access_width(INT) == 4
-        assert access_width(FLOAT) == 8
-        assert access_width(PointerType(INT)) == 4
-
-    def test_access_width_rejects_aggregates(self):
-        with pytest.raises(TypeError):
-            access_width(ArrayType(INT, 2))
-        with pytest.raises(TypeError):
-            access_width(StructType("S", [("x", INT)]))

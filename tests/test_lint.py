@@ -481,7 +481,7 @@ class TestLockChecker:
         load = op_by_opcode(module.function("main"), Opcode.LOAD)
         ret = op_by_opcode(module.function("main"), Opcode.RET)
         assignment = {load.uid: 1, ret.uid: 1}
-        report = check_memory_locks(module, assignment, {"g:g": 0})
+        report = check_memory_locks(module, assignment, {"g:g": 0}, {})
         diags = report.by_rule("lock-violation")
         assert diags and diags[0].phase == "rhop"
         assert "cluster 1" in diags[0].message and "cluster 0" in diags[0].message
@@ -491,7 +491,7 @@ class TestLockChecker:
         load = op_by_opcode(module.function("main"), Opcode.LOAD)
         ret = op_by_opcode(module.function("main"), Opcode.RET)
         report = check_memory_locks(
-            module, {load.uid: 0, ret.uid: 1}, {"g:g": 0}
+            module, {load.uid: 0, ret.uid: 1}, {"g:g": 0}, {}
         )
         assert len(report) == 0
 

@@ -203,7 +203,7 @@ class TestMemoryLocks:
         module, objects, graph = prepare(
             "int a[4]; int b[4]; int main() { a[0] = 1; return b[0]; }"
         )
-        locks = memory_locks(module, {"g:a": 0, "g:b": 1})
+        locks = memory_locks(module, {"g:a": 0, "g:b": 1}, {})
         mem_ops = [
             op for op in module.function("main").operations()
             if op.is_memory_access()
@@ -240,7 +240,7 @@ class TestMemoryLocks:
             "int main() { int *p = malloc(8); return p[0]; }"
         )
         heap = next(o for o in objects.ids() if o.startswith("h:"))
-        locks = memory_locks(module, {heap: 1})
+        locks = memory_locks(module, {heap: 1}, {})
         from repro.ir import Opcode
 
         mallocs = [

@@ -190,9 +190,12 @@ class TestObjectTable:
         table = ObjectTable(module, heap_sizes={site: 640})
         assert table[site].size == 640
 
-    def test_heap_default_size(self):
+    def test_heap_default_size(self, monkeypatch):
+        from repro.analysis import objects
+
+        monkeypatch.setattr(objects, "DEFAULT_HEAP_SIZE", 128)
         module = annotated("int main() { int *p = malloc(64); return p[0]; }")
-        table = ObjectTable(module, default_heap_size=128)
+        table = ObjectTable(module)
         site = next(o for o in table.ids() if o.startswith("h:"))
         assert table[site].size == 128
 

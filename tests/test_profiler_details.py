@@ -94,19 +94,10 @@ class TestHelpers:
 class TestProfileData:
     def test_frequency_fn(self):
         profile = ProfileData()
-        profile.record_block("f", "b")
-        profile.record_block("f", "b")
+        profile.block_counts[("f", "b")] += 2
         fn = profile.frequency_fn()
         assert fn("f", "b") == 2.0
         assert fn("f", "other") == 0.0
-
-    def test_op_frequency(self):
-        profile = ProfileData()
-        profile.record_access(7, "g:a")
-        profile.record_access(7, "g:a")
-        profile.record_access(7, "g:b")
-        assert profile.op_frequency(7) == 3
-        assert profile.op_frequency(8) == 0
 
     def test_object_access_counts(self):
         profile = ProfileData()
@@ -117,10 +108,16 @@ class TestProfileData:
         assert totals["g:a"] == 2 and totals["g:b"] == 1
 
     def test_heap_sizes_accumulate(self):
-        profile = ProfileData()
-        profile.record_malloc("h:s", 16)
-        profile.record_malloc("h:s", 16)
-        assert profile.heap_sizes["h:s"] == 32
+        src = """
+        int main() {
+          int i;
+          for (i = 0; i < 2; i = i + 1) { int *p = malloc(16); p[0] = i; }
+          return 0;
+        }
+        """
+        interp = Interpreter(compile_source(src, "t"))
+        interp.run()
+        assert list(interp.profile.heap_sizes.values()) == [32]
 
     def test_call_counts(self):
         src = """

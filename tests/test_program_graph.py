@@ -44,7 +44,7 @@ class TestNodes:
 class TestEdges:
     def test_def_use_edge(self):
         module, graph = graph_of("int main() { int a = 1 + 2; return a * 3; }")
-        assert graph.edge_count() >= 2
+        assert len(graph.edges) >= 2
 
     def test_edge_weight_scales_with_frequency(self):
         src = (
@@ -86,12 +86,6 @@ class TestEdges:
             if op.opcode.mnemonic == "ret"
         )
         assert (ret.uid, call.uid) in graph.edges
-
-    def test_neighbors_symmetric(self):
-        module, graph = graph_of("int main() { int a = 1 + 2; return a * 3; }")
-        for (src, dst) in graph.edges:
-            assert dst in graph.neighbors(src)
-            assert src in graph.neighbors(dst)
 
     def test_undirected_edges_fold_direction(self):
         module, graph = graph_of("int main() { int a = 1 + 2; return a * 3; }")

@@ -98,14 +98,14 @@ class TestEffectLattice:
 class TestModRef:
     def test_store_load_classification(self):
         modref = Analyses(annotated(CALLS)).modref(None)
-        helper = modref.summary_of("helper")
+        helper = modref.summaries["helper"]
         assert "g:a" in helper.mod
         assert "g:b" in helper.ref
         assert "g:a" not in helper.ref
 
     def test_transitive_inherits_callee_effects(self):
         modref = Analyses(annotated(CALLS)).modref(None)
-        main = modref.summary_of("main")
+        main = modref.summaries["main"]
         assert "g:a" in main.mod
         assert "g:b" in main.ref
         # ...but main's *local* summary touches neither array directly.
@@ -114,12 +114,12 @@ class TestModRef:
     def test_known_externals_do_not_havoc(self):
         modref = Analyses(annotated(CALLS)).modref(None)
         assert not modref.local["main"].havoc
-        assert not modref.summary_of("main").havoc
+        assert not modref.summaries["main"].havoc
 
     def test_recursion_widens_to_top(self):
         modref = Analyses(annotated(RECURSIVE)).modref(None)
         assert "fib" in modref.widened
-        summary = modref.summary_of("fib")
+        summary = modref.summaries["fib"]
         assert summary.mod_of("g:a") is None  # widened to whole-object
 
     def test_pointer_table_is_splittable(self):

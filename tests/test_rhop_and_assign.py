@@ -9,7 +9,6 @@ from repro.machine import single_cluster_machine, two_cluster_machine
 from repro.partition import (
     RHOP,
     RHOPConfig,
-    count_static_moves,
     insert_intercluster_moves,
     memory_locks,
 )
@@ -52,7 +51,7 @@ class TestRHOP:
 
     def test_memory_locks_respected(self):
         module = compiled()
-        locks = memory_locks(module, {"g:a": 0, "g:b": 1})
+        locks = memory_locks(module, {"g:a": 0, "g:b": 1}, {})
         rhop = RHOP(two_cluster_machine().as_partitioned())
         result = rhop.partition_module(module, mem_locks=locks)
         for uid, cluster in locks.items():
@@ -99,7 +98,7 @@ class TestRHOP:
     def test_infeasible_lock_cluster_still_assigns(self):
         # Lock everything to cluster 1; computation must still complete.
         module = compiled()
-        locks = memory_locks(module, {"g:a": 1, "g:b": 1})
+        locks = memory_locks(module, {"g:a": 1, "g:b": 1}, {})
         rhop = RHOP(two_cluster_machine().as_partitioned())
         result = rhop.partition_module(module, mem_locks=locks)
         assert all(uid in result.assignment
@@ -168,12 +167,12 @@ class TestMoveInsertion:
         machine = single_cluster_machine()
         assignment, stats = self._partition_and_insert(module, machine)
         assert all(s.icmoves == 0 for s in stats.values())
-        assert count_static_moves(module.function("main")) == 0
+        assert not any(op.is_icmove() for op in module.function("main").operations())
 
     def test_icmove_attrs(self):
         module = compiled()
         machine = two_cluster_machine()
-        locks = memory_locks(module, {"g:a": 0, "g:b": 1})
+        locks = memory_locks(module, {"g:a": 0, "g:b": 1}, {})
         assignment, _ = self._partition_and_insert(
             module, machine.as_partitioned(), locks
         )
@@ -186,7 +185,7 @@ class TestMoveInsertion:
     def test_forced_split_creates_moves(self):
         module = compiled()
         machine = two_cluster_machine().as_partitioned()
-        locks = memory_locks(module, {"g:a": 0, "g:b": 1})
+        locks = memory_locks(module, {"g:a": 0, "g:b": 1}, {})
         assignment, stats = self._partition_and_insert(module, machine, locks)
         # a written on c0, read on c1 to build b: at least one move chain.
         assert stats["main"].icmoves > 0
@@ -195,7 +194,7 @@ class TestMoveInsertion:
         baseline = Interpreter(compiled()).run()
         module = compiled()
         machine = two_cluster_machine().as_partitioned()
-        locks = memory_locks(module, {"g:a": 0, "g:b": 1})
+        locks = memory_locks(module, {"g:a": 0, "g:b": 1}, {})
         self._partition_and_insert(module, machine, locks)
         verify_module(module)
         assert Interpreter(module).run() == baseline
@@ -234,7 +233,7 @@ class TestMoveInsertion:
         module = compiled(src)
         machine = two_cluster_machine().as_partitioned()
         # Force the two loads (both defining temps feeding v) apart.
-        locks = memory_locks(module, {"g:a": 0, "g:b": 1})
+        locks = memory_locks(module, {"g:a": 0, "g:b": 1}, {})
         rhop = RHOP(machine)
         result = rhop.partition_module(module, mem_locks=locks)
         assignment = dict(result.assignment)

@@ -67,7 +67,7 @@ class TestAnchors:
                 for src in op.register_srcs():
                     defined_here = any(
                         o.dest is not None and o.dest.vid == src.vid
-                        for o in block.ops[: block.index_of(op)]
+                        for o in block.ops[: block.ops.index(op)]
                     )
                     if not defined_here:
                         loop_block = block

@@ -70,7 +70,7 @@ class TestPreparedProgram:
 
     def test_program_graph_built(self, prepared):
         assert prepared.program_graph.node_count() == prepared.module.op_count()
-        assert prepared.program_graph.edge_count() > 0
+        assert prepared.program_graph.edges
 
     def test_fresh_copy_isolated(self, prepared):
         clone, uid_map = prepared.fresh_copy()
@@ -205,7 +205,7 @@ class TestEvalModel:
 
 class TestExhaustive:
     def test_small_search(self, prepared, machine):
-        result = exhaustive_search(prepared, machine, max_groups=8)
+        result = exhaustive_search(prepared, machine)
         groups = len(prepared.merge.object_groups())
         assert len(result.points) == 2 ** (groups - 1)
         assert result.best_cycles <= result.worst_cycles
@@ -218,9 +218,12 @@ class TestExhaustive:
         point = result.scheme_points["gdp"]
         assert result.normalized(point) >= 1.0
 
-    def test_group_limit_enforced(self, prepared, machine):
-        with pytest.raises(ValueError, match="exceed max_groups"):
-            exhaustive_search(prepared, machine, max_groups=1)
+    def test_group_limit_enforced(self, prepared, machine, monkeypatch):
+        from repro.evalmodel import exhaustive
+
+        monkeypatch.setattr(exhaustive, "MAX_GROUPS", 1)
+        with pytest.raises(ValueError, match="exceed MAX_GROUPS"):
+            exhaustive_search(prepared, machine)
 
     def test_two_cluster_only(self, prepared):
         from repro.machine import four_cluster_machine

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.lang import compile_source
-from repro.lang.ifconvert import IfConvertConfig, if_convert_program
+from repro.lang import ifconvert, unroll
+from repro.lang.ifconvert import if_convert_program
 from repro.lang.parser import parse
-from repro.lang.unroll import UnrollConfig, unroll_program
+from repro.lang.unroll import unroll_program
 from repro.profiler import Interpreter
 
 
@@ -89,9 +90,8 @@ class TestUnrollCorrectness:
 
 
 class TestUnrollEligibility:
-    def _count(self, src, **cfg):
-        prog = parse(src)
-        return unroll_program(prog, UnrollConfig(**cfg) if cfg else None)
+    def _count(self, src):
+        return unroll_program(parse(src))
 
     def test_simple_loop_unrolls(self):
         assert self._count(
@@ -129,16 +129,16 @@ class TestUnrollEligibility:
             "int main() { int i = 0; while (i < 8) { i = i + 1; } return i; }"
         ) == 0
 
-    def test_adaptive_factor_shrinks(self):
-        config = UnrollConfig(factor=8, target_stmts=16)
-        assert config.factor_for(2) == 8
-        assert config.factor_for(4) == 4
-        assert config.factor_for(8) == 2
-        assert config.factor_for(100) == 2
+    def test_adaptive_factor_shrinks(self, monkeypatch):
+        monkeypatch.setattr(unroll, "TARGET_STMTS", 16)
+        assert unroll._factor_for(8, 2) == 8
+        assert unroll._factor_for(8, 4) == 4
+        assert unroll._factor_for(8, 8) == 2
+        assert unroll._factor_for(8, 100) == 2
 
     def test_factor_validation(self):
         with pytest.raises(ValueError):
-            UnrollConfig(factor=1)
+            unroll_program(parse("int main() { return 0; }"), 1)
 
 
 class TestIfConversion:
@@ -234,13 +234,14 @@ class TestIfConversion:
         assert if_convert_program(prog) == 2
         assert_equivalent(src)
 
-    def test_max_statements_limit(self):
+    def test_max_statements_limit(self, monkeypatch):
+        monkeypatch.setattr(ifconvert, "MAX_STATEMENTS", 2)
         src = (
             "int main() { int x = 1; int a; int b; int c;"
             " if (x) { a = 1; b = 2; c = 3; } return a + b + c; }"
         )
         prog = parse(src)
-        assert if_convert_program(prog, IfConvertConfig(max_statements=2)) == 0
+        assert if_convert_program(prog) == 0
 
     def test_unconverted_code_unchanged_semantics(self):
         # A mix of convertible and non-convertible diamonds.
