@@ -45,7 +45,7 @@ def main() -> None:
     machines = {
         "paper 2-cluster": two_cluster_machine(move_latency=5),
         "4-cluster": four_cluster_machine(move_latency=5),
-        "heterogeneous": heterogeneous_machine(move_latency=5),
+        "heterogeneous": heterogeneous_machine(),
         "wide bus": wide_bus_machine(move_latency=5),
     }
 

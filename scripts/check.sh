@@ -7,7 +7,11 @@
 #               ruff, scripts/ benchmarks/ examples/ perfbench/ are
 #               byte-compiled instead (bytecode to a temporary directory),
 #               so a syntax error in a file tier-1 never imports still
-#               fails the stage.
+#               fails the stage, and scripts/deadcode.py's stdlib F401
+#               (unused imports in src/ tests/ scripts/) stands in for
+#               ruff's.  Always: deadcode.py's census fails on a keyword
+#               default in src/repro that no non-test caller sets, unless
+#               its allow-list names it with a reason.
 #   examples    `repro lint` over every example program: zero errors;
 #               then every CLI invocation of the `cli` identity suite must
 #               reproduce the exit code, scrubbed output and run report
@@ -90,13 +94,17 @@ stage_tools() {
     if command -v ruff >/dev/null 2>&1; then
         note "ruff check"
         ruff check src tests benchmarks examples || failures=$((failures + 1))
+        deadcode="census"
     else
         note "ruff not installed - byte-compiling what tier-1 never imports"
         pycache="$(mktemp -d)"
         PYTHONPYCACHEPREFIX="$pycache" python -m compileall -q \
             scripts benchmarks examples perfbench || failures=$((failures + 1))
         rm -rf "$pycache"
+        deadcode="imports census"
     fi
+    note "deadcode $deadcode"
+    python scripts/deadcode.py $deadcode || failures=$((failures + 1))
 
     if command -v mypy >/dev/null 2>&1; then
         note "mypy (strict on repro.lint)"

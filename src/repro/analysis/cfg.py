@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
-from ..ir import BasicBlock, Function
+from ..ir import Function
 
 
 class CFG:

@@ -16,10 +16,9 @@ intercluster communication.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..ir import Function, Module, Opcode, Operation
+from ..ir import Module, Opcode, Operation
 from .cfg import CFG
 from .defuse import DefUse
 from .loops import LoopInfo

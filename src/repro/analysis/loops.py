@@ -11,6 +11,10 @@ from typing import Dict, List, Optional, Set
 from .cfg import CFG
 from .dominators import DominatorTree
 
+#: Heuristic trip count of one loop level: a block at depth ``d`` is
+#: estimated to run ``LOOP_WEIGHT ** d`` times.
+LOOP_WEIGHT = 10.0
+
 
 class Loop:
     """A natural loop: a header plus the body blocks reaching it."""
@@ -97,6 +101,6 @@ class LoopInfo:
         """Loop nesting depth of a block (0 = not in any loop)."""
         return self._depth.get(block, 0)
 
-    def static_frequency(self, block: str, base: float = 10.0) -> float:
-        """Heuristic execution frequency: ``base ** depth``."""
-        return base ** self.depth_of(block)
+    def static_frequency(self, block: str) -> float:
+        """Heuristic execution frequency: ``LOOP_WEIGHT ** depth``."""
+        return LOOP_WEIGHT ** self.depth_of(block)

@@ -8,7 +8,7 @@ for globals and from the heap profile for allocation sites.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from ..ir import Module, Opcode, Operation
 from .pointsto import global_object_id, heap_object_id

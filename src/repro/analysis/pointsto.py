@@ -603,15 +603,13 @@ def solve_pointsto(module: Module, tier: str = "andersen") -> PointsToResult:
 
 def annotate_memory_ops(
     module: Module,
-    pointsto: Optional[PointsToResult] = None,
     tier: str = "andersen",
     analyses: Optional["Analyses"] = None,
 ) -> PointsToResult:
     """Mark every LOAD/STORE with ``mem_objects`` and every MALLOC with its
-    heap object id.  Returns the points-to solution used: ``pointsto``,
-    else ``tier``'s solve in ``analyses`` (the module's memo; a fresh one
-    when omitted)."""
-    pts = pointsto or (
+    heap object id.  Returns the points-to solution used: ``tier``'s solve
+    in ``analyses`` (the module's memo; a fresh one when omitted)."""
+    pts = (
         solve_pointsto(module, tier) if analyses is None
         else analyses.pointsto(tier)
     )

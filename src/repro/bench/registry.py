@@ -9,7 +9,7 @@ partitioning experiment trusts its profile.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
 
 class Benchmark:
@@ -21,13 +21,11 @@ class Benchmark:
         source: str,
         description: str,
         category: str,
-        expected_output: Optional[List[int]] = None,
     ):
         self.name = name
         self.source = source
         self.description = description
         self.category = category  # "mediabench" | "dsp"
-        self.expected_output = expected_output
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<benchmark {self.name}>"

@@ -8,7 +8,7 @@ weighting yields the dynamic intercluster move count used by Figure 10.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from ..ir import Module
 from ..machine import Machine

@@ -44,23 +44,19 @@ SWEEP_SCHEMES = ("unified", "gdp", "profilemax", "naive")
 
 
 def lookup_cached_outcome(
-    source: str,
-    name: str,
-    config: RunConfig,
-    cache: Optional[ArtifactCache] = None,
+    source: str, name: str, config: RunConfig
 ) -> Optional[Dict[str, Any]]:
     """Job-keyed cache probe: the outcome payload for one (source,
     config) cell if *both* its artifacts are already on disk, else None.
 
     This is the admission-control fast path the job server uses to tag a
     submission as warm before it ever reaches a worker — nothing is
-    computed, nothing is stored.  Callers that must not skew a shared
-    instance's hit/miss telemetry should pass their own (e.g. readonly)
-    handle.
+    computed, nothing is stored.  It reads through a readonly handle of
+    its own.
     """
     from ..pipeline import Pipeline
 
-    cache = cache or ArtifactCache(config.cache_dir, "readonly")
+    cache = ArtifactCache(config.cache_dir, "readonly")
     return Pipeline(config, cache=cache).lookup(source, name)
 
 
@@ -285,11 +281,11 @@ class SweepResult:
             "summary": self.summary(),
         }
 
-    def to_json(self, deterministic: bool = False, indent: int = 2) -> str:
+    def to_json(self, deterministic: bool = False) -> str:
         import json
 
         return json.dumps(
-            self.to_dict(deterministic), indent=indent, sort_keys=True
+            self.to_dict(deterministic), indent=2, sort_keys=True
         )
 
     def render_table(self) -> str:

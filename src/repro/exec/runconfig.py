@@ -246,8 +246,8 @@ class RunConfig:
             # structured rejection instead of a bare TypeError.
             raise RunConfigError(f"malformed RunConfig: {exc}") from None
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":

@@ -40,6 +40,7 @@ __all__ = [
     "Opcode",
     "Operation",
     "TERMINATORS",
+    "renumber_ops",
     "print_function",
     "print_module",
     "print_partitioned",

@@ -20,7 +20,7 @@ Example
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .block import BasicBlock
 from .function import Function
@@ -67,8 +67,8 @@ class IRBuilder:
     # -- constants -------------------------------------------------------------
 
     @staticmethod
-    def const(value: Union[int, float], ty: Optional[IRType] = None) -> Constant:
-        return Constant(value, ty)
+    def const(value: Union[int, float]) -> Constant:
+        return Constant(value)
 
     # -- integer arithmetic ------------------------------------------------------
 
@@ -164,8 +164,8 @@ class IRBuilder:
 
     # -- moves ---------------------------------------------------------------------
 
-    def mov(self, src: Value, name: str = "") -> VirtualRegister:
-        dest = self.func.new_vreg(src.ty, name)
+    def mov(self, src: Value) -> VirtualRegister:
+        dest = self.func.new_vreg(src.ty)
         self._emit(Operation(Opcode.MOV, dest, [src]))
         return dest
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, Sequence, Union
 
 from .function import Function
 from .types import IRType

@@ -16,8 +16,7 @@ import enum
 import itertools
 from typing import Dict, List, Optional, Sequence
 
-from .types import IRType
-from .values import Constant, Value, VirtualRegister
+from .values import Value, VirtualRegister
 
 
 class OpClass(enum.Enum):

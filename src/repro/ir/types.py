@@ -12,7 +12,7 @@ Sizes follow a conventional 32-bit embedded ABI: ``int`` is 4 bytes,
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 
 class IRType:

@@ -25,7 +25,7 @@ from .function import Function
 from .module import Module
 from .ops import Opcode, Operation
 from .types import VoidType
-from .values import GlobalAddress, VirtualRegister
+from .values import GlobalAddress
 
 #: Call targets that need not be defined in the module (modelled intrinsics).
 KNOWN_EXTERNALS = {"print_int", "print_float", "abort"}

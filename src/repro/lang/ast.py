@@ -7,7 +7,7 @@ lowering.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import List, Optional, Tuple, TypeVar, Union
 
 from .errors import SourceLocation
 

@@ -29,7 +29,7 @@ paper's infrastructure.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from . import ast
 

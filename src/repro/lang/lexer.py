@@ -8,7 +8,7 @@ recursive-descent parser.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Union
 
 from .errors import LexError, SourceLocation
 

@@ -9,7 +9,7 @@ and ``LOAD``/``STORE``.  Control flow lowers to a conventional CFG; ``&&``,
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..ir import (
     Constant,
@@ -28,7 +28,6 @@ from ..ir.types import (
     ArrayType,
     IRType,
     PointerType,
-    StructType,
 )
 from . import ast
 from .errors import TypeCheckError

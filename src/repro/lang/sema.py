@@ -15,7 +15,7 @@ MiniC restrictions enforced here (deliberate, documented in DESIGN.md):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..ir.types import (
     FLOAT,

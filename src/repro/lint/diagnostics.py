@@ -218,7 +218,7 @@ class DiagnosticReport:
             lines.append(f"stats[{key}]: {_render_stat(self.stats[key])}")
         return "\n".join(lines)
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         """Deterministic JSON: diagnostics sorted as in the text report,
         dict keys sorted."""
         payload: Dict[str, Any] = {
@@ -231,9 +231,9 @@ class DiagnosticReport:
         }
         if self.stats:
             payload["stats"] = self.stats
-        return json.dumps(payload, indent=indent, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True)
 
-    def to_sarif(self, indent: int = 2) -> str:
+    def to_sarif(self) -> str:
         """Render as a minimal SARIF 2.1.0 log (one run, one result per
         diagnostic) for CI annotation tooling.
 
@@ -291,7 +291,7 @@ class DiagnosticReport:
                 }
             ],
         }
-        return json.dumps(log, indent=indent, sort_keys=True)
+        return json.dumps(log, indent=2, sort_keys=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<report: {self.summary()}>"

@@ -24,7 +24,7 @@ report instead of a silently wrong cycle count.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..analysis.memo import op_locations
 from ..analysis.objects import ObjectTable
@@ -36,7 +36,7 @@ from ..partition.merges import MergeResult
 from ..partition.rhop import RHOPResult
 from ..schedule.depgraph import DependenceGraph
 from ..schedule.listsched import ListScheduler
-from .diagnostics import DiagnosticReport, Severity, register_rule
+from .diagnostics import DiagnosticReport, register_rule
 
 register_rule("object-home-missing", "accessed object has no home cluster")
 register_rule("object-home-range", "object homed on a nonexistent cluster")

@@ -25,7 +25,7 @@ pairs) so golden tests stay stable across hash seeds.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Sequence
+from typing import Dict, Iterable, Iterator, Optional
 
 from ..analysis.memo import Analyses
 from ..analysis.pointsto import TIERS, PointsToResult
@@ -50,19 +50,14 @@ register_rule(
 )
 
 
-def tier_solutions(
-    module: Module, tiers: Sequence[str] = TIERS
-) -> Dict[str, PointsToResult]:
-    """Solve every requested tier over ``module``, in one memo."""
+def tier_solutions(module: Module) -> Dict[str, PointsToResult]:
+    """Solve every tier over ``module``, in one memo."""
     analyses = Analyses(module)
-    return {tier: analyses.pointsto(tier) for tier in tiers}
+    return {tier: analyses.pointsto(tier) for tier in TIERS}
 
 
 def _diff_iter(
-    module: Module,
-    solutions: Dict[str, PointsToResult],
-    tiers: Sequence[str],
-    profile=None,
+    module: Module, solutions: Dict[str, PointsToResult], profile
 ) -> Iterator[Diagnostic]:
     for func in module:
         for block in func:
@@ -70,9 +65,9 @@ def _diff_iter(
                 if not op.is_memory_access():
                     continue
                 sets = {
-                    t: solutions[t].objects_for_op(func.name, op) for t in tiers
+                    t: solutions[t].objects_for_op(func.name, op) for t in TIERS
                 }
-                for coarse, fine in zip(tiers, tiers[1:]):
+                for coarse, fine in zip(TIERS, TIERS[1:]):
                     extra = sets[fine] - sets[coarse]
                     if extra:
                         yield Diagnostic(
@@ -91,7 +86,7 @@ def _diff_iter(
                 if not counts:
                     continue
                 observed = set(counts)
-                for tier in tiers:
+                for tier in TIERS:
                     missed = observed - sets[tier]
                     if missed:
                         yield Diagnostic(
@@ -105,17 +100,14 @@ def _diff_iter(
                         )
 
 
-def diff_tiers(
-    module: Module,
-    tiers: Sequence[str] = TIERS,
-    solutions: Optional[Dict[str, PointsToResult]] = None,
-    profile=None,
-) -> DiagnosticReport:
-    """Run the refinement differ; the returned report carries the per-tier
-    precision stats in :attr:`DiagnosticReport.stats`."""
-    sols = solutions or tier_solutions(module, tiers)
-    report = DiagnosticReport(_diff_iter(module, sols, tiers, profile))
-    for tier in tiers:
+def diff_tiers(module: Module) -> DiagnosticReport:
+    """Run the static refinement differ over every tier; the returned
+    report carries the per-tier precision stats in
+    :attr:`DiagnosticReport.stats`.  The dynamic oracle runs through
+    :func:`lint_report` with a profile."""
+    sols = tier_solutions(module)
+    report = DiagnosticReport(_diff_iter(module, sols, None))
+    for tier in TIERS:
         report.stats[tier] = sols[tier].stats().to_dict()
     return report
 
@@ -133,15 +125,11 @@ DETERMINISTIC_COLUMNS = (
 )
 
 
-def precision_table(
-    module: Module,
-    tiers: Sequence[str] = TIERS,
-    solutions: Optional[Dict[str, PointsToResult]] = None,
-) -> str:
+def precision_table(module: Module) -> str:
     """Deterministic per-tier precision table (one row per tier)."""
-    sols = solutions or tier_solutions(module, tiers)
+    sols = tier_solutions(module)
     rows = []
-    for tier in tiers:
+    for tier in TIERS:
         stats = sols[tier].stats().to_dict()
         rows.append([tier] + [str(stats[c]) for c in DETERMINISTIC_COLUMNS])
     table = format_table(("tier",) + DETERMINISTIC_COLUMNS, rows)
@@ -178,4 +166,4 @@ class RefinementDifferPass(LintPass):
 
     def run(self, ctx: LintContext) -> Iterator[Diagnostic]:
         solutions = {tier: ctx.pointsto(tier) for tier in TIERS}
-        yield from _diff_iter(ctx.module, solutions, TIERS, ctx.profile)
+        yield from _diff_iter(ctx.module, solutions, ctx.profile)

@@ -38,7 +38,7 @@ findings across every bench × scheme × points-to tier.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..analysis.affine import intervals_overlap
 from ..analysis.memo import Analyses, op_locations
@@ -97,15 +97,13 @@ def _regions_text(per_obj: Dict[str, Optional[Tuple[int, int]]]) -> str:
 # -- tier refinement ----------------------------------------------------------
 
 
-def diff_region_tiers(
-    ctx: LintContext, tiers: Sequence[str] = TIERS
-) -> Iterator[Diagnostic]:
+def diff_region_tiers(ctx: LintContext) -> Iterator[Diagnostic]:
     """Mirror the ptdiff subset chain at region granularity: for every
     (op, object) both tiers claim, the sharper tier's byte region must
     lie inside the coarser tier's."""
     index = ctx.op_locations()
-    analyses = {tier: ctx.access_regions(tier) for tier in tiers}
-    for coarse, fine in zip(tiers, tiers[1:]):
+    analyses = {tier: ctx.access_regions(tier) for tier in TIERS}
+    for coarse, fine in zip(TIERS, TIERS[1:]):
         coarse_regions = analyses[coarse].op_regions
         fine_regions = analyses[fine].op_regions
         for uid in sorted(fine_regions):

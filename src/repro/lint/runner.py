@@ -110,13 +110,12 @@ class LintRunner:
 
 
 def lint_module(
-    module: Module,
-    machine: Optional[Machine] = None,
-    only: Optional[Iterable[str]] = None,
-    profile=None,
+    module: Module, only: Optional[Iterable[str]] = None
 ) -> DiagnosticReport:
-    """Run the default (or a named subset of) lint passes over ``module``."""
-    return LintRunner(only=only, machine=machine, profile=profile).run(module)
+    """Run the default (or a named subset of) lint passes over ``module``,
+    with no machine and no dynamic profile (:func:`lint_with_stats` takes
+    both)."""
+    return LintRunner(only=only).run(module)
 
 
 def lint_with_stats(

@@ -172,20 +172,17 @@ def _diff_iter(
                 )
 
 
-def diff_static_dynamic(
-    module: Module, dynamic, static=None
-) -> DiagnosticReport:
+def diff_static_dynamic(module: Module, dynamic) -> DiagnosticReport:
     """Check every static bound against a measured profile of ``module``.
 
     ``dynamic`` must come from interpreting *this module instance* (the
-    comparison joins on op uids).  ``static`` defaults to the module's
+    comparison joins on op uids).  The bounds are the module's
     :meth:`~repro.analysis.Analyses.static_profile`, built over an
     Andersen points-to solution (without one, the region analysis only
     sees ops that already carry ``mem_objects`` annotations and would
     falsely claim nothing).
     """
-    if static is None:
-        static = Analyses(module).static_profile()
+    static = Analyses(module).static_profile()
     report = DiagnosticReport(_diff_iter(module, dynamic, static))
     report.stats["staticdiff"] = drift_summary(module, dynamic, static)
     return report

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .machine import Machine
 from .resources import ClusterConfig, FUClass, InterclusterNetwork
 
@@ -22,28 +20,22 @@ def paper_cluster(name: str = "") -> ClusterConfig:
     )
 
 
-def two_cluster_machine(
-    move_latency: int = 5, unified_memory: bool = False, bandwidth: int = 1
-) -> Machine:
+def two_cluster_machine(move_latency: int = 5) -> Machine:
     """The paper's evaluation machine: a 2-cluster VLIW with 2I/1F/1M/1B
-    per cluster and a 1-move-per-cycle intercluster bus (default latency
-    5 cycles)."""
+    per cluster, partitioned memory and a 1-move-per-cycle intercluster
+    bus (default latency 5 cycles)."""
     return Machine(
         [paper_cluster("c0"), paper_cluster("c1")],
-        InterclusterNetwork(move_latency, bandwidth),
-        unified_memory=unified_memory,
+        InterclusterNetwork(move_latency),
     )
 
 
-def four_cluster_machine(
-    move_latency: int = 5, unified_memory: bool = False, bandwidth: int = 1
-) -> Machine:
+def four_cluster_machine(move_latency: int = 5) -> Machine:
     """A 4-cluster scaling of the paper's machine (used by the scaling
     ablation)."""
     return Machine(
         [paper_cluster(f"c{i}") for i in range(4)],
-        InterclusterNetwork(move_latency, bandwidth),
-        unified_memory=unified_memory,
+        InterclusterNetwork(move_latency),
     )
 
 
@@ -54,9 +46,10 @@ def single_cluster_machine() -> Machine:
     )
 
 
-def heterogeneous_machine(move_latency: int = 5) -> Machine:
+def heterogeneous_machine() -> Machine:
     """A 2-cluster machine where cluster 0 has twice the integer units —
-    exercises the balance model from Section 2 of the paper."""
+    exercises the balance model from Section 2 of the paper (latency-5
+    bus)."""
     big = ClusterConfig(
         {FUClass.INT: 4, FUClass.FLOAT: 1, FUClass.MEM: 1, FUClass.BRANCH: 1},
         name="c0",
@@ -65,4 +58,4 @@ def heterogeneous_machine(move_latency: int = 5) -> Machine:
         {FUClass.INT: 2, FUClass.FLOAT: 1, FUClass.MEM: 1, FUClass.BRANCH: 1},
         name="c1",
     )
-    return Machine([big, small], InterclusterNetwork(move_latency, 1))
+    return Machine([big, small], InterclusterNetwork())

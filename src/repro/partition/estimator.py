@@ -247,12 +247,12 @@ class ScheduleEstimator:
             math.ceil(moves / self.bandwidth),
         )
 
-    def estimate(self, cluster_of: Dict[int, int], exposed: bool = False) -> float:
+    def estimate(self, cluster_of: Dict[int, int]) -> float:
         """Estimated schedule length (see :meth:`estimate_and_moves`).
         RHOP calls that and :meth:`incremental`; this stays because
         ``perfbench/spans.py`` wraps it and ``tests/test_estimator.py``
         uses it."""
-        return self.estimate_and_moves(cluster_of, exposed)[0]
+        return self.estimate_and_moves(cluster_of)[0]
 
     def move_count(self, cluster_of: Dict[int, int]) -> int:
         """Static intercluster moves this (possibly partial) assignment

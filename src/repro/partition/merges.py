@@ -15,7 +15,7 @@ data partitioner places.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Set
 
 from ..analysis.dfg import ProgramGraph
 from ..analysis.objects import ObjectTable

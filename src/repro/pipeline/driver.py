@@ -300,23 +300,14 @@ class Pipeline:
             if self.config.cacheable_results else None
         )
         budget = self.budget
-        total_attempts = 0
         last_failure = "never ran"
         for rung_index, rung in enumerate(ladder):
             for attempt in range(1, config.retries + 2):
-                if budget is not None and not budget.allows_attempt(
-                    total_attempts + 1
-                ):
-                    report.record_budget(
-                        rung, f"attempt cap ({budget.max_attempts}) reached"
-                    )
-                    raise _exhausted(scheme, ladder, last_failure, report)
                 if attempt > 1 and budget is not None and budget.expired():
                     report.record_budget(
                         rung, "wall-clock budget exhausted; skipping retries"
                     )
                     break
-                total_attempts += 1
                 if self.faults is not None:
                     self.faults.begin_attempt(rung, attempt)
                 seed_offset = config.seed + (attempt - 1) * RESEED_STRIDE
@@ -395,13 +386,13 @@ class Pipeline:
         self,
         prepared: PreparedProgram,
         schemes: Iterable[str] = ("gdp", "profilemax", "naive"),
-        report: Optional[RunReport] = None,
     ) -> Dict[str, float]:
         """Relative performance of each scheme vs the unified upper bound
         (the paper's headline metric; 1.0 = matches unified memory),
-        computed from whatever rung each scheme ran as."""
+        computed from whatever rung each scheme ran as; the runs share one
+        fresh :class:`RunReport`."""
         ordered = ["unified"] + [s for s in schemes if s != "unified"]
-        outcomes = self.run_all(prepared, ordered, report)
+        outcomes = self.run_all(prepared, ordered)
         base = outcomes["unified"].cycles
         return {
             name: (base / outcomes[name].cycles if outcomes[name].cycles else 0.0)

@@ -12,7 +12,7 @@ import bisect
 from typing import Dict, List, Optional, Union
 
 from ..ir import Module
-from ..ir.types import ArrayType, FloatType, IntType, PointerType, StructType
+from ..ir.types import ArrayType
 from ..analysis.pointsto import global_object_id, heap_object_id
 
 _GLOBAL_BASE = 0x1000

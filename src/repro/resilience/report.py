@@ -98,7 +98,7 @@ class RunReport:
       per-phase seconds, error text, diagnostics
     - ``fault``     — a :class:`FaultPlan` clause fired
     - ``fallback``  — the ladder stepped down a rung
-    - ``budget``    — the budget expired / attempt cap hit, ending retries
+    - ``budget``    — the wall-clock budget expired, ending retries
     - ``final``     — terminal status for a requested scheme
     """
 
@@ -177,13 +177,14 @@ class RunReport:
         serialisation unscrubbed."""
         self._event("roofline", scheme=scheme, stats=dict(stats))
 
-    def record_cache(self, kind: str, status: str, detail: str = "") -> None:
+    def record_cache(self, kind: str, status: str) -> None:
         """Record an artifact-cache consultation (``kind`` is ``prepared``,
         ``outcome`` or ``rhop``; ``status`` is ``hit`` / ``miss`` /
-        ``stale``).
+        ``stale``).  Its ``detail`` is always empty; the field stays so
+        run reports keep their shape.
         Carries no wall clocks, so it is stable under deterministic
         serialisation."""
-        self._event("cache", cache=kind, status=status, detail=detail)
+        self._event("cache", cache=kind, status=status, detail="")
 
     def cache_events(self) -> List[Dict[str, Any]]:
         return [e for e in self.events if e["kind"] == "cache"]
@@ -199,13 +200,8 @@ class RunReport:
 
     # -- queries ---------------------------------------------------------------
 
-    def attempts(self, scheme: Optional[str] = None) -> List[Dict[str, Any]]:
-        return [
-            e
-            for e in self.events
-            if e["kind"] == "attempt"
-            and (scheme is None or e["scheme"] == scheme)
-        ]
+    def attempts(self) -> List[Dict[str, Any]]:
+        return [e for e in self.events if e["kind"] == "attempt"]
 
     def faults(self) -> List[Dict[str, Any]]:
         return [e for e in self.events if e["kind"] == "fault"]
@@ -267,9 +263,9 @@ class RunReport:
         }
         return scrub(data) if deterministic else data
 
-    def to_json(self, deterministic: bool = False, indent: int = 2) -> str:
+    def to_json(self, deterministic: bool = False) -> str:
         return json.dumps(
-            self.to_dict(deterministic), indent=indent, sort_keys=True
+            self.to_dict(deterministic), indent=2, sort_keys=True
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -9,7 +9,7 @@ per-edge *slack* that drives RHOP's coarsening priorities.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..analysis.affine import AffineAddresses
 from ..ir import BasicBlock, Opcode, Operation

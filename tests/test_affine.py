@@ -7,7 +7,7 @@ from repro.analysis.affine import (
     intervals_overlap,
 )
 from repro.ir import Constant, Function, GlobalAddress, IRBuilder, Opcode
-from repro.ir.types import FLOAT, INT, ArrayType, PointerType
+from repro.ir.types import FLOAT, INT
 from repro.lang import compile_source
 from repro.schedule import DependenceGraph
 

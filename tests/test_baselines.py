@@ -3,9 +3,7 @@ global-value placement policies."""
 
 import pytest
 
-from repro.analysis import annotate_memory_ops
 from repro.ir import verify_module
-from repro.lang import compile_source
 from repro.machine import two_cluster_machine
 from repro.partition import (
     BUG,

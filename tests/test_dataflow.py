@@ -15,7 +15,9 @@ from repro.analysis import Analyses, annotate_memory_ops
 from repro.analysis.cfg import CFG
 from repro.analysis.dataflow import DataflowProblem, SetLattice, solve
 from repro.lang import compile_source
-from repro.lint import diff_static_dynamic, drift_summary, lint_module
+from repro.lint import (
+    diff_static_dynamic, drift_summary, lint_module, lint_with_stats,
+)
 from repro.profiler import Interpreter
 
 
@@ -301,8 +303,8 @@ class TestStaticProfile:
         assert static.op_weight_bounds
 
     def test_bounds_contain_dynamic_profile(self):
-        module, static, dynamic = self.prepared(ARRAY_SRC)
-        report = diff_static_dynamic(module, dynamic, static)
+        module, _static, dynamic = self.prepared(ARRAY_SRC)
+        report = diff_static_dynamic(module, dynamic)
         assert not report.has_errors, report.render_text()
 
     def test_regions_cover_array_walks(self):
@@ -326,35 +328,41 @@ class TestStaticDiff:
         dynamic = interpret(module)
         return module, static, dynamic
 
+    def diff(self, monkeypatch, module, dynamic, static):
+        """The drift differ against ``static``, which a test tampers, in
+        place of the module's own static profile."""
+        monkeypatch.setattr(Analyses, "static_profile", lambda self, *_: static)
+        return diff_static_dynamic(module, dynamic)
+
     def test_clean_on_sound_bounds(self):
-        module, static, dynamic = self.fixture()
-        report = diff_static_dynamic(module, dynamic, static)
+        module, _static, dynamic = self.fixture()
+        report = diff_static_dynamic(module, dynamic)
         assert not report.has_errors
         assert report.stats["staticdiff"]["violations"] == 0
 
-    def test_weight_violation_detected(self):
+    def test_weight_violation_detected(self, monkeypatch):
         module, static, dynamic = self.fixture()
         uid = next(iter(dynamic.op_object_counts))
         static.op_weight_bounds[uid] = 0
-        report = diff_static_dynamic(module, dynamic, static)
+        report = self.diff(monkeypatch, module, dynamic, static)
         assert report.by_rule("staticdiff-weight")
 
-    def test_block_violation_detected(self):
+    def test_block_violation_detected(self, monkeypatch):
         module, static, dynamic = self.fixture()
         key = next(iter(dynamic.block_counts))
         static.block_bounds[key] = dynamic.block_counts[key] - 1
-        report = diff_static_dynamic(module, dynamic, static)
+        report = self.diff(monkeypatch, module, dynamic, static)
         assert report.by_rule("staticdiff-block")
 
-    def test_missing_block_bound_detected(self):
+    def test_missing_block_bound_detected(self, monkeypatch):
         module, static, dynamic = self.fixture()
         key = next(iter(dynamic.block_counts))
         del static.block_bounds[key]
-        report = diff_static_dynamic(module, dynamic, static)
+        report = self.diff(monkeypatch, module, dynamic, static)
         diags = report.by_rule("staticdiff-block")
         assert diags and "no bound" in diags[0].message
 
-    def test_region_violation_detected(self):
+    def test_region_violation_detected(self, monkeypatch):
         module, static, dynamic = self.fixture()
         tampered = False
         for uid, per_obj in dynamic.op_object_regions.items():
@@ -370,7 +378,7 @@ class TestStaticDiff:
                 break
         if not tampered:
             pytest.skip("no finite region to tamper with")
-        report = diff_static_dynamic(module, dynamic, static)
+        report = self.diff(monkeypatch, module, dynamic, static)
         assert report.by_rule("staticdiff-region")
 
     def test_drift_summary_shape(self):
@@ -388,7 +396,7 @@ class TestStaticDiff:
     def test_pass_runs_with_profile(self):
         module = compile_source(ARRAY_SRC, "t")
         dynamic = interpret(module)
-        report = lint_module(module, only=["staticdiff"], profile=dynamic)
+        report, _ = lint_with_stats(module, only=["staticdiff"], profile=dynamic)
         assert not report.has_errors
 
 

@@ -1,6 +1,5 @@
 """Small-surface tests: diagnostics, reprs, and misc public API corners."""
 
-import pytest
 
 from repro.lang.errors import LexError, MiniCError, ParseError, SourceLocation
 from repro.lang import compile_source, tokenize

@@ -126,7 +126,7 @@ class TestEstimate:
         est, _ = estimator_for(block, machine)
         alternating = {op.uid: i % 2 for i, op in enumerate(block.ops)}
         optimistic = est.estimate(alternating)
-        exposed = est.estimate(alternating, exposed=True)
+        exposed = est.estimate_and_moves(alternating, exposed=True)[0]
         assert exposed > optimistic
 
 
@@ -194,7 +194,10 @@ def slow_exit_machine():
 
 MACHINES = (
     two_cluster_machine(move_latency=5),
-    two_cluster_machine(move_latency=1, bandwidth=2),
+    Machine(
+        [paper_cluster("c0"), paper_cluster("c1")],
+        InterclusterNetwork(1, bandwidth=2),
+    ),
     four_cluster_machine(move_latency=10),
     lopsided_machine(),
     slow_exit_machine(),
@@ -304,8 +307,8 @@ class TestDifferential:
             for exposed in (False, True):
                 want = reference_estimate(graph, machine, anchors, cluster_of, exposed)
                 assert est.estimate_and_moves(cluster_of, exposed) == want
-                assert est.estimate(cluster_of, exposed) == want[0]
-            assert est.move_count(cluster_of) == want[1]
+            plain = reference_estimate(graph, machine, anchors, cluster_of)
+            assert (est.estimate(cluster_of), est.move_count(cluster_of)) == plain
 
     @given(scenario=scenarios(), data=st.data())
     @settings(max_examples=80, deadline=None)

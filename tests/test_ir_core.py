@@ -8,7 +8,6 @@ from repro.ir import (
     Function,
     FunctionRef,
     GlobalAddress,
-    GlobalVariable,
     IRBuilder,
     Module,
     OpClass,

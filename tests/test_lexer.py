@@ -3,7 +3,7 @@
 import pytest
 
 from repro.lang.errors import LexError
-from repro.lang.lexer import Token, tokenize
+from repro.lang.lexer import tokenize
 
 
 def kinds(src):

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.ir import Constant, Function, GlobalAddress, IRBuilder, Opcode, Operation
-from repro.ir.types import FLOAT, INT, PointerType
+from repro.ir.types import INT
 from repro.machine import (
-    ClusterConfig,
     FUClass,
     InterclusterNetwork,
     Machine,

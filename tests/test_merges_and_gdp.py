@@ -12,7 +12,6 @@ from repro.partition import (
     memory_locks,
     slack_merge,
 )
-from repro.pipeline import PreparedProgram
 from repro.schedule import DependenceGraph
 
 

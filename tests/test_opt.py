@@ -1,6 +1,5 @@
 """Tests for the scalar optimizer: folding, copy-prop, CSE, DCE."""
 
-import pytest
 
 from repro.analysis.cfg import CFG
 from repro.ir import Constant, Function, IRBuilder, Opcode, verify_function

@@ -4,10 +4,10 @@ import pytest
 
 from repro.analysis import (
     TIERS,
+    Analyses,
     ObjectTable,
     annotate_memory_ops,
     global_object_id,
-    heap_object_id,
     solve_pointsto,
 )
 from repro.ir import Opcode
@@ -390,6 +390,7 @@ class TestStatsAndInterface:
 
     def test_annotate_accepts_precomputed_solution(self):
         module = compile_source(POINTER_TABLE, "t")
-        sol = solve_pointsto(module, "cs")
-        returned = annotate_memory_ops(module, pointsto=sol)
+        analyses = Analyses(module)
+        sol = analyses.pointsto("cs")
+        returned = annotate_memory_ops(module, tier="cs", analyses=analyses)
         assert returned is sol

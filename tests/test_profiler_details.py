@@ -1,6 +1,5 @@
 """Focused tests for memory layout and profile-data bookkeeping."""
 
-import pytest
 
 from repro.lang import compile_source
 from repro.profiler import Interpreter, Memory, ProfileData

@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.affine import Affine
-from repro.ir import Constant, Function, IRBuilder, Opcode, Operation
+from repro.ir import Constant, Function, IRBuilder
 from repro.ir.types import INT
 from repro.lang import compile_source
 from repro.machine import two_cluster_machine

@@ -7,7 +7,8 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis import TIERS, solve_pointsto
+import repro.lint.ptdiff as ptdiff
+from repro.analysis import TIERS
 from repro.bench import get as get_benchmark
 from repro.cli import main
 from repro.lang import compile_source
@@ -17,6 +18,7 @@ from repro.lint import (
     Severity,
     diff_tiers,
     lint_module,
+    lint_report,
     precision_table,
     tier_solutions,
 )
@@ -80,11 +82,12 @@ class TestDiffTiers:
             report.stats["andersen"]["avg_set_size"]
         )
 
-    def test_subset_violation_detected(self):
+    def test_subset_violation_detected(self, monkeypatch):
         module = compile_source(POINTER_TABLE, "t")
         sols = tier_solutions(module)
         sols["cs"] = _Inflated(sols["cs"])
-        report = diff_tiers(module, solutions=sols)
+        monkeypatch.setattr(ptdiff, "tier_solutions", lambda module: sols)
+        report = diff_tiers(module)
         assert report.has_errors
         rules = {d.rule for d in report}
         assert rules == {"ptdiff-subset"}
@@ -97,7 +100,7 @@ class TestDiffTiers:
             if op.is_memory_access()
         )
         profile = _FakeProfile({op.uid: Counter({"g:phantom": 3})})
-        report = diff_tiers(module, profile=profile)
+        report = lint_report(module, only=["ptdiff"], profile=profile)
         assert report.has_errors
         assert {d.rule for d in report} == {"ptdiff-oracle"}
         # every tier misses the phantom, so one diagnostic per tier
@@ -107,7 +110,7 @@ class TestDiffTiers:
         module = compile_source(POINTER_TABLE, "t")
         interp = Interpreter(module)
         interp.run()
-        report = diff_tiers(module, profile=interp.profile)
+        report = lint_report(module, only=["ptdiff"], profile=interp.profile)
         assert not report.has_errors
 
     def test_differ_pass_registered(self):

@@ -1,6 +1,5 @@
 """Tests for RHOP computation partitioning and intercluster move insertion."""
 
-import pytest
 
 from repro.analysis import annotate_memory_ops
 from repro.ir import Opcode, verify_module
@@ -8,7 +7,6 @@ from repro.lang import compile_source
 from repro.machine import single_cluster_machine, two_cluster_machine
 from repro.partition import (
     RHOP,
-    RHOPConfig,
     insert_intercluster_moves,
     memory_locks,
 )

@@ -6,7 +6,6 @@ from repro.analysis.cfg import CFG
 from repro.lang import compile_source
 from repro.machine import two_cluster_machine
 from repro.partition import RHOP
-from repro.partition.rhop import RHOPResult
 
 
 def compiled(src):

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.evalmodel import (
-    EvalResult,
     arithmetic_mean,
     bar_chart,
-    evaluate_module,
     exhaustive_search,
     format_table,
     geomean,

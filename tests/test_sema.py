@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ir.types import FLOAT, INT, PointerType
+from repro.ir.types import FLOAT, PointerType
 from repro.lang.errors import TypeCheckError
 from repro.lang.parser import parse
 from repro.lang.sema import check

@@ -13,7 +13,6 @@ from repro.service import (
     DEGRADED,
     DONE,
     FAILED,
-    QUEUED,
     Broker,
     FairQueue,
     Job,
