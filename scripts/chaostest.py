@@ -157,7 +157,8 @@ def stop_server(proc: subprocess.Popen, url: str) -> None:
     from repro.service import ServiceClient
 
     try:
-        ServiceClient(url, timeout=10.0).shutdown(drain=True)
+        with ServiceClient(url, timeout=10.0) as client:
+            client.shutdown(drain=True)
     except Exception:  # noqa: BLE001 - already dead is fine here
         pass
     try:
@@ -197,9 +198,9 @@ def run_baseline(args, workdir: str) -> Dict[str, Any]:
     cache_dir = os.path.join(workdir, "baseline-cache")
     proc, url = start_server(cache_dir, None, args.workers)
     try:
-        client = ServiceClient(url, timeout=args.timeout)
-        requests, cells = build_requests(args.submissions, args.tenants)
-        results = collect_results(client, requests, args.timeout)
+        with ServiceClient(url, timeout=args.timeout) as client:
+            requests, cells = build_requests(args.submissions, args.tenants)
+            results = collect_results(client, requests, args.timeout)
     finally:
         stop_server(proc, url)
     assert len(results) == len(cells)
@@ -233,22 +234,22 @@ def run_crash(args, workdir: str, baseline: Dict[str, Any]) -> Dict[str, Any]:
             time.sleep(0.002)
 
     def pump(thread_index: int) -> None:
-        client = ServiceClient(url, timeout=10.0, retry_budget=5.0)
-        for i in range(thread_index, len(requests), args.threads):
-            request = requests[i]
-            try:
-                reply = client.submit(
-                    source=request["source"], name=request["name"],
-                    config=request["config"], tenant=request["tenant"],
-                )
-            except Exception as exc:  # noqa: BLE001 - the kill, mostly
+        with ServiceClient(url, timeout=10.0, retry_budget=5.0) as client:
+            for i in range(thread_index, len(requests), args.threads):
+                request = requests[i]
+                try:
+                    reply = client.submit(
+                        source=request["source"], name=request["name"],
+                        config=request["config"], tenant=request["tenant"],
+                    )
+                except Exception as exc:  # noqa: BLE001 - the kill, mostly
+                    with lock:
+                        refused.append(f"{type(exc).__name__}")
+                    if killed.is_set():
+                        return
+                    continue
                 with lock:
-                    refused.append(f"{type(exc).__name__}")
-                if killed.is_set():
-                    return
-                continue
-            with lock:
-                acked.append((i, reply["id"]))
+                    acked.append((i, reply["id"]))
 
     killer_thread = threading.Thread(target=killer, daemon=True)
     pumps = [
@@ -267,29 +268,29 @@ def run_crash(args, workdir: str, baseline: Dict[str, Any]) -> Dict[str, Any]:
     # Restart on the same journal + cache directories: recovery.
     proc2, url2 = start_server(cache_dir, journal_dir, args.workers)
     try:
-        client = ServiceClient(url2, timeout=args.timeout)
-        stats = client.stats()
-        recovery = stats["recovery"]
+        with ServiceClient(url2, timeout=args.timeout) as client:
+            stats = client.stats()
+            recovery = stats["recovery"]
 
-        # Zero lost: every job id acked before the kill still exists and
-        # reaches a completed terminal state on the recovered server.
-        acked_ids = sorted({job_id for _i, job_id in acked})
-        lost: List[str] = []
-        for job_id in acked_ids:
-            try:
-                final = client.wait(job_id, timeout=args.timeout)
-            except Exception:  # noqa: BLE001 - unknown id == lost
-                lost.append(job_id)
-                continue
-            if final["state"] not in ("done", "degraded"):
-                lost.append(job_id)
+            # Zero lost: every job id acked before the kill still exists and
+            # reaches a completed terminal state on the recovered server.
+            acked_ids = sorted({job_id for _i, job_id in acked})
+            lost: List[str] = []
+            for job_id in acked_ids:
+                try:
+                    final = client.wait(job_id, timeout=args.timeout)
+                except Exception:  # noqa: BLE001 - unknown id == lost
+                    lost.append(job_id)
+                    continue
+                if final["state"] not in ("done", "degraded"):
+                    lost.append(job_id)
 
-        # Byte-identity: resubmit the full mix (idempotent — coalescing
-        # + the artifact cache absorb whatever already ran) and compare
-        # the per-cell projections against the crash-free baseline.
-        results = collect_results(client, requests, args.timeout)
-        recovered_blob = json.dumps(results, sort_keys=True)
-        baseline_blob = json.dumps(baseline, sort_keys=True)
+            # Byte-identity: resubmit the full mix (idempotent — coalescing
+            # + the artifact cache absorb whatever already ran) and compare
+            # the per-cell projections against the crash-free baseline.
+            results = collect_results(client, requests, args.timeout)
+            recovered_blob = json.dumps(results, sort_keys=True)
+            baseline_blob = json.dumps(baseline, sort_keys=True)
     finally:
         stop_server(proc2, url2)
 

@@ -251,6 +251,7 @@ def main(argv=None) -> int:
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0 if all(checks.values()) else 1
     finally:
+        client.close()
         if server is not None:
             server.stop()
 

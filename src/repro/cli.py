@@ -528,6 +528,8 @@ def _submit(args) -> int:
     except (TimeoutError, OSError) as exc:
         print(f"service unreachable or timed out: {exc}", file=sys.stderr)
         return EXIT_HARD_FAILURE
+    finally:
+        client.close()
     print(json.dumps(final, indent=2, sort_keys=True))
     return _exit_code(final["state"])
 

@@ -35,7 +35,8 @@ from .artifacts import (  # noqa: F401
     rhop_from_payload,
     rhop_to_payload,
 )
-from .cache import ArtifactCache
+from .artifacts import outcome_key_material, prepared_key_material
+from .cache import ArtifactCache, canonical_key
 from .runconfig import SCHEMA_VERSION, RunConfig
 
 #: Default scheme set of a sweep (Table 1 order, unified first so the
@@ -43,21 +44,50 @@ from .runconfig import SCHEMA_VERSION, RunConfig
 SWEEP_SCHEMES = ("unified", "gdp", "profilemax", "naive")
 
 
+#: Prepared-artifact key -> the IR hash its payload carries, remembered
+#: in process so the warm probe reads one artifact, the outcome.  The key
+#: is content-addressed (source, name, tier, profile, schema), so an
+#: entry cannot go stale; only :func:`lookup_cached_outcome` reads it.
+_IR_HASHES: Dict[str, str] = {}
+
+
+def _prepared_material(
+    source: str, name: str, config: RunConfig
+) -> Dict[str, Any]:
+    return prepared_key_material(
+        source, name, config.pointsto_tier, profile=config.profile
+    )
+
+
 def lookup_cached_outcome(
     source: str, name: str, config: RunConfig
 ) -> Optional[Dict[str, Any]]:
-    """Job-keyed cache probe: the outcome payload for one (source,
-    config) cell if *both* its artifacts are already on disk, else None.
+    """Job-keyed cache probe: the digest-verified outcome payload for one
+    (source, config) cell if it is already on disk, else None.
 
     This is the admission-control fast path the job server uses to tag a
-    submission as warm before it ever reaches a worker — nothing is
-    computed, nothing is stored.  It reads through a readonly handle of
-    its own.
+    submission as warm before it ever reaches a worker -- nothing is
+    computed, nothing is stored -- and the payload it returns is what
+    that worker answers from.  It reads through a readonly handle of its
+    own.  The outcome key's IR hash comes from the prepared artifact,
+    which is read only the first time this process meets its key; after
+    a quarantine or eviction the outcome read just misses.
     """
-    from ..pipeline import Pipeline
-
+    if not config.cacheable_results:
+        return None
     cache = ArtifactCache(config.cache_dir, "readonly")
-    return Pipeline(config, cache=cache).lookup(source, name)
+    material = _prepared_material(source, name, config)
+    key = canonical_key(material)
+    ir_hash = _IR_HASHES.get(key)
+    if ir_hash is None:
+        prepared = cache.load("prepared", material)
+        if prepared is None:
+            return None
+        ir_hash = _IR_HASHES[key] = prepared["ir_hash"]
+    return cache.load("outcome", outcome_key_material(
+        ir_hash, config.build_machine(), config.pointsto_tier,
+        config.scheme, config.seed, config.profile,
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -86,11 +116,15 @@ def run_cell(
     accumulates in one place; pool workers leave it None and build their
     own.
 
-    A fully warm cell is answered by the outcome artifact alone (its key's
-    IR hash lives in the prepared artifact), so it never compiles or
-    rehydrates; otherwise the pipeline prepares and runs the scheme under
-    the resilience ladder.  The cell's ``status`` is the run report's
-    :meth:`~repro.resilience.RunReport.outcome_state`.
+    A payload may also carry ``outcome``, an outcome payload that
+    :func:`lookup_cached_outcome` already read and verified: the cell is
+    answered from it, with no pipeline and no disk read, and records the
+    same events a warm :meth:`~repro.pipeline.Pipeline.lookup` does.  A
+    fully warm cell without one is answered by the outcome artifact alone
+    (its key's IR hash lives in the prepared artifact), so it never
+    compiles or rehydrates; otherwise the pipeline prepares and runs the
+    scheme under the resilience ladder.  The cell's ``status`` is the run
+    report's :meth:`~repro.resilience.RunReport.outcome_state`.
     """
     from ..pipeline import Pipeline
     from ..resilience import LadderExhausted, RunReport
@@ -108,14 +142,26 @@ def run_cell(
     report = RunReport()
     try:
         name, source = _bench_source(payload["bench"], payload.get("source"))
-        pipe = Pipeline(config, cache=cache)
-        hit = pipe.lookup(source, name, report=report)
+        hit = payload.get("outcome")
+        if hit is not None:
+            report.record_cache("prepared", "hit")
+            report.record_cache("outcome", "hit")
+            report.record_cached_run(config.scheme, hit["scheme"])
+        else:
+            pipe = Pipeline(config, cache=cache)
+            hit = pipe.lookup(source, name, report=report)
         if hit is not None:
             ran_as, roofline = hit["scheme"], hit.get("roofline")
             cycles = hit["eval"]["cycles"]
             moves = hit["eval"]["dynamic_moves"]
         else:
             prepared = pipe.prepare(source, name, report)
+            if (config.cacheable_results
+                    and prepared.profile_mode == config.profile):
+                # The prepared artifact now holds this IR hash.
+                _IR_HASHES[canonical_key(
+                    _prepared_material(source, name, config)
+                )] = prepared.fingerprint()
             outcome = pipe.run(prepared, report=report)
             ran_as, roofline = outcome.scheme, outcome.roofline
             cycles, moves = outcome.cycles, outcome.dynamic_moves

@@ -181,8 +181,7 @@ class Pipeline:
             report,
         )
         if payload is not None and report is not None:
-            report.record_run(scheme, [scheme])
-            report.record_final(scheme, payload["scheme"], "ok")
+            report.record_cached_run(scheme, payload["scheme"])
         return payload
 
     # -- preparation -------------------------------------------------------------

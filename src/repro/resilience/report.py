@@ -180,11 +180,15 @@ class RunReport:
     def record_cache(self, kind: str, status: str) -> None:
         """Record an artifact-cache consultation (``kind`` is ``prepared``,
         ``outcome`` or ``rhop``; ``status`` is ``hit`` / ``miss`` /
-        ``stale``).  Its ``detail`` is always empty; the field stays so
-        run reports keep their shape.
-        Carries no wall clocks, so it is stable under deterministic
-        serialisation."""
-        self._event("cache", cache=kind, status=status, detail="")
+        ``stale``).  Carries no wall clocks, so it is stable under
+        deterministic serialisation."""
+        self._event("cache", cache=kind, status=status)
+
+    def record_cached_run(self, requested: str, scheme: str) -> None:
+        """Record a run a cached outcome answered whole: a one-rung
+        ladder whose final is ``scheme``'s stored result."""
+        self.record_run(requested, [requested])
+        self.record_final(requested, scheme, "ok")
 
     def cache_events(self) -> List[Dict[str, Any]]:
         return [e for e in self.events if e["kind"] == "cache"]

@@ -23,9 +23,14 @@ Layering (no HTTP below the top):
   (checksummed NDJSON records, torn-tail truncation, fsync policies,
   snapshot compaction) and the broker's recovery/drain machinery;
 - :mod:`~repro.service.http` — :class:`ServiceServer`: the stdlib
-  ``ThreadingHTTPServer`` front end (``repro serve``);
-- :mod:`~repro.service.client` — :class:`ServiceClient`: the urllib
-  client (``repro submit``, load test, tests).
+  ``ThreadingHTTPServer`` front end (``repro serve``), one thread per
+  HTTP/1.1 keep-alive connection;
+- :mod:`~repro.service.client` — :class:`ServiceClient`: the
+  ``http.client`` client (``repro submit``, load test, tests), one
+  kept-alive connection per thread.
+
+A warm job costs one artifact read: the broker's admission probe reads
+and verifies the outcome, and the job carries it to its worker.
 """
 
 from .broker import Broker, ServiceError

@@ -48,9 +48,9 @@ import time
 from collections import Counter
 from typing import Any, Dict, List, Optional, Tuple
 
-# The cell runner and the warm probe both drive repro.pipeline, which the
-# engine imports lazily; importing it with the broker keeps that one-time
-# import (and the import lock it holds) off the first requests' path.
+# The cell runner drives repro.pipeline, which the engine imports lazily;
+# importing it with the broker keeps that one-time import (and the import
+# lock it holds) off the first requests' path.
 from .. import pipeline  # noqa: F401
 from ..exec.cache import ArtifactCache
 from ..exec.engine import lookup_cached_outcome, run_cell
@@ -358,10 +358,12 @@ class Broker:
 
     def _enqueue(self, job: Job, kind: str, **fields: Any) -> None:
         """Queue an admitted ``job`` behind a ``kind`` event that says
-        whether the store already holds its outcome (read-only; telemetry
-        only -- the worker's cell runner re-resolves it)."""
+        whether the store already holds its outcome.  A warm job carries
+        the outcome payload the probe read and verified to its worker,
+        whose cell runner answers from it without reading the store."""
         # Outside the broker lock: the probe touches the disk store.
-        job.warm = lookup_cached_outcome(job.source, job.bench, job.config) is not None
+        job.outcome = lookup_cached_outcome(job.source, job.bench, job.config)
+        job.warm = job.outcome is not None
         if job.warm and not job.recovered:
             self._bump("warm.submissions")
         job.record(kind, state=QUEUED, **fields, warm=job.warm)
@@ -537,6 +539,9 @@ class Broker:
                 self.queue.task_done(job)
 
     def _execute(self, job: Job, worker_id: str) -> None:
+        # The worker takes the probe's payload: from here on only this
+        # call holds it, whether the job finishes, crashes or requeues.
+        outcome, job.outcome = job.outcome, None
         with job._cond:
             if job.state == CANCELLED:
                 return
@@ -559,6 +564,7 @@ class Broker:
                     "bench": job.bench,
                     "source": job.source,
                     "config": job.config.to_dict(),
+                    "outcome": outcome,
                 },
                 cache=self.cache,
             )
@@ -652,7 +658,8 @@ class Broker:
 
     def _retire(self, job: Job) -> None:
         """Undo :meth:`_admit` once ``job`` is cancelled or terminal
-        (lock held)."""
+        (lock held); a cancelled job drops the probe's payload."""
+        job.outcome = None
         if self._inflight.get(job.key) is job:
             del self._inflight[job.key]
         count = self._tenant_pending.get(job.tenant, 0) - 1

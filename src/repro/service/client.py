@@ -1,4 +1,4 @@
-"""Stdlib (urllib) client for the partitioning service.
+"""Stdlib (``http.client``) client for the partitioning service.
 
 :class:`ServiceClient` is what ``repro submit``, the load-test harness
 and the service tests speak; it mirrors the HTTP surface one method per
@@ -6,12 +6,23 @@ route and converts ``{"error": ...}`` envelopes back into
 :class:`~repro.service.broker.ServiceError` — callers see the same
 exception type on both sides of the wire.
 
-Two client-side robustness contracts live here:
+Each thread that uses a client keeps one HTTP/1.1 connection to the
+server and sends every request on it, the NDJSON event stream included
+(the server closes the connection after a stream, and the next request
+opens a new one).  A warm job is two requests, so reusing the connection
+saves a TCP handshake and a server thread per request.  :meth:`close`
+(or leaving a ``with`` block) closes every thread's connection.
 
-* **Fail fast** — every request carries a finite socket timeout (urllib
-  would otherwise block forever on a hung server), and the ``wait``
-  long-poll is chunked into :data:`POLL_CAP`-second legs so a stalled
-  connection surfaces as an error within one leg, not never.
+Three client-side robustness contracts live here:
+
+* **Fail fast** — every request carries a finite socket timeout (a
+  socket would otherwise block forever on a hung server), and the
+  ``wait`` long-poll is chunked into :data:`POLL_CAP`-second legs so a
+  stalled connection surfaces as an error within one leg, not never.
+* **Stale connections** — a server may close a kept-alive connection
+  while it sits idle.  A request that fails on a connection that had
+  already served one, before any response byte arrived, is sent once
+  more on a fresh connection.  Every other failure raises.
 * **Backpressure** — a 429 from the broker's admission control is not an
   error but a "later, please": the client retries with jittered
   exponential backoff (:data:`BACKOFF_BASE` doubling up to
@@ -22,11 +33,13 @@ Two client-side robustness contracts live here:
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import socket
+import threading
 import time
-import urllib.error
-import urllib.request
+from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
 from .broker import ServiceError
@@ -42,7 +55,8 @@ POLL_CAP = 30.0
 
 
 class ServiceClient:
-    """Thin blocking client for one service base URL.
+    """Thin blocking client for one service base URL, safe to share
+    between threads (each gets its own connection).
 
     ``timeout`` is the per-request socket timeout (must be finite —
     hanging forever is the failure mode this client exists to avoid);
@@ -58,13 +72,91 @@ class ServiceClient:
         if timeout is None or timeout <= 0:
             raise ValueError("timeout must be a positive number of seconds")
         self.base_url = base_url.rstrip("/")
+        scheme, _, rest = self.base_url.partition("://")
+        if scheme != "http":
+            raise ValueError(f"the service speaks http, not {base_url!r}")
+        self._netloc, slash, path = rest.partition("/")
+        self._prefix = slash + path
         self.timeout = timeout
         self.retry_budget = retry_budget
         #: 429-backoff retries performed (telemetry; the load test
         #: asserts backpressure was actually exercised through here).
         self.retries = 0
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: List[http.client.HTTPConnection] = []
+
+    def close(self) -> None:
+        """Close every thread's connection; a later request opens a new
+        one."""
+        with self._lock:
+            connections, self._connections = self._connections, []
+            self._local = threading.local()
+        for connection in connections:
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # -- transport -------------------------------------------------------------
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection (not yet connected the first time)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = http.client.HTTPConnection(
+                self._netloc, timeout=self.timeout
+            )
+            with self._lock:
+                self._local.connection = connection
+                self._connections.append(connection)
+        return connection
+
+    @contextmanager
+    def _response(
+        self,
+        method: str,
+        path: str,
+        body: Optional[bytes],
+        headers: Dict[str, str],
+        timeout: float,
+    ) -> Iterator[http.client.HTTPResponse]:
+        """Send one request on this thread's connection and yield its
+        response (status and headers read).  The caller reads the body
+        inside the block; a failure there closes the connection."""
+        for retry in (False, True):
+            connection = self._connection()
+            reused = connection.sock is not None
+            try:
+                if connection.sock is None:
+                    connection.connect()
+                connection.sock.settimeout(timeout)
+                connection.request(
+                    method, self._prefix + path, body=body, headers=headers
+                )
+                # Wait for the first response byte without taking it: a
+                # failure before it means no server answered at all.
+                if not connection.sock.recv(1, socket.MSG_PEEK):
+                    raise http.client.RemoteDisconnected(
+                        "server closed the connection without a response"
+                    )
+            except ConnectionError:
+                connection.close()
+                if reused and not retry:
+                    continue
+                raise
+            except BaseException:
+                connection.close()
+                raise
+            break
+        try:
+            yield connection.getresponse()
+        except BaseException:
+            connection.close()
+            raise
 
     def _request(
         self,
@@ -107,43 +199,42 @@ class ServiceClient:
         if body is not None:
             data = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.base_url + path, data=data, headers=headers, method=method
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=timeout or self.timeout
-            ) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            raise self._as_service_error(exc) from None
+        with self._response(
+            method, path, data, headers, timeout or self.timeout
+        ) as response:
+            raw = response.read()
+        if response.status >= 400:
+            raise self._as_service_error(response, raw)
+        return json.loads(raw.decode("utf-8"))
 
     @staticmethod
-    def _as_service_error(exc: urllib.error.HTTPError) -> ServiceError:
+    def _as_service_error(
+        response: http.client.HTTPResponse, raw: bytes
+    ) -> ServiceError:
         retry_after: Optional[float] = None
         try:
-            raw = exc.headers.get("Retry-After") if exc.headers else None
-            if raw is not None:
-                retry_after = float(raw)
+            header = response.getheader("Retry-After")
+            if header is not None:
+                retry_after = float(header)
         except (TypeError, ValueError):
             retry_after = None
         try:
-            payload = json.loads(exc.read().decode("utf-8"))
+            payload = json.loads(raw.decode("utf-8"))
             error = payload["error"]
             if "retry_after" in error:
                 # The body carries the broker's exact float; the header
                 # is the same value ceiled to whole seconds (HTTP spec).
                 retry_after = float(error["retry_after"])
             return ServiceError(
-                exc.code, error["code"], error["message"],
+                response.status, error["code"], error["message"],
                 fields=tuple(error.get("fields", ())),
                 retry_after=retry_after,
             )
-        except ServiceError:
-            raise
         except Exception:  # noqa: BLE001 - non-JSON error body
             return ServiceError(
-                exc.code, "http_error", str(exc), retry_after=retry_after
+                response.status, "http_error",
+                f"HTTP Error {response.status}: {response.reason}",
+                retry_after=retry_after,
             )
 
     # -- routes ----------------------------------------------------------------
@@ -191,20 +282,16 @@ class ServiceClient:
         query = f"?since={since}"
         if follow:
             query += f"&follow=1&timeout={timeout:g}"
-        request = urllib.request.Request(
-            f"{self.base_url}/v1/jobs/{job_id}/events{query}",
-            headers={"Accept": "application/x-ndjson"},
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=timeout + 10.0
-            ) as response:
-                for line in response:
-                    line = line.strip()
-                    if line:
-                        yield json.loads(line.decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            raise self._as_service_error(exc) from None
+        with self._response(
+            "GET", f"/v1/jobs/{job_id}/events{query}", None,
+            {"Accept": "application/x-ndjson"}, timeout + 10.0,
+        ) as response:
+            if response.status >= 400:
+                raise self._as_service_error(response, response.read())
+            for line in response:
+                line = line.strip()
+                if line:
+                    yield json.loads(line.decode("utf-8"))
 
     def wait(self, job_id: str, timeout: float = 300.0) -> Dict[str, Any]:
         """Poll until the job is terminal; returns the final descriptor.

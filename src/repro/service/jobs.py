@@ -145,6 +145,9 @@ class Job:
         self.requeues = 0
         self.coalesced = 0
         self.warm = False
+        #: The outcome payload the warm probe read, held only until a
+        #: worker takes it; never journaled and never in :meth:`to_dict`.
+        self.outcome: Optional[Dict[str, Any]] = None
         self.recovered = False
         self.result: Optional[Dict[str, Any]] = None
         #: Terminal summary restored from the journal (a recovered job

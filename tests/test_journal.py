@@ -445,6 +445,10 @@ class TestBackpressure:
                                max_depth=1),
             port=0,
         ).start()
+        accepted = []
+        process_request = server._httpd.process_request
+        server._httpd.process_request = lambda request, address: (
+            accepted.append(address), process_request(request, address))
         try:
             client = ServiceClient(server.url, timeout=30.0,
                                    retry_budget=60.0)
@@ -458,6 +462,8 @@ class TestBackpressure:
             stats = client.stats()
             assert stats["admission"]["rejected_depth"] >= 1
             assert client.retries >= 1
+            # Every request, 429s and retries included, on one connection.
+            assert len(accepted) == 1
         finally:
             server.stop()
 
@@ -498,7 +504,7 @@ class TestClientTimeouts:
 
     @pytest.mark.timeout(30)
     def test_hung_server_surfaces_within_the_socket_timeout(self):
-        # A listener that accepts and then says nothing: urllib would
+        # A listener that accepts and then says nothing: a socket would
         # block forever without the client's socket timeout.
         listener = socket.socket()
         listener.bind(("127.0.0.1", 0))
@@ -511,7 +517,7 @@ class TestClientTimeouts:
         accepter.start()
         try:
             client = ServiceClient(f"http://127.0.0.1:{port}", timeout=0.3)
-            with pytest.raises(OSError):  # urllib wraps socket.timeout
+            with pytest.raises(OSError):  # socket.timeout is an OSError
                 client.healthz()
         finally:
             listener.close()

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.exec import RunConfig
+from repro.exec import RunConfig, engine
 from repro.exec.engine import run_cell
 from repro.service import (
     CANCELLED,
@@ -22,6 +22,7 @@ from repro.service import (
     job_key,
     scrub_events,
 )
+from repro.service.http import MAX_BODY_BYTES
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
@@ -508,6 +509,110 @@ class TestBrokerExecution:
             broker.shutdown()
 
 
+# -- the warm path: one artifact read, payload released ------------------------
+
+
+def counted(monkeypatch, method):
+    """Record the kind of every ``ArtifactCache.<method>`` call."""
+    from repro.exec.cache import ArtifactCache
+
+    kinds = []
+    original = getattr(ArtifactCache, method)
+
+    def call(self, kind, *args):
+        kinds.append(kind)
+        return original(self, kind, *args)
+
+    monkeypatch.setattr(ArtifactCache, method, call)
+    return kinds
+
+
+class TestWarmPath:
+    REQUEST = {"source": SOURCE, "name": "tiny", "config": {"scheme": "gdp"}}
+
+    def test_warm_job_reads_one_artifact_and_drops_it(
+        self, tmp_path, monkeypatch
+    ):
+        # An empty IR-hash memo: the cold job's worker must fill it.
+        monkeypatch.setattr(engine, "_IR_HASHES", {})
+        loads = counted(monkeypatch, "load")
+        stores = counted(monkeypatch, "store")
+        broker = make_broker(tmp_path, workers=1)
+        try:
+            cold, _ = broker.submit(self.REQUEST)
+            assert cold.wait(timeout=120) and cold.state == DONE
+            assert not cold.warm
+            assert {"prepared", "outcome"} <= set(stores)
+            del loads[:]
+            warm, created = broker.submit(self.REQUEST)
+            assert created and warm.warm
+            assert warm.wait(timeout=120) and warm.state == DONE
+            assert loads == ["outcome"]
+            assert warm.outcome is None
+            assert warm.result["cache"] == {
+                "prepared": "hit", "outcome": "hit"
+            }
+            assert (warm.result_summary()["cycles"]
+                    == cold.result_summary()["cycles"])
+            assert broker.stats()["warm"]["outcome_hits"] == 1
+            assert "outcome" not in warm.to_dict(include_events=True)
+            assert "outcome" not in warm.to_record()
+        finally:
+            broker.shutdown()
+
+    def test_quarantined_outcome_recomputes(self, tmp_path):
+        broker = make_broker(tmp_path, workers=1)
+        try:
+            first, _ = broker.submit(self.REQUEST)
+            assert first.wait(timeout=120) and first.state == DONE
+            outcomes = tmp_path / "cache" / "objects" / "outcome"
+            (entry,) = outcomes.rglob("*.json")
+            entry.write_text(entry.read_text().replace('"cycles"', '"cycles "'))
+            second, _ = broker.submit(self.REQUEST)
+            assert not second.warm
+            assert second.wait(timeout=120) and second.state == DONE
+            assert second.result["cache"]["outcome"] == "miss"
+            assert (second.result_summary()["cycles"]
+                    == first.result_summary()["cycles"])
+            assert broker.stats()["cache"]["quarantine"]["entries"] == 1
+        finally:
+            broker.shutdown()
+
+    def test_cancel_and_crash_requeue_drop_the_payload(
+        self, tmp_path, monkeypatch
+    ):
+        warmer = make_broker(tmp_path, workers=1)
+        job, _ = warmer.submit(self.REQUEST)
+        assert job.wait(timeout=120)
+        warmer.shutdown()
+
+        broker = make_broker(tmp_path, workers=1, start=False)
+        queued, _ = broker.submit(self.REQUEST)
+        assert queued.warm and queued.outcome is not None
+        broker.cancel(queued.id)
+        assert queued.outcome is None
+
+        crashes = []
+
+        def crash_once(job):
+            if not crashes:
+                crashes.append(job.outcome)
+                raise RuntimeError("worker lost")
+
+        monkeypatch.setattr(broker, "_maybe_crash", crash_once)
+        requeued, _ = broker.submit(self.REQUEST)
+        assert requeued.outcome is not None
+        broker.start()
+        try:
+            assert requeued.wait(timeout=120) and requeued.state == DONE
+            assert crashes == [None]  # taken before the crash
+            assert requeued.requeues == 1 and requeued.outcome is None
+            # The rerun found no payload and read the store instead.
+            assert requeued.result["cache"]["outcome"] == "hit"
+        finally:
+            broker.shutdown()
+
+
 # -- the 200-submission acceptance --------------------------------------------
 
 
@@ -689,6 +794,61 @@ class TestHttpService:
         finally:
             server.stop()
 
+    def test_client_shared_by_four_threads(self, server):
+        schemes = ("gdp", "naive", "unified", "profilemax")
+        finals, errors = {}, []
+        with ServiceClient(server.url, timeout=30.0) as client:
+
+            def run(scheme):
+                try:
+                    reply = client.submit(source=SOURCE,
+                                          config={"scheme": scheme})
+                    finals[scheme] = client.wait(reply["id"], timeout=120)
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=run, args=(scheme,))
+                       for scheme in schemes]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert errors == []
+            assert sorted(finals) == sorted(schemes)
+            assert all(f["state"] == "done" for f in finals.values())
+            assert len(client._connections) == 4
+
+    def test_request_after_server_closed_the_connection(self, server):
+        with ServiceClient(server.url, timeout=10.0) as client:
+            assert client.healthz()["status"] == "ok"
+            # The server drops the idle connection without a word: the
+            # next request fails on it and is sent once more.
+            server._httpd.close_connections()
+            assert client.healthz()["status"] == "ok"
+            # A reply that says ``Connection: close`` (an event stream)
+            # ends the connection, too.
+            reply = client.submit(source=SOURCE, config={"scheme": "gdp"})
+            client.wait(reply["id"], timeout=120)
+            assert list(client.events(reply["id"]))
+            assert client.healthz()["status"] == "ok"
+            assert len(client._connections) == 1
+
+    @pytest.mark.timeout(60)
+    def test_client_of_a_stopped_server_raises(self, tmp_path):
+        import time
+
+        server = ServiceServer(
+            broker=make_broker(tmp_path, workers=1), port=0
+        ).start()
+        client = ServiceClient(server.url, timeout=5.0)
+        assert client.healthz()["status"] == "ok"
+        server.stop()
+        started = time.monotonic()
+        with pytest.raises(OSError):
+            client.healthz()
+        assert time.monotonic() - started < 5.0
+        client.close()
+
     def test_graceful_shutdown_endpoint(self, tmp_path):
         import urllib.error
         import urllib.request
@@ -718,6 +878,67 @@ class TestHttpService:
         with pytest.raises(ServiceError) as exc:
             broker.submit({"source": SOURCE})
         assert exc.value.status == 503
+
+
+class TestKeepAliveServer:
+    """One raw HTTP/1.1 connection carries request after request."""
+
+    @pytest.fixture()
+    def server(self, tmp_path):
+        server = ServiceServer(
+            broker=make_broker(tmp_path, workers=1, start=False), port=0
+        ).start()
+        yield server
+        server.stop()
+
+    def test_post_bodies_are_read_before_the_next_request(self, server):
+        import http.client
+
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=10)
+
+        def call(method, path, body=None):
+            conn.request(method, path, body=body)
+            response = conn.getresponse()
+            return response.status, json.loads(response.read())
+
+        try:
+            status, job = call("POST", "/v1/jobs",
+                               json.dumps({"source": SOURCE}))
+            assert status == 201
+            sock = conn.sock
+            status, cancelled = call(
+                "POST", f"/v1/jobs/{job['id']}/cancel", "{}")
+            assert (status, cancelled["state"]) == (200, "cancelled")
+            assert call("GET", "/v1/healthz")[0] == 200
+            assert call("POST", "/v1/nope", "{}")[0] == 404
+            assert call("GET", "/v1/healthz")[0] == 200
+            assert conn.sock is sock  # never reconnected
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("length, status, code", [
+        (str(MAX_BODY_BYTES + 1), 413, "body_too_large"),
+        ("-1", 400, "invalid_request"),
+        ("ten", 400, "invalid_request"),
+    ])
+    def test_unreadable_body_closes_the_connection(
+        self, server, length, status, code
+    ):
+        import http.client
+
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=10)
+        try:
+            conn.putrequest("POST", "/v1/jobs")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            assert response.status == status
+            assert response.getheader("Connection") == "close"
+            assert json.loads(response.read())["error"]["code"] == code
+        finally:
+            conn.close()
 
 
 # -- CLI round trip -----------------------------------------------------------
