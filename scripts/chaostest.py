@@ -315,8 +315,7 @@ def run_crash(args, workdir: str, baseline: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def run_corruption(args, workdir: str, baseline: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.exec.engine import run_cell
-    from repro.service.jobs import cell_summary
+    from repro.exec.engine import cell_summary, run_cell
 
     cache_dir = os.path.join(workdir, "baseline-cache")
     rng = random.Random(args.seed)

@@ -51,8 +51,9 @@
 #               k {2, 4} x the five size-imbalance ratios of the Section 4.3
 #               ablation must match tests/goldens/gdp_identity.json (190
 #               cells; identity suite `gdp`), so a moved home fails here.
-#   cache       artifact cache smoke (cold vs warm Table-1 sweep; the cold
-#               sweep stores one unlocked RHOP pass per bench/latency/tier).
+#   cache       artifact cache smoke (cold vs warm vs refresh Table-1 sweep;
+#               the cold sweep stores one unlocked RHOP pass per
+#               bench/latency/tier, the refresh sweep serves no hit).
 #   service     scripted broker scenarios (coalescing, crash + requeue,
 #               cancel, 429s, drain, journal recovery -- also of a journal
 #               an older broker wrote) must reproduce the journal bytes,
@@ -175,18 +176,20 @@ stage_rhop() {
     python scripts/identity.py rhop rhop-shared gdp || failures=$((failures + 1))
 }
 
-# -- cache: artifact cache smoke (cold vs warm Table-1 sweep) -----------------
+# -- cache: artifact cache smoke (cold vs warm vs refresh Table-1 sweep) ------
 # The Table-1 sweep (all benches x all schemes, --jobs 2) runs twice
 # against a throwaway cache root: the second pass must serve >= 90% of
 # its cells from the outcome cache and reproduce every cell's result
 # exactly (cycles / moves / ran-as; the run *reports* legitimately
 # differ — a warm cell records no partitioner attempts).  The cold sweep
 # must leave exactly one shared unlocked-RHOP artifact per distinct
-# (bench, latency, points-to tier).  Finishes with a `repro cache stats`
-# / `cache gc` smoke over the same store.
+# (bench, latency, points-to tier).  A third pass under cache="refresh"
+# must serve no outcome from the full store (hit ratio 0.00) and
+# recompute the cold results.  Finishes with a `repro cache stats` /
+# `cache gc` smoke over the same store.
 
 stage_cache() {
-    note "artifact cache smoke (Table-1 sweep twice, --jobs 2, >=90% warm hits)"
+    note "artifact cache smoke (Table-1 sweep cold, warm, refresh, --jobs 2)"
     CACHE_TMP="$(mktemp -d)"
     trap 'rm -rf "$CACHE_TMP"' EXIT
     REPRO_CHECK_CACHE_DIR="$CACHE_TMP" python - <<'PY' || failures=$((failures + 1))
@@ -205,15 +208,24 @@ disk = ArtifactCache(config.cache_dir, "readonly").stats()["disk"]
 rhop_entries = disk.get("rhop", {}).get("entries", 0)
 warm = runner.sweep(bench_names())
 ratio = warm.cache_hit_ratio("outcome")
+refresh = ParallelRunner(config.replace(cache="refresh")).sweep(bench_names())
+refresh_ratio = refresh.cache_hit_ratio("outcome")
 RESULT_FIELDS = ("bench", "scheme", "latency", "pointsto_tier", "seed",
                  "status", "ran_as", "cycles", "dynamic_moves")
-same = all(
-    all(c[f] == w[f] for f in RESULT_FIELDS)
-    for c, w in zip(cold.cells, warm.cells)
-)
+
+
+def same_results(sweep):
+    return len(sweep.cells) == len(cold.cells) and all(
+        all(c[f] == w[f] for f in RESULT_FIELDS)
+        for c, w in zip(cold.cells, sweep.cells)
+    )
+
+
 statuses = warm.counts()
 print(f"cold {cold.wall_seconds:.2f}s, warm {warm.wall_seconds:.2f}s, "
       f"warm outcome hit ratio {ratio:.2f}, cells {statuses}")
+print(f"refresh {refresh.wall_seconds:.2f}s, "
+      f"refresh outcome hit ratio {refresh_ratio:.2f}")
 print(f"cold sweep stored {rhop_entries} rhop artifact(s) for "
       f"{len(triples)} (bench, latency, tier) triple(s)")
 bad = 0
@@ -223,13 +235,19 @@ if rhop_entries != len(triples):
 if ratio < 0.9:
     print(f"FAIL: warm hit ratio {ratio:.2f} < 0.90")
     bad += 1
-if not same:
+if not same_results(warm):
     print("FAIL: warm sweep results differ from cold")
+    bad += 1
+if refresh_ratio != 0.0:
+    print(f"FAIL: refresh hit ratio {refresh_ratio:.2f} != 0.00")
+    bad += 1
+if not same_results(refresh):
+    print("FAIL: refresh sweep results differ from cold")
     bad += 1
 if statuses["failed"] or statuses["degraded"]:
     print(f"FAIL: unexpected non-ok cells: {statuses}")
     bad += 1
-print(("ok" if not bad else "FAIL") + ": cold/warm Table-1 sweep")
+print(("ok" if not bad else "FAIL") + ": cold/warm/refresh Table-1 sweep")
 sys.exit(1 if bad else 0)
 PY
 

@@ -62,20 +62,21 @@ def _prepared_material(
 def lookup_cached_outcome(
     source: str, name: str, config: RunConfig
 ) -> Optional[Dict[str, Any]]:
-    """Job-keyed cache probe: the digest-verified outcome payload for one
+    """The one warm probe: the digest-verified outcome payload for one
     (source, config) cell if it is already on disk, else None.
 
-    This is the admission-control fast path the job server uses to tag a
-    submission as warm before it ever reaches a worker -- nothing is
-    computed, nothing is stored -- and the payload it returns is what
-    that worker answers from.  It reads through a readonly handle of its
-    own.  The outcome key's IR hash comes from the prepared artifact,
+    :func:`run_cell` answers a hit whole, and the job server calls it at
+    admission to tag a submission as warm and carry the payload to its
+    worker; nothing is computed, nothing is stored.  It reads through a
+    handle of its own under the config's cache policy, so ``refresh``
+    misses, ``on`` refreshes the entry's recency and ``readonly`` only
+    reads.  The outcome key's IR hash comes from the prepared artifact,
     which is read only the first time this process meets its key; after
     a quarantine or eviction the outcome read just misses.
     """
     if not config.cacheable_results:
         return None
-    cache = ArtifactCache(config.cache_dir, "readonly")
+    cache = ArtifactCache(config.cache_dir, config.cache)
     material = _prepared_material(source, name, config)
     key = canonical_key(material)
     ir_hash = _IR_HASHES.get(key)
@@ -112,19 +113,17 @@ def run_cell(
     The payload is plain JSON (picklable across the pool): the cell's
     RunConfig dict plus ``bench`` and optionally ``source`` for programs
     not in the registry.  In-process callers (the job server's threaded
-    workers) may pass a shared ``cache`` handle so hit/miss telemetry
-    accumulates in one place; pool workers leave it None and build their
-    own.
+    workers) may pass a shared ``cache`` handle for the pipeline's reads
+    and stores, so their hit/miss telemetry accumulates in one place;
+    pool workers leave it None and build their own.
 
-    A payload may also carry ``outcome``, an outcome payload that
-    :func:`lookup_cached_outcome` already read and verified: the cell is
-    answered from it, with no pipeline and no disk read, and records the
-    same events a warm :meth:`~repro.pipeline.Pipeline.lookup` does.  A
-    fully warm cell without one is answered by the outcome artifact alone
-    (its key's IR hash lives in the prepared artifact), so it never
-    compiles or rehydrates; otherwise the pipeline prepares and runs the
-    scheme under the resilience ladder.  The cell's ``status`` is the run
-    report's :meth:`~repro.resilience.RunReport.outcome_state`.
+    A warm cell is answered by its outcome payload alone: the payload's
+    ``outcome``, which :func:`lookup_cached_outcome` already read and
+    verified, or else that probe's answer.  It records a prepared hit,
+    an outcome hit and a one-rung run, and never compiles or rehydrates.
+    Any other cell the pipeline prepares and runs under the resilience
+    ladder.  The cell's ``status`` is the run report's
+    :meth:`~repro.resilience.RunReport.outcome_state`.
     """
     from ..pipeline import Pipeline
     from ..resilience import LadderExhausted, RunReport
@@ -143,18 +142,17 @@ def run_cell(
     try:
         name, source = _bench_source(payload["bench"], payload.get("source"))
         hit = payload.get("outcome")
+        if hit is None:
+            hit = lookup_cached_outcome(source, name, config)
         if hit is not None:
             report.record_cache("prepared", "hit")
             report.record_cache("outcome", "hit")
             report.record_cached_run(config.scheme, hit["scheme"])
-        else:
-            pipe = Pipeline(config, cache=cache)
-            hit = pipe.lookup(source, name, report=report)
-        if hit is not None:
             ran_as, roofline = hit["scheme"], hit.get("roofline")
             cycles = hit["eval"]["cycles"]
             moves = hit["eval"]["dynamic_moves"]
         else:
+            pipe = Pipeline(config, cache=cache)
             prepared = pipe.prepare(source, name, report)
             if (config.cacheable_results
                     and prepared.profile_mode == config.profile):

@@ -14,9 +14,12 @@ evaluate from one frozen :class:`~repro.exec.RunConfig`:
   ``validate`` is on, and the result is stored.  The unlocked RHOP pass
   that Unified, Naïve and Profile Max's first pass share is itself an
   artifact: the first scheme to need it stores it, the others load it;
-- :meth:`Pipeline.run_all` / :meth:`Pipeline.compare` sit on top, and
-  :meth:`Pipeline.lookup` is the read-only warm probe (it never
-  compiles, rehydrates, or stores).
+- :meth:`Pipeline.run_all` / :meth:`Pipeline.compare` sit on top.
+
+The warm probe that answers a whole cell from its outcome artifact,
+without compiling or rehydrating, is
+:func:`~repro.exec.engine.lookup_cached_outcome`; a cell it misses comes
+here.
 
 Every attempt, fault, retry, fallback, budget and cache event lands in a
 :class:`~repro.resilience.RunReport`.  A shared
@@ -27,7 +30,7 @@ stops spending on retries once it expires.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional
 
 # The artifact (de)serialisers are called as ``engine.<name>``: those
 # module attributes are what perfbench/spans.py wraps to time them.
@@ -37,7 +40,7 @@ from ..exec.artifacts import (
     prepared_key_material,
     rhop_key_material,
 )
-from ..exec.cache import ArtifactCache, canonical_key
+from ..exec.cache import ArtifactCache
 from ..exec.runconfig import SCHEMES
 from ..ir import Module
 from ..lint import check_scheme_outcome
@@ -90,28 +93,19 @@ class Pipeline:
         # Fresh per pipeline: both carry mutable state.
         self.budget = config.build_budget()
         self.faults = config.build_faults()
-        #: Artifacts read so far (canonical key -> payload or None): each
-        #: is read from disk at most once per pipeline, so the warm probe
-        #: followed by prepare/run on its miss costs no second load.
-        self._loaded: Dict[str, Optional[Dict[str, Any]]] = {}
 
     # -- the artifact cache ------------------------------------------------------
 
-    def _load(self, kind: str, material, report: Optional[RunReport]):
+    def _load(self, kind: str, material, report: RunReport):
         """The artifact for ``material`` (None on a miss); a hit is
-        recorded in ``report`` once, at the disk read."""
-        key = f"{kind}:{canonical_key(material)}"
-        if key not in self._loaded:
-            payload = self.cache.load(kind, material)
-            self._loaded[key] = payload
-            if payload is not None and report is not None:
-                report.record_cache(kind, "hit")
-        return self._loaded[key]
+        recorded in ``report``."""
+        payload = self.cache.load(kind, material)
+        if payload is not None:
+            report.record_cache(kind, "hit")
+        return payload
 
     def _store(self, kind: str, material, payload, report: RunReport) -> None:
         self.cache.store(kind, material, payload)
-        # Forget the miss: a later read goes to the store again.
-        self._loaded.pop(f"{kind}:{canonical_key(material)}", None)
         report.record_cache(kind, "miss")
 
     def _prepared_material(self, source: str, name: str):
@@ -149,40 +143,6 @@ class Pipeline:
             return result
 
         return unlocked_pass
-
-    def lookup(
-        self,
-        source: str,
-        name: str = "program",
-        report: Optional[RunReport] = None,
-    ) -> Optional[Dict[str, Any]]:
-        """The cached outcome payload for the config's scheme when both
-        its artifacts are on disk, else None.
-
-        The warm fast path: the outcome key's IR hash is read from the
-        prepared artifact, so nothing is compiled, rehydrated or stored.
-        A hit is recorded in ``report`` as a one-rung run.
-        """
-        if not self.config.cacheable_results:
-            return None
-        scheme = self.config.scheme
-        prepared = self._load(
-            "prepared", self._prepared_material(source, name), report
-        )
-        if prepared is None:
-            return None
-        # A prepared artifact is only stored under the profile it was
-        # built with, so the config's profile is the one it carries.
-        payload = self._load(
-            "outcome",
-            self._outcome_material(
-                prepared["ir_hash"], scheme, self.config.profile
-            ),
-            report,
-        )
-        if payload is not None and report is not None:
-            report.record_cached_run(scheme, payload["scheme"])
-        return payload
 
     # -- preparation -------------------------------------------------------------
 
@@ -277,8 +237,7 @@ class Pipeline:
             )
             payload = self._load("outcome", material, report)
             if payload is not None:
-                report.record_run(scheme, [scheme])
-                report.record_final(scheme, payload["scheme"], "ok")
+                report.record_cached_run(scheme, payload["scheme"])
                 outcome = engine.outcome_from_payload(payload, self.machine)
                 return _answering(outcome, scheme, report)
         outcome = self._ladder(prepared, scheme, report)

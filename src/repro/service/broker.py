@@ -43,6 +43,7 @@ into O(1) lookups — the measured property in
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import Counter
@@ -53,7 +54,7 @@ from typing import Any, Dict, List, Optional, Tuple
 # lock it holds) off the first requests' path.
 from .. import pipeline  # noqa: F401
 from ..exec.cache import ArtifactCache
-from ..exec.engine import lookup_cached_outcome, run_cell
+from ..exec.engine import cell_summary, lookup_cached_outcome, run_cell
 from ..exec.runconfig import RunConfig, RunConfigError
 from .jobs import (
     CANCELLED,
@@ -203,6 +204,9 @@ class Broker:
         self._halting = False    # workers wind down
         self.started = clock()
         self._counts = dict.fromkeys(COUNTERS, 0)
+        #: Roofline ratios of the jobs this broker finished, folded in by
+        #: :meth:`_finish`: (count, min, max, sum).
+        self._roofline = (0, math.inf, -math.inf, 0.0)
         self._worker_count = workers
         self._workers: List[threading.Thread] = []
         self.journal = (
@@ -616,10 +620,22 @@ class Broker:
 
     def _finish(self, job: Job, cell: Dict[str, Any]) -> None:
         """Map a finished engine cell onto the job's terminal state (the
-        cell's status is the run report's one outcome rule)."""
-        job.result = cell
-        if cell["cache"].get("outcome") == "hit":
+        cell's status is the run report's one outcome rule).  The job
+        keeps the cell's summary, report summary and cache statuses; the
+        cell itself, run reports and all, is dropped here."""
+        with job._cond:
+            job.summary = cell_summary(cell)
+            job.resilience = cell["report"]["summary"]
+            job.cache = cell["cache"]
+        if job.cache.get("outcome") == "hit":
             self._bump("warm.outcome_hits")
+        ratio = job.summary["roofline_ratio"]
+        if ratio:
+            with self._lock:
+                count, low, high, total = self._roofline
+                self._roofline = (
+                    count + 1, min(low, ratio), max(high, ratio), total + ratio
+                )
         if cell["status"] == "failed":
             job.error = cell["error"]
             self._terminal(job, FAILED, error=cell["error"],
@@ -645,7 +661,7 @@ class Broker:
         job.record("finished", state=state, **fields)
         self._journal_append(
             "finish", job=job.id, state=state, error=job.error,
-            summary=job.result_summary(), requeues=job.requeues,
+            summary=job.summary, requeues=job.requeues,
         )
 
     def _admit(self, job: Job) -> None:
@@ -681,12 +697,7 @@ class Broker:
         the counter table, nested by path, plus the live state."""
         with self._lock:
             by_state = Counter(job.state for job in self._jobs.values())
-            ratios = [
-                job.result["roofline_ratio"]
-                for job in self._jobs.values()
-                if job.result is not None
-                and job.result.get("roofline_ratio")
-            ]
+            count, low, high, total = self._roofline
             flat = {
                 **self._counts,
                 "jobs.created": len(self._jobs),
@@ -715,12 +726,10 @@ class Broker:
             workers={"pool": self._worker_count, "alive": alive},
             cache=self.cache.stats(),
             roofline={
-                "jobs": len(ratios),
-                "min_ratio": round(min(ratios), 4) if ratios else None,
-                "max_ratio": round(max(ratios), 4) if ratios else None,
-                "mean_ratio": (
-                    round(sum(ratios) / len(ratios), 4) if ratios else None
-                ),
+                "jobs": count,
+                "min_ratio": round(low, 4) if count else None,
+                "max_ratio": round(high, 4) if count else None,
+                "mean_ratio": round(total / count, 4) if count else None,
             },
         )
         return payload

@@ -32,7 +32,6 @@ import threading
 from typing import Any, Dict, Iterator, List, Optional
 
 from ..exec.cache import canonical_key, content_sha
-from ..exec.engine import cell_summary
 from ..exec.runconfig import EXECUTION_ONLY_FIELDS, RunConfig
 from ..resilience.report import scrub
 
@@ -118,6 +117,10 @@ class Job:
     Thread-safety: every mutation happens under ``_cond`` (the broker and
     its workers share job instances); readers either take the lock or
     read immutable snapshots (:meth:`snapshot_events`, :meth:`to_dict`).
+
+    A terminal job keeps no engine cell, only the small record that
+    :meth:`to_dict` and the journal read: ``summary``, and for a job
+    this process finished, ``resilience`` and ``cache``.
     """
 
     def __init__(
@@ -149,11 +152,11 @@ class Job:
         #: worker takes it; never journaled and never in :meth:`to_dict`.
         self.outcome: Optional[Dict[str, Any]] = None
         self.recovered = False
-        self.result: Optional[Dict[str, Any]] = None
-        #: Terminal summary restored from the journal (a recovered job
-        #: has no in-memory engine cell; :meth:`result_summary` falls
-        #: back to this).
+        #: The engine cell's :func:`~repro.exec.engine.cell_summary`:
+        #: journaled, so a recovered job restores it.
         self.summary: Optional[Dict[str, Any]] = None
+        self.resilience: Optional[Dict[str, Any]] = None
+        self.cache: Optional[Dict[str, str]] = None
         self.error: Optional[str] = None
         self.events: List[Dict[str, Any]] = []
         self._seq = 0
@@ -219,21 +222,12 @@ class Job:
 
     # -- serialisation ---------------------------------------------------------
 
-    def result_summary(self) -> Optional[Dict[str, Any]]:
-        """The deterministic projection of the engine cell this job ran
-        as (None until terminal): the fields the byte-identity acceptance
-        compares against serial execution."""
-        if self.result is None:
-            return self.summary
-        return cell_summary(self.result)
-
     def to_record(self, fields: int = len(RECORD_FIELDS)) -> Dict[str, Any]:
         """The job's durable record cut to its first ``fields`` fields
         (``SUBMIT_FIELDS`` for a ``submit`` record)."""
         with self._cond:
             values = dict(vars(self), job=self.id,
-                          config=self.config.to_dict(),
-                          summary=self.result_summary())
+                          config=self.config.to_dict())
         return {name: values[name] for name in list(RECORD_FIELDS)[:fields]}
 
     @classmethod
@@ -264,11 +258,11 @@ class Job:
                 "recovered": self.recovered,
                 "config": self.config.to_dict(),
                 "error": self.error,
-                "result": self.result_summary(),
+                "result": self.summary,
             }
-            if self.result is not None:
-                data["resilience"] = self.result["report"]["summary"]
-                data["cache"] = dict(self.result["cache"])
+            if self.resilience is not None:
+                data["resilience"] = self.resilience
+                data["cache"] = self.cache
             if include_events:
                 data["events"] = [dict(e) for e in self.events]
             return data

@@ -84,6 +84,19 @@ def test_cli_fault_cells_degrade_and_survive():
     assert invalid
 
 
+def test_service_uptime_is_spelled_as_scrub_writes_it():
+    """A subset ``--record`` of the service suite writes each cell's
+    stats through ``scrub``: the golden holds the same spelling of the
+    zeroed uptime, so recording one cell churns no other field."""
+    from repro.resilience.report import scrub
+
+    zero = json.dumps(scrub({"uptime_seconds": 12.5})["uptime_seconds"])
+    cells = identity.load_golden(identity.SUITES["service"])
+    assert cells
+    for name, cell in cells.items():
+        assert json.dumps(cell["stats"]["uptime_seconds"]) == zero, name
+
+
 def test_every_golden_has_one_suite_and_every_suite_a_stage():
     goldens = sorted(
         path.name for path in (ROOT / "tests" / "goldens").glob("*_identity.json")

@@ -230,7 +230,7 @@ class TestRecovery:
             assert revived.recovered
             revived.wait(timeout=60.0)
             assert revived.state == DONE
-            assert revived.result_summary()["cycles"] > 0
+            assert revived.summary["cycles"] > 0
         finally:
             broker.shutdown()
 
@@ -239,7 +239,7 @@ class TestRecovery:
         first = make_broker(tmp_path)
         job, _created = first.submit(request())
         job.wait(timeout=60.0)
-        summary = job.result_summary()
+        summary = job.summary
         first.shutdown(drain=True)
 
         broker = make_broker(tmp_path, start=False)
@@ -247,9 +247,13 @@ class TestRecovery:
             revived = broker.get(job.id)
             assert revived.state == DONE and revived.terminal
             # History answers without recompute: the summary rides the
-            # journal, not the (absent) in-memory engine result.
-            assert revived.result is None
-            assert revived.result_summary() == summary
+            # journal; the report and cache sections stayed with the
+            # broker that ran the job.
+            assert revived.summary == summary
+            descriptor = revived.to_dict()
+            assert descriptor["result"] == summary
+            assert "resilience" not in descriptor
+            assert "cache" not in descriptor
             assert broker.stats()["recovery"]["requeued"] == 0
         finally:
             broker.shutdown(wait=False)
@@ -269,7 +273,7 @@ class TestRecovery:
             revived.wait(timeout=60.0)
             assert revived.state == DONE
             assert revived.warm  # the rerun was served from the cache
-            assert revived.result["cache"]["outcome"] == "hit"
+            assert revived.to_dict()["cache"]["outcome"] == "hit"
         finally:
             broker.shutdown()
 

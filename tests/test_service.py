@@ -104,7 +104,7 @@ class TestJobKey:
         }, {"kind": "cache", "cache": "prepared", "status": "miss"}]
         assert scrub_events(nested) == [{
             "kind": "finished", "seconds": 0.0, "wall_seconds": 0.0,
-            "cell_seconds": 0.0, "speedup": 0.0, "uptime_seconds": 0.0,
+            "cell_seconds": 0.0, "speedup": 0.0, "uptime_seconds": 0,
             "cycles": 812,
             "report": {"events": [
                 {"kind": "attempt", "seconds": 0.0,
@@ -116,6 +116,7 @@ class TestJobKey:
         }]
         solver = scrub_events(nested)[0]["report"]["events"][1]["stats"]
         assert type(solver["solve_seconds"]) is int
+        assert type(scrub_events(nested)[0]["uptime_seconds"]) is int
 
 
 # -- the fair queue -----------------------------------------------------------
@@ -340,7 +341,7 @@ class TestBrokerExecution:
                 "bench": "tiny", "source": SOURCE,
                 "config": job.config.to_dict(),
             })
-            summary = job.result_summary()
+            summary = job.summary
             assert summary["cycles"] == direct["cycles"]
             assert summary["dynamic_moves"] == direct["dynamic_moves"]
             assert summary["status"] == "ok"
@@ -384,10 +385,10 @@ class TestBrokerExecution:
             assert created and second is not first  # no longer in flight
             assert second.warm  # artifact cache answers it
             assert second.wait(timeout=120)
-            assert second.result["cache"]["outcome"] == "hit"
+            assert second.to_dict()["cache"]["outcome"] == "hit"
             assert (
-                second.result_summary()["cycles"]
-                == first.result_summary()["cycles"]
+                second.summary["cycles"]
+                == first.summary["cycles"]
             )
         finally:
             broker.shutdown()
@@ -447,7 +448,7 @@ class TestBrokerExecution:
             events = {e["kind"]: e for e in job.snapshot_events()}
             assert events["degraded"]["ran_as"] == "profilemax"
             assert events["degraded"]["requested"] == "gdp"
-            assert job.result_summary()["status"] == "degraded"
+            assert job.summary["status"] == "degraded"
         finally:
             broker.shutdown()
 
@@ -549,11 +550,11 @@ class TestWarmPath:
             assert warm.wait(timeout=120) and warm.state == DONE
             assert loads == ["outcome"]
             assert warm.outcome is None
-            assert warm.result["cache"] == {
+            assert warm.to_dict()["cache"] == {
                 "prepared": "hit", "outcome": "hit"
             }
-            assert (warm.result_summary()["cycles"]
-                    == cold.result_summary()["cycles"])
+            assert (warm.summary["cycles"]
+                    == cold.summary["cycles"])
             assert broker.stats()["warm"]["outcome_hits"] == 1
             assert "outcome" not in warm.to_dict(include_events=True)
             assert "outcome" not in warm.to_record()
@@ -571,10 +572,44 @@ class TestWarmPath:
             second, _ = broker.submit(self.REQUEST)
             assert not second.warm
             assert second.wait(timeout=120) and second.state == DONE
-            assert second.result["cache"]["outcome"] == "miss"
-            assert (second.result_summary()["cycles"]
-                    == first.result_summary()["cycles"])
+            assert second.to_dict()["cache"]["outcome"] == "miss"
+            assert (second.summary["cycles"]
+                    == first.summary["cycles"])
             assert broker.stats()["cache"]["quarantine"]["entries"] == 1
+        finally:
+            broker.shutdown()
+
+    def test_refresh_server_recomputes_a_stored_job(self, tmp_path):
+        warmer = make_broker(tmp_path, workers=1)
+        job, _ = warmer.submit(self.REQUEST)
+        assert job.wait(timeout=120) and job.state == DONE
+        warmer.shutdown()
+
+        broker = make_broker(tmp_path, workers=1, config=RunConfig(
+            cache="refresh", cache_dir=str(tmp_path / "cache"),
+        ))
+        try:
+            again, created = broker.submit(self.REQUEST)
+            assert created and not again.warm
+            assert again.wait(timeout=120) and again.state == DONE
+            assert again.to_dict()["cache"]["outcome"] == "miss"
+            assert again.summary["cycles"] == job.summary["cycles"]
+            assert broker.stats()["cache"]["session"]["stores"] > 0
+        finally:
+            broker.shutdown()
+
+    def test_warm_hit_refreshes_the_outcome_entry_recency(self, tmp_path):
+        broker = make_broker(tmp_path, workers=1)
+        try:
+            cold, _ = broker.submit(self.REQUEST)
+            assert cold.wait(timeout=120) and cold.state == DONE
+            outcomes = tmp_path / "cache" / "objects" / "outcome"
+            (entry,) = outcomes.rglob("*.json")
+            os.utime(entry, (1, 1))
+            warm, _ = broker.submit(self.REQUEST)
+            assert warm.warm
+            assert warm.wait(timeout=120) and warm.state == DONE
+            assert entry.stat().st_mtime > 1.0
         finally:
             broker.shutdown()
 
@@ -608,7 +643,7 @@ class TestWarmPath:
             assert crashes == [None]  # taken before the crash
             assert requeued.requeues == 1 and requeued.outcome is None
             # The rerun found no payload and read the store instead.
-            assert requeued.result["cache"]["outcome"] == "hit"
+            assert requeued.to_dict()["cache"]["outcome"] == "hit"
         finally:
             broker.shutdown()
 
@@ -693,7 +728,7 @@ class TestConcurrentAcceptance:
                     cache="off", cache_dir=None
                 ).to_dict(),
             })
-            summary = job.result_summary()
+            summary = job.summary
             assert summary["cycles"] == direct["cycles"]
             assert summary["dynamic_moves"] == direct["dynamic_moves"]
             assert summary["ran_as"] == direct["ran_as"]
